@@ -15,7 +15,7 @@ from statistics import mean, stdev
 from . import __version__, engine, ledger
 from .config import (ConfigError, ScenarioConfig, apply_override,
                      config_to_flat_dict, load_config)
-from .crypto import get_provider
+from .crypto import CryptoError, get_provider
 
 # Figure catalog: output metrics per swept axis value. The performance
 # figures pin adversaries to zero so forged timestamps and replays do not
@@ -294,7 +294,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ledger.LedgerError) as exc:
+    except (ConfigError, CryptoError, FileNotFoundError,
+            ledger.LedgerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

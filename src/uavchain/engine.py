@@ -26,7 +26,7 @@ from statistics import mean, stdev
 from typing import Optional
 
 from . import consensus, ledger, netsim, trust, workload
-from .config import ScenarioConfig, apply_override, config_to_flat_dict
+from .config import ScenarioConfig, apply_override
 from .crypto import MOCK_SIGNATURE_LEN, SchemeId, Signature, get_provider
 from .ledger import LedgerSegment, Transaction, genesis_metadata
 from .metrics import MetricsCollector, RoundRecord, TrustRecord, TxRecord
@@ -157,6 +157,8 @@ class Simulation:
             state.mean_heading = state.heading
             self.uav_states[uav] = state
             self.graph.add_node(uav, "uav", state.position())
+        # Alive UAVs in uav_ids order; _charge_uav removes a UAV as it dies.
+        self.alive_uavs = list(self.uav_ids)
 
         # Keys are provisioned at scenario start for every node.
         self.keys = {}
@@ -272,15 +274,14 @@ class Simulation:
     # --- handlers -----------------------------------------------------------
 
     def _handle_mobility(self) -> None:
+        dt = self.config.sim.mobility_step_s
         side = self.config.area_side_m()
-        for uav in self.uav_ids:
-            state = self.uav_states[uav]
-            if not state.alive:
-                continue
-            state = netsim.step_mobility(state, self.config.sim.mobility_step_s,
-                                         self.gm_params, side, self.rng_mobility)
-            self.uav_states[uav] = state
-            self.graph.move(uav, state.position())
+        params, rng = self.gm_params, self.rng_mobility
+        states, graph = self.uav_states, self.graph
+        for uav in self.alive_uavs:
+            state = netsim.step_mobility(states[uav], dt, params, side, rng)
+            states[uav] = state
+            graph.move(uav, state.position())
 
     def _charge_uav(self, uav: str, amount: float) -> bool:
         account = self.accounts[uav]
@@ -289,6 +290,7 @@ class Simulation:
         state.energy = account.remaining
         if account.depleted and state.alive:
             state.alive = False
+            self.alive_uavs.remove(uav)
             self.graph.set_alive(uav, False)
             self.death_times[uav] = self.now
         return ok
@@ -316,10 +318,9 @@ class Simulation:
         self._schedule(self.now + workload.next_arrival(
             self.workload_params.arrival_rate, self.rng_workload),
             _PRIO_SUBMIT, "submit")
-        alive = [u for u in self.uav_ids if self.uav_states[u].alive]
-        if not alive:
+        if not self.alive_uavs:
             return
-        uav = self.rng_workload.choice(alive)
+        uav = self.rng_workload.choice(self.alive_uavs)
         payload = workload.make_payload(self.workload_params, self.rng_workload)
         behavior = self.uav_behaviors.get(uav)
         costs = self.energy_model.costs
@@ -496,6 +497,10 @@ class Simulation:
             up = netsim.deliver(cfg.network.vote_size_bytes, member, proposer,
                                 self.graph, self.rng_network)
             verify_time = len(block.transactions) * costs.verify_s
+            if down is None or up is None:
+                raise SimulationInvariantError(
+                    f"committee message between proposer {proposer} and "
+                    f"member {member} was dropped")
             rnd.confirm_times[member] = self.now + down + verify_time + up
         record.delta_cons = consensus.consensus_delay(rnd.t_propose,
                                                       rnd.confirm_times)
@@ -547,7 +552,7 @@ class Simulation:
                                            self._uptime_fraction(uav, window_start),
                                            self.behavior_weights)
                 self.trust_states[uav] = trust.update_trust(
-                    self.trust_states[uav], chi, self.trust_params, self.now)
+                    self.trust_states[uav], chi, self.trust_params)
                 self.window_stats[uav] = _WindowStats()
                 self.metrics.trust.append(TrustRecord(
                     window_id=window_index, node=uav, chi=chi.value,
@@ -557,7 +562,7 @@ class Simulation:
             for row in self.metrics.trust[-len(self.uav_ids):]:
                 row.rho = ranks[row.node]
 
-        alive = [u for u in self.uav_ids if self.uav_states[u].alive]
+        alive = self.alive_uavs
         assignment: dict[str, set[str]] = {edge: set() for edge in self.edge_ids}
         for uav in alive:
             edge = self.graph.nearest_edge(uav)
@@ -670,6 +675,3 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
         rows.append(row)
     return rows
 
-
-def flat_config(config: ScenarioConfig) -> dict:
-    return config_to_flat_dict(config)

@@ -77,9 +77,14 @@ class Transaction:
     submit_time: float
     signature: Signature
     id: bytes = field(init=False)
+    # Length of the canonical encoding, measured once when the id is
+    # computed; the encoding itself is not kept, to hold memory down.
+    _core_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.id = hash_bytes(self.canonical_encoding())
+        core = self.canonical_encoding()
+        self.id = hash_bytes(core)
+        self._core_size = len(core)
 
     def canonical_encoding(self) -> bytes:
         return encode_tx_core(self.sender, self.submit_time, self.payload)
@@ -88,7 +93,7 @@ class Transaction:
         return self.canonical_encoding() + encode_bytes(self.signature.bytes)
 
     def wire_size(self) -> int:
-        return len(self.canonical_encoding()) + 4 + len(self.signature.bytes)
+        return self._core_size + 4 + len(self.signature.bytes)
 
 
 @dataclass(frozen=True)

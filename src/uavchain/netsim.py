@@ -13,7 +13,7 @@ and round energy is the plain sum of member transmit and compute costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
 
@@ -48,7 +48,6 @@ class UavState:
     mean_heading: float
     vz: float = 0.0
     energy: float = 1000.0
-    role_weight: float = 1.0   # stored per the state tuple; unused by default
     alive: bool = True
 
     def position(self) -> tuple[float, float, float]:
@@ -70,7 +69,12 @@ def _reflect(value: float, low: float, high: float) -> tuple[float, bool]:
 
 def step_mobility(state: UavState, dt: float, params: GaussMarkovParams,
                   area_side: float, rng: Random) -> UavState:
-    """One Gauss-Markov step with boundary reflection. Pure: returns a copy."""
+    """One Gauss-Markov step with boundary reflection.
+
+    Pure: `state` is left untouched and the step returns a new UavState that
+    carries over the node id, energy and liveness. Draws speed, heading and
+    vertical-speed noise from `rng` in that order.
+    """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
     eta = params.memory
@@ -98,8 +102,9 @@ def step_mobility(state: UavState, dt: float, params: GaussMarkovParams,
     if bounced_z:
         vz = -vz
 
-    return replace(state, x=x, y=y, z=z, speed=speed, heading=heading,
-                   mean_heading=mean_heading, vz=vz)
+    return UavState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
+                    heading=heading, mean_heading=mean_heading, vz=vz,
+                    energy=state.energy, alive=state.alive)
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,10 @@ class CommGraph:
     Link rule: (i, j) is up iff both endpoints are alive and either their
     distance is within transmission range or both are infrastructure nodes
     (edges / base station, which share a wired backhaul).
+
+    Kind index: besides the `kinds` map, the graph keeps the edge ids and the
+    UAV ids in two lists, each in insertion order, so `nearest_edge` scans
+    only edges and `uav_neighbors` only UAVs instead of every node.
     """
 
     def __init__(self, params: LinkParams):
@@ -125,13 +134,26 @@ class CommGraph:
         self.positions: dict[str, tuple[float, float, float]] = {}
         self.kinds: dict[str, str] = {}
         self.alive: dict[str, bool] = {}
+        self.edge_ids: list[str] = []
+        self.uav_ids: list[str] = []
         self._contention_cache: dict[str, int] = {}
 
     def add_node(self, node_id: str, kind: str,
                  position: tuple[float, float, float], alive: bool = True) -> None:
+        previous = self.kinds.get(node_id)
         self.positions[node_id] = position
         self.kinds[node_id] = kind
         self.alive[node_id] = alive
+        self._contention_cache.clear()
+        if previous is None:
+            if kind == "edge":
+                self.edge_ids.append(node_id)
+            elif kind == "uav":
+                self.uav_ids.append(node_id)
+        elif previous != kind:
+            # A re-added node keeps its first position in `kinds`.
+            self.edge_ids = [n for n, k in self.kinds.items() if k == "edge"]
+            self.uav_ids = [n for n, k in self.kinds.items() if k == "uav"]
 
     def move(self, node_id: str, position: tuple[float, float, float]) -> None:
         self.positions[node_id] = position
@@ -159,13 +181,14 @@ class CommGraph:
         cached = self._contention_cache.get(node_id)
         if cached is not None:
             return cached
-        pos = self.positions[node_id]
+        positions, alive = self.positions, self.alive
+        pos = positions[node_id]
         rng2 = self.params.range_m ** 2
         count = 0
-        for other, kind in self.kinds.items():
-            if kind != "uav" or other == node_id or not self.alive[other]:
+        for other in self.uav_ids:
+            if other == node_id or not alive[other]:
                 continue
-            ox, oy, oz = self.positions[other]
+            ox, oy, oz = positions[other]
             dx, dy, dz = ox - pos[0], oy - pos[1], oz - pos[2]
             if dx * dx + dy * dy + dz * dz <= rng2:
                 count += 1
@@ -174,12 +197,16 @@ class CommGraph:
 
     def nearest_edge(self, node_id: str, require_range: bool = False,
                      ) -> Optional[str]:
+        """Closest alive edge (first-added wins a tie), or None if there is none
+        or, with `require_range`, if it lies beyond the transmission range."""
+        positions, alive = self.positions, self.alive
+        pos = positions[node_id]
         best = None
         best_d = math.inf
-        for other, kind in self.kinds.items():
-            if kind != "edge" or not self.alive[other]:
+        for other in self.edge_ids:
+            if not alive[other]:
                 continue
-            d = self.distance(node_id, other)
+            d = math.dist(pos, positions[other])
             if d < best_d:
                 best, best_d = other, d
         if best is not None and require_range and best_d > self.params.range_m:

@@ -34,7 +34,6 @@ class TrustParams:
 @dataclass(frozen=True)
 class TrustState:
     score: float
-    last_update: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
@@ -91,10 +90,10 @@ def behavior_score(submitted: int, accepted: int, timely: int,
 
 
 def update_trust(state: TrustState, behavior: BehaviorScore,
-                 params: TrustParams, now: float = 0.0) -> TrustState:
+                 params: TrustParams) -> TrustState:
     lam = params.smoothing
     score = lam * state.score + (1.0 - lam) * behavior.value
-    return TrustState(score=score, last_update=now)
+    return TrustState(score=score)
 
 
 def trust_rank(scores: dict[str, float]) -> dict[str, float]:

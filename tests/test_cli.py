@@ -50,6 +50,16 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_unregistered_crypto_scheme(tmp_path, capsys):
+    scenario = write_small_scenario(
+        tmp_path, **{"crypto.scheme": "dilithium3-class"})
+    code = cli.main(["run", "--config", scenario, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dilithium3-class" in err
+    assert "Traceback" not in err
+
+
 def test_audit_passes_on_untouched_ledger(tmp_path, capsys):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"

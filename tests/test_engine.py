@@ -4,7 +4,7 @@ import filecmp
 
 import pytest
 
-from uavchain import engine, ledger
+from uavchain import engine, ledger, netsim
 from uavchain.config import ScenarioConfig
 from uavchain.crypto import MockProvider
 from uavchain.workload import Behavior
@@ -150,6 +150,30 @@ def test_dead_uavs_stop_everything():
     assert dead
     for account in (result.accounts[u] for u in dead):
         assert account.remaining == 0.0
+
+
+def test_alive_list_drops_uavs_as_they_run_out_of_energy():
+    sim = engine.Simulation(small_config(energy__uav_budget_j=2.0,
+                                         sim__duration_s=300.0))
+    assert sim.alive_uavs == sim.uav_ids
+    sim.run()
+    assert len(sim.alive_uavs) < len(sim.uav_ids)
+    assert sim.alive_uavs == [u for u in sim.uav_ids
+                              if sim.uav_states[u].alive]
+
+
+def test_dropped_committee_message_raises_invariant_error(monkeypatch):
+    deliver = netsim.deliver
+
+    def drop_infra(size, src, dst, graph, rng):
+        if graph.is_infra_pair(src, dst):
+            return None
+        return deliver(size, src, dst, graph, rng)
+
+    monkeypatch.setattr(netsim, "deliver", drop_infra)
+    with pytest.raises(engine.SimulationInvariantError,
+                       match=r"proposer e\d+ and member e\d+ was dropped"):
+        engine.run(small_config())
 
 
 def test_sweep_aggregates_replications():

@@ -1,12 +1,13 @@
 """Ledger data model: wire format, Merkle commitment, append rules, audit."""
 
+import copy
 import hashlib
 import json
 
 import pytest
 
 from uavchain import ledger
-from uavchain.crypto import MockProvider, hash_bytes
+from uavchain.crypto import MockProvider, SchemeId, Signature, hash_bytes
 from uavchain.ledger import (BlockSizeError, DuplicateTransactionError,
                              LedgerError, LedgerSegment, LinkageError,
                              MerkleError, Transaction, genesis_metadata,
@@ -48,6 +49,25 @@ def test_tx_wire_size_matches_wire():
     tx = make_tx(b"x" * 100)
     assert tx.wire_size() == len(tx.wire())
     assert tx.wire() == tx.canonical_encoding() + ledger.u32(64) + tx.signature.bytes
+
+
+def test_wire_size_matches_wire_for_adversarial_and_loaded_txs():
+    honest = make_tx(b"reading" * 20, t=4.0)
+    forged = Transaction(sender="u000", payload=b"f" * 70, submit_time=5.0,
+                         signature=Signature(bytes=bytes(range(64)),
+                                             scheme_id=SchemeId.MOCK))
+    # A replay resubmits the same fields under the same signature.
+    replayed = Transaction(sender=honest.sender, payload=honest.payload,
+                           submit_time=honest.submit_time,
+                           signature=honest.signature)
+    back_dated = make_tx(b"late", t=-3.0)
+    seg, block = _segment_with_block([honest, forged, back_dated])
+    seg.append_block(block)
+    loaded = ledger.segment_from_dict(ledger.segment_to_dict(seg))
+    txs = [forged, replayed, copy.deepcopy(honest), back_dated]
+    txs += loaded.chain[0].transactions
+    for tx in txs:
+        assert tx.wire_size() == len(tx.wire())
 
 
 def _merkle_oracle(tx_ids):

@@ -141,6 +141,47 @@ def test_uav_neighbors_counts_alive_uavs_in_range():
     assert graph.uav_neighbors("u0") == 1
 
 
+def test_nearest_edge_skips_dead_edge():
+    graph = _graph()
+    graph.set_alive("e0", False)
+    assert graph.nearest_edge("u0") == "e1"
+    graph.set_alive("e1", False)
+    assert graph.nearest_edge("u0") is None
+
+
+def test_nearest_edge_tie_goes_to_first_added_edge():
+    graph = CommGraph(LinkParams(range_m=1000.0))
+    graph.add_node("u0", "uav", (0.0, 0.0, 0.0))
+    graph.add_node("e9", "edge", (300.0, 0.0, 0.0))
+    graph.add_node("e1", "edge", (-300.0, 0.0, 0.0))
+    graph.add_node("e5", "edge", (0.0, 300.0, 0.0))
+    assert graph.nearest_edge("u0") == "e9"
+    graph.set_alive("e9", False)
+    assert graph.nearest_edge("u0") == "e1"
+
+
+def test_uav_neighbors_ignores_edges_and_base():
+    graph = CommGraph(LinkParams(range_m=1000.0))
+    graph.add_node("u0", "uav", (0.0, 0.0, 100.0))
+    graph.add_node("e0", "edge", (10.0, 0.0, 0.0))
+    graph.add_node("base", "base", (0.0, 10.0, 0.0))
+    assert graph.uav_neighbors("u0") == 0
+    assert graph.uav_neighbors("e0") == 1
+    graph.add_node("u1", "uav", (20.0, 0.0, 100.0))
+    assert graph.uav_neighbors("u0") == 1
+    assert graph.uav_neighbors("base") == 2
+
+
+def test_kind_index_follows_a_re_added_node():
+    graph = _graph()
+    assert graph.edge_ids == ["e0", "e1"]
+    assert graph.uav_ids == ["u0", "u1", "u2"]
+    graph.add_node("u1", "edge", (0.0, 0.0, 0.0))
+    assert graph.edge_ids == ["u1", "e0", "e1"]
+    assert graph.uav_ids == ["u0", "u2"]
+    assert graph.nearest_edge("u0") == "u1"
+
+
 def test_deliver_none_when_out_of_range():
     graph = _graph()
     assert deliver(100, "u0", "u2", graph, Random(1)) is None
