@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from statistics import mean, stdev
+from statistics import mean
 
-from . import __version__, engine, ledger
+from . import __version__, engine, ledger, metrics
 from .config import (ConfigError, ScenarioConfig, apply_override,
                      config_to_flat_dict, load_config)
 from .crypto import CryptoError, get_provider
@@ -20,8 +19,9 @@ from .crypto import CryptoError, get_provider
 # Figure catalog: output metrics per swept axis value. The performance
 # figures pin adversaries to zero so forged timestamps and replays do not
 # pollute the latency/throughput/energy bands; the resilience figure sweeps
-# the compromised fraction and corrupts edges at the same rate as UAVs so
-# the committee vote path is actually exercised.
+# the compromised fraction and corrupts edges at the same rate as UAVs
+# ("coupled" keys take the swept value too) so the committee vote path is
+# actually exercised.
 _CLEAN = {"workload.compromised_fraction": 0.0}
 FIGURES = {
     "latency": {
@@ -29,42 +29,37 @@ FIGURES = {
         "values": [20, 40, 60, 80, 100],
         "metrics": ["mean_latency_s"],
         "base_overrides": _CLEAN,
-        "coupled": {},
     },
     "throughput": {
         "axis": "workload.arrival_rate_tps",
         "values": [10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 600.0],
         "metrics": ["tps_committed", "tps_offered"],
         "base_overrides": _CLEAN,
-        "coupled": {},
     },
     "energy": {
         "axis": "network.uav_count",
         "values": [20, 40, 60, 80, 100],
         "metrics": ["energy_per_committed_tx_j"],
         "base_overrides": _CLEAN,
-        "coupled": {},
     },
     "success": {
         "axis": "network.uav_count",
         "values": [20, 40, 60, 80, 100],
         "metrics": ["validation_success_pct"],
         "base_overrides": _CLEAN,
-        "coupled": {},
     },
     "compression": {
         "axis": "network.uav_count",
         "values": [20, 40, 60, 80, 100],
         "metrics": ["mean_omega"],
         "base_overrides": _CLEAN,
-        "coupled": {},
     },
     "resilience": {
         "axis": "workload.compromised_fraction",
         "values": [0.0, 0.05, 0.10, 0.15, 0.20, 0.25],
         "metrics": ["validation_success_pct"],
         "base_overrides": {},
-        "coupled": {"workload.malicious_edge_fraction": lambda v: v},
+        "coupled": ("workload.malicious_edge_fraction",),
     },
 }
 
@@ -100,8 +95,7 @@ def write_run_outputs(result: engine.SimulationResult, outdir,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = result.metrics.write_csvs(outdir)
-    from .metrics import write_summary
-    write_summary(outdir, result.summary)
+    metrics.write_summary(outdir, result.summary)
     outputs.append("summary.json")
     if dump_ledger:
         ledger.dump_ledger(outdir / "ledger.json",
@@ -157,57 +151,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def run_figure(figure: str, config: ScenarioConfig, replications: int,
-               duration: float | None = None) -> list[dict]:
-    """Replicated sweep for one catalog figure; returns plot-data rows."""
-    spec = FIGURES[figure]
-    base = copy.deepcopy(config)
-    if duration is not None:
-        base.sim.duration_s = duration
-    for key, value in spec["base_overrides"].items():
-        apply_override(base, key, value)
-
-    rows = []
-    for value in spec["values"]:
-        summaries = []
-        for rep in range(replications):
-            cfg = copy.deepcopy(base)
-            apply_override(cfg, spec["axis"], value)
-            for key, fn in spec["coupled"].items():
-                apply_override(cfg, key, fn(value))
-            cfg.sim.master_seed = base.sim.master_seed + rep
-            cfg.validate()
-            summaries.append(engine.run(cfg).summary)
-        row = {"x": value}
-        for metric in spec["metrics"]:
-            samples = [s[metric] for s in summaries]
-            row[f"{metric}_mean"] = mean(samples)
-            row[f"{metric}_std"] = stdev(samples) if len(samples) > 1 else 0.0
-        rows.append(row)
-    return rows
-
-
 def trust_leadership_table(result: engine.SimulationResult) -> list[dict]:
     """Committed-transaction share per trust decile (decile 1 = highest)."""
     scores = result.trust_scores
-    uavs = sorted(scores, key=lambda u: (-scores[u], u))
-    committed = [r.sender for r in result.metrics.transactions
-                 if r.status == "committed"]
-    total = len(committed) or 1
-    per_decile = max(1, len(uavs) // 10)
-    rows = []
-    for decile in range(10):
-        members = set(uavs[decile * per_decile:(decile + 1) * per_decile])
-        if not members:
-            break
-        share = sum(1 for s in committed if s in members) / total
-        rows.append({
-            "decile": decile + 1,
-            "mean_trust": mean(scores[u] for u in members),
-            "committed_share_pct": 100.0 * share,
-            "population_share_pct": 100.0 * len(members) / len(uavs),
-        })
-    return rows
+    return [{
+        "decile": decile,
+        "mean_trust": mean(scores[u] for u in members),
+        "committed_share_pct": 100.0 * share,
+        "population_share_pct": 100.0 * len(members) / len(scores),
+    } for decile, (members, share) in enumerate(
+        metrics.trust_deciles(scores, result.metrics.transactions), start=1)]
 
 
 def cmd_figures(args) -> int:
@@ -219,13 +172,21 @@ def cmd_figures(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"figure_{args.figure}.csv"
+    if args.duration is not None:
+        config.sim.duration_s = args.duration
     if args.figure == "trustrank":
-        if args.duration is not None:
-            config.sim.duration_s = args.duration
-        result = engine.run(config)
-        rows = trust_leadership_table(result)
+        rows = trust_leadership_table(engine.run(config))
     else:
-        rows = run_figure(args.figure, config, args.replications, args.duration)
+        spec = FIGURES[args.figure]
+        for key, value in spec["base_overrides"].items():
+            apply_override(config, key, value)
+        swept = engine.sweep(config, spec["axis"], spec["values"],
+                             args.replications,
+                             coupled=spec.get("coupled", ()))
+        columns = [f"{metric}_{stat}" for metric in spec["metrics"]
+                   for stat in ("mean", "std")]
+        rows = [{"x": row["value"], **{c: row[c] for c in columns}}
+                for row in swept]
     _write_sweep_csv(path, rows)
     print(f"wrote {path}")
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .crypto import SchemeId
+from .crypto import UnsupportedSchemeError, get_provider
 from .ledger import CODECS
 from .workload import Behavior
 
@@ -34,20 +34,20 @@ class NetworkSection:
     edge_count: int = 10
     area_km2: float = 10.0
     range_m: float = 1200.0
-    bandwidth_bps: float = 1e6
-    backhaul_bps: float = 1e7
+    bandwidth_bps: float = 1e6         # UAV air links
+    backhaul_bps: float = 1e7          # edge/base infrastructure links
     jitter_mean_s: float = 0.005
-    contention_per_uav: float = 0.08
+    contention_per_uav: float = 0.08   # queueing growth per UAV in the cell
     prop_speed_mps: float = 3e8
     vote_size_bytes: int = 256
 
 
 @dataclass
 class MobilitySection:
-    memory: float = 0.85
+    memory: float = 0.85         # autocorrelation of successive velocities
     mean_speed_mps: float = 8.0
     speed_sigma: float = 1.5
-    heading_sigma: float = 0.35
+    heading_sigma: float = 0.35  # radians
     vert_sigma: float = 0.3
     alt_min_m: float = 50.0
     alt_max_m: float = 150.0
@@ -82,22 +82,28 @@ class ConsensusSection:
     beta: float = 2.0
     gamma: float = 0.1
     tau_max_s: float = 120.0
-    max_block_bytes: int = 2 * 1024 * 1024
-    max_block_txs: int = 0
+    max_block_bytes: int = 2 * 1024 * 1024   # applies to the compressed block
+    max_block_txs: int = 0                   # 0 = unlimited
 
 
 @dataclass
 class LedgerSection:
     codec: str = "zlib"
     replication: int = 2
-    compression_headroom: float = 0.30
+    compression_headroom: float = 0.30  # assumed ratio for the raw budget
 
 
 @dataclass
 class EnergySection:
-    eps0_j: float = 0.05
+    eps0_j: float = 0.05        # fixed per-transmission cost
     eps1_j_per_m2: float = 1e-7
     uav_budget_j: float = 1000.0
+
+    def tx_energy(self, distance_m: float) -> float:
+        """Transmission energy eps0 + eps1 * distance**2."""
+        if distance_m < 0.0:
+            raise ValueError("distance must be non-negative")
+        return self.eps0_j + self.eps1_j_per_m2 * distance_m * distance_m
 
 
 @dataclass
@@ -105,7 +111,7 @@ class WorkloadSection:
     arrival_rate_tps: float = 6.0      # network-wide, not per UAV
     payload_min_bytes: int = 512
     payload_max_bytes: int = 2048
-    payload_random_fraction: float = 0.56
+    payload_random_fraction: float = 0.56  # incompressible share
     compromised_fraction: float = 0.15
     malicious_edge_fraction: float = 0.0
     behaviors: str = "forge-signature,replay,delay-injection"
@@ -149,14 +155,19 @@ class ScenarioConfig:
               "must be positive")
         check(self.network.contention_per_uav >= 0, "network.contention_per_uav",
               "must be non-negative")
+        check(self.network.prop_speed_mps > 0, "network.prop_speed_mps",
+              "must be positive")
         check(0 <= self.mobility.memory <= 1, "mobility.memory", "must be in [0,1]")
         check(self.mobility.alt_min_m <= self.mobility.alt_max_m,
               "mobility.alt_min_m", "altitude band is inverted")
         try:
-            SchemeId(self.crypto.scheme)
-        except ValueError:
-            raise ConfigError(f"crypto.scheme: unknown scheme "
+            get_provider(self.crypto.scheme)
+        except UnsupportedSchemeError:
+            raise ConfigError(f"crypto.scheme: no provider registered for "
                               f"{self.crypto.scheme!r}") from None
+        for name, value in vars(self.crypto).items():
+            if name != "scheme":
+                check(value >= 0, f"crypto.{name}", "must be non-negative")
         check(0 < self.trust.smoothing < 1, "trust.lambda",
               "must be strictly inside (0,1)")
         check(0 <= self.trust.initial_score <= 1, "trust.initial_score",
@@ -181,6 +192,8 @@ class ScenarioConfig:
               "must be positive")
         check(self.consensus.max_block_bytes > 0, "consensus.max_block_bytes",
               "must be positive")
+        check(self.consensus.max_block_txs >= 0, "consensus.max_block_txs",
+              "must be non-negative (0 = unlimited)")
         check(self.ledger.codec in CODECS, "ledger.codec",
               f"must be one of {CODECS}")
         check(0 <= self.ledger.replication < self.network.edge_count,

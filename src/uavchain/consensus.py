@@ -18,10 +18,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import ledger
 from .ledger import Block, BlockMetadata, Transaction
+
+if TYPE_CHECKING:
+    from .config import ConsensusSection, LedgerSection
 
 
 class RejectReason(str, Enum):
@@ -41,20 +44,7 @@ class ConsensusError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class UtilityParams:
-    alpha: float = 1.0
-    beta: float = 2.0
-    gamma: float = 0.1
-
-    def __post_init__(self) -> None:
-        if min(self.alpha, self.beta, self.gamma) < 0.0:
-            raise ConsensusError("utility weights must be non-negative")
-        if self.alpha == self.beta == self.gamma == 0.0:
-            raise ConsensusError("utility weights must not all be zero")
-
-
-def utility_score(params: UtilityParams, valid_count: int, freshness: float,
+def utility_score(params: ConsensusSection, valid_count: int, freshness: float,
                   energy_cost: float) -> float:
     return (params.alpha * valid_count + params.beta * freshness
             - params.gamma * energy_cost)
@@ -113,16 +103,8 @@ def freshness(transactions: list[Transaction], now: float, tau_max: float) -> fl
     return sum(tx_freshness(tx, now, tau_max) for tx in transactions) / len(transactions)
 
 
-@dataclass(frozen=True)
-class BlockLimits:
-    max_block_bytes: int = 2 * 1024 * 1024   # applies to the compressed block
-    max_block_txs: int = 0                   # 0 = unlimited
-    compression_headroom: float = 0.30       # assumed ratio for the raw budget
-    codec: str = "zlib"
-
-
-def assemble_block(pool: ValidationPool, params: UtilityParams,
-                   limits: BlockLimits, now: float, tau_max: float,
+def assemble_block(pool: ValidationPool, params: ConsensusSection,
+                   ledger_params: LedgerSection, now: float,
                    prev: BlockMetadata, proposer: str,
                    energy_cost_fn: Callable[[Block], float] = lambda b: 0.0,
                    ) -> Optional[tuple[Block, BlockScore]]:
@@ -134,11 +116,13 @@ def assemble_block(pool: ValidationPool, params: UtilityParams,
     """
     if not pool.admitted:
         return None
+    tau_max = params.tau_max_s
     candidates = sorted(pool.admitted.values(),
                         key=lambda tx: (-tx_freshness(tx, now, tau_max), tx.id))
     # Raw budget assumes the codec removes at least `compression_headroom`;
     # the compressed result is re-checked below and trimmed if needed.
-    raw_budget = limits.max_block_bytes / (1.0 - limits.compression_headroom)
+    raw_budget = (params.max_block_bytes
+                  / (1.0 - ledger_params.compression_headroom))
     base = len(ledger.block_header(prev.block_id, ledger.ZERO_DIGEST, now,
                                    proposer)) + 36
     picked: list[Transaction] = []
@@ -149,18 +133,18 @@ def assemble_block(pool: ValidationPool, params: UtilityParams,
             break
         picked.append(tx)
         raw_total += size
-        if limits.max_block_txs and len(picked) >= limits.max_block_txs:
+        if params.max_block_txs and len(picked) >= params.max_block_txs:
             break
     if not picked:
         return None
     block = ledger.make_block(picked, prev.block_id, now, proposer)
-    ledger.compress_block(block, limits.codec)
-    while block.compressed_size > limits.max_block_bytes and len(picked) > 1:
+    ledger.compress_block(block, ledger_params.codec)
+    while block.compressed_size > params.max_block_bytes and len(picked) > 1:
         # Codec underperformed the headroom assumption; shed the stalest txs.
         shed = max(1, len(picked) // 20)
         picked = picked[:-shed]
         block = ledger.make_block(picked, prev.block_id, now, proposer)
-        ledger.compress_block(block, limits.codec)
+        ledger.compress_block(block, ledger_params.codec)
     eta = len(picked)
     zeta = freshness(picked, now, tau_max)
     theta = energy_cost_fn(block)

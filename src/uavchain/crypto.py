@@ -6,8 +6,10 @@ which makes every simulator output a pure function of the scenario seed.
 It offers NO cryptographic security -- the mock public key embeds the signing
 secret so that verification works from the public half alone.
 
-A real lattice-class backend ("dilithium3-class") can be plugged in through
-``register_provider``; nothing in the simulator depends on one being present.
+A real lattice-class backend (say, "dilithium3-class") can be plugged in
+through ``register_provider``; the registered names are exactly the values
+``crypto.scheme`` accepts, and nothing in the simulator depends on a real
+backend being present.
 
 Mock byte layouts (length-prefixed encodings use little-endian u32 lengths):
   private key   32 bytes   sha256("uav-mock-sk" || seed_le64)
@@ -36,7 +38,6 @@ _MOCK_PK_TAG = b"MK1"
 
 class SchemeId(str, Enum):
     MOCK = "mock-sig"
-    DILITHIUM3 = "dilithium3-class"
 
 
 class CryptoError(Exception):

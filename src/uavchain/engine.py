@@ -27,9 +27,10 @@ from typing import Optional
 
 from . import consensus, ledger, netsim, trust, workload
 from .config import ScenarioConfig, apply_override
-from .crypto import MOCK_SIGNATURE_LEN, SchemeId, Signature, get_provider
+from .crypto import MOCK_SIGNATURE_LEN, Signature, get_provider
 from .ledger import LedgerSegment, Transaction, genesis_metadata
-from .metrics import MetricsCollector, RoundRecord, TrustRecord, TxRecord
+from .metrics import (MetricsCollector, RoundRecord, TrustRecord, TxRecord,
+                      trust_deciles)
 from .netsim import CommGraph, EnergyAccount, UavState
 
 # Event priorities at equal timestamps: move first, then the window
@@ -107,26 +108,7 @@ class Simulation:
         self.uav_ids = [f"u{i:03d}" for i in range(cfg.network.uav_count)]
         self.edge_ids = [f"e{i:02d}" for i in range(cfg.network.edge_count)]
 
-        link = netsim.LinkParams(
-            range_m=cfg.network.range_m,
-            bandwidth_bps=cfg.network.bandwidth_bps,
-            backhaul_bps=cfg.network.backhaul_bps,
-            jitter_mean_s=cfg.network.jitter_mean_s,
-            contention_per_uav=cfg.network.contention_per_uav,
-            prop_speed_mps=cfg.network.prop_speed_mps)
-        self.graph = CommGraph(link)
-        self.gm_params = netsim.GaussMarkovParams(
-            memory=cfg.mobility.memory, mean_speed=cfg.mobility.mean_speed_mps,
-            speed_sigma=cfg.mobility.speed_sigma,
-            heading_sigma=cfg.mobility.heading_sigma,
-            vert_sigma=cfg.mobility.vert_sigma,
-            alt_min=cfg.mobility.alt_min_m, alt_max=cfg.mobility.alt_max_m)
-        self.energy_model = netsim.EnergyModel(
-            eps0_j=cfg.energy.eps0_j, eps1_j_per_m2=cfg.energy.eps1_j_per_m2,
-            costs=netsim.CryptoCosts(
-                sign_j=cfg.crypto.sign_j, verify_j=cfg.crypto.verify_j,
-                encaps_j=cfg.crypto.encaps_j, decaps_j=cfg.crypto.decaps_j,
-                sign_s=cfg.crypto.sign_s, verify_s=cfg.crypto.verify_s))
+        self.graph = CommGraph(cfg.network)
 
         # Edge stations sit on a jittered grid: planned deployments space
         # their sites roughly evenly, and near-equal cells keep coverage and
@@ -183,32 +165,12 @@ class Simulation:
                          for edge in self.edge_ids}
         self.pools = {edge: consensus.ValidationPool(owner=edge)
                       for edge in self.edge_ids}
-        self.trust_params = trust.TrustParams(smoothing=cfg.trust.smoothing,
-                                              initial_score=cfg.trust.initial_score)
-        self.behavior_weights = trust.BehaviorWeights(
-            valid=cfg.trust.weight_valid, timely=cfg.trust.weight_timely,
-            uptime=cfg.trust.weight_uptime)
         self.trust_states = {uav: trust.TrustState(cfg.trust.initial_score)
                              for uav in self.uav_ids}
-        self.utility_params = consensus.UtilityParams(
-            alpha=cfg.consensus.alpha, beta=cfg.consensus.beta,
-            gamma=cfg.consensus.gamma)
-        self.block_limits = consensus.BlockLimits(
-            max_block_bytes=cfg.consensus.max_block_bytes,
-            max_block_txs=cfg.consensus.max_block_txs,
-            compression_headroom=cfg.ledger.compression_headroom,
-            codec=cfg.ledger.codec)
-        self.workload_params = workload.WorkloadParams(
-            arrival_rate=cfg.workload.arrival_rate_tps,
-            payload_min=cfg.workload.payload_min_bytes,
-            payload_max=cfg.workload.payload_max_bytes,
-            random_fraction=cfg.workload.payload_random_fraction)
-        adversary = workload.AdversaryParams(
-            compromised_fraction=cfg.workload.compromised_fraction,
-            malicious_edge_fraction=cfg.workload.malicious_edge_fraction,
-            behaviors=cfg.behavior_list() or (workload.Behavior.FORGE_SIGNATURE.value,))
         self.uav_behaviors, self.malicious_edges = workload.assign_adversaries(
-            self.uav_ids, self.edge_ids, adversary, self.rng_adversary)
+            self.uav_ids, self.edge_ids, cfg.workload,
+            cfg.behavior_list() or (workload.Behavior.FORGE_SIGNATURE.value,),
+            self.rng_adversary)
 
         self.window_stats = {uav: _WindowStats() for uav in self.uav_ids}
         self.death_times: dict[str, float] = {}
@@ -247,7 +209,7 @@ class Simulation:
             k += 1
         if duration > 0:
             self._schedule(workload.next_arrival(
-                self.workload_params.arrival_rate, self.rng_workload),
+                cfg.workload.arrival_rate_tps, self.rng_workload),
                 _PRIO_SUBMIT, "submit")
 
         while self._events:
@@ -276,7 +238,7 @@ class Simulation:
     def _handle_mobility(self) -> None:
         dt = self.config.sim.mobility_step_s
         side = self.config.area_side_m()
-        params, rng = self.gm_params, self.rng_mobility
+        params, rng = self.config.mobility, self.rng_mobility
         states, graph = self.uav_states, self.graph
         for uav in self.alive_uavs:
             state = netsim.step_mobility(states[uav], dt, params, side, rng)
@@ -303,7 +265,7 @@ class Simulation:
         """Establish the KEM session key on first contact of a pair."""
         if (uav, edge) in self.sessions:
             return True
-        costs = self.energy_model.costs
+        costs = self.config.crypto
         if not self._charge_uav(uav, costs.encaps_j):
             return False
         self._kem_counter += 1
@@ -315,15 +277,16 @@ class Simulation:
         return True
 
     def _handle_submit(self) -> None:
+        cfg = self.config
         self._schedule(self.now + workload.next_arrival(
-            self.workload_params.arrival_rate, self.rng_workload),
+            cfg.workload.arrival_rate_tps, self.rng_workload),
             _PRIO_SUBMIT, "submit")
         if not self.alive_uavs:
             return
         uav = self.rng_workload.choice(self.alive_uavs)
-        payload = workload.make_payload(self.workload_params, self.rng_workload)
+        payload = workload.make_payload(cfg.workload, self.rng_workload)
         behavior = self.uav_behaviors.get(uav)
-        costs = self.energy_model.costs
+        costs = cfg.crypto
 
         sign_spend = 0.0
         if behavior is workload.Behavior.REPLAY and self.committed_recent:
@@ -332,11 +295,11 @@ class Simulation:
         else:
             submit_time = self.now
             if behavior is workload.Behavior.DELAY_INJECTION:
-                submit_time = self.now - 1.5 * self.config.consensus.tau_max_s
+                submit_time = self.now - 1.5 * cfg.consensus.tau_max_s
             if behavior is workload.Behavior.FORGE_SIGNATURE:
                 signature = Signature(
                     bytes=self.rng_adversary.randbytes(MOCK_SIGNATURE_LEN),
-                    scheme_id=SchemeId(self.config.crypto.scheme))
+                    scheme_id=self.provider.scheme_id)
             else:
                 core = ledger.encode_tx_core(uav, submit_time, payload)
                 signature = self.provider.sign(self.keys[uav].private_key,
@@ -368,12 +331,12 @@ class Simulation:
             stats.submitted += 1
             return
         distance = self.graph.distance(uav, edge)
-        if not self._charge_uav(uav, self.energy_model.tx_energy(distance)):
+        if not self._charge_uav(uav, cfg.energy.tx_energy(distance)):
             record.status = "dropped"
             record.reject_reason = "energy-exhausted"
             stats.submitted += 1
             return
-        record.energy_j += sign_spend + self.energy_model.tx_energy(distance)
+        record.energy_j += sign_spend + cfg.energy.tx_energy(distance)
         delay = netsim.deliver(tx.wire_size(), uav, edge, self.graph,
                                self.rng_network)
         if delay is None:
@@ -395,13 +358,13 @@ class Simulation:
         if record.timely:
             stats.timely += 1
 
-        self._charge_infra(edge, self.energy_model.costs.verify_j)
+        self._charge_infra(edge, cfg.crypto.verify_j)
         reason = consensus.admit_transaction(
             self.pools[edge], tx, self.registry, self.provider,
             self.segments[edge].committed_ids,
             (cfg.workload.payload_min_bytes, cfg.workload.payload_max_bytes))
         if reason is None:
-            record.energy_j += self.energy_model.costs.verify_j
+            record.energy_j += cfg.crypto.verify_j
             stats.accepted += 1
             self.pending_rows[(edge, tx.id)] = seq
         else:
@@ -421,13 +384,13 @@ class Simulation:
                     self.metrics.transactions[seq].status = "expired"
 
     def _round_energy_fn(self, proposer: str, committee: list[str]):
-        verify_j = self.energy_model.costs.verify_j
+        verify_j = self.config.crypto.verify_j
 
         def cost(block: ledger.Block) -> float:
             members = [m for m in committee if m != proposer]
             distances = [self.graph.distance(proposer, m) for m in members]
             compute = [len(block.transactions) * verify_j for _ in members]
-            return netsim.round_energy(self.energy_model, distances, compute)
+            return netsim.round_energy(self.config.energy, distances, compute)
 
         return cost
 
@@ -465,8 +428,8 @@ class Simulation:
 
         pool = self.pools[proposer]
         assembled = consensus.assemble_block(
-            pool, self.utility_params, self.block_limits, self.now,
-            cfg.consensus.tau_max_s, self.segments[proposer].head(), proposer,
+            pool, cfg.consensus, cfg.ledger, self.now,
+            self.segments[proposer].head(), proposer,
             self._round_energy_fn(proposer, committee))
         if assembled is None:
             return
@@ -487,7 +450,7 @@ class Simulation:
         outcome = consensus.run_round(rnd, validators)
         record.approvals = sum(rnd.votes.values())
 
-        costs = self.energy_model.costs
+        costs = cfg.crypto
         rnd.confirm_times[proposer] = self.now
         for member in committee:
             if member == proposer:
@@ -507,7 +470,7 @@ class Simulation:
         # Charge the round energy to the mains-powered infrastructure tier.
         members = [m for m in committee if m != proposer]
         self._charge_infra(proposer, sum(
-            self.energy_model.tx_energy(self.graph.distance(proposer, m))
+            cfg.energy.tx_energy(self.graph.distance(proposer, m))
             for m in members))
         for member in members:
             self._charge_infra(member, len(block.transactions) * costs.verify_j)
@@ -550,9 +513,9 @@ class Simulation:
                 chi = trust.behavior_score(stats.submitted, stats.accepted,
                                            stats.timely,
                                            self._uptime_fraction(uav, window_start),
-                                           self.behavior_weights)
+                                           cfg.trust)
                 self.trust_states[uav] = trust.update_trust(
-                    self.trust_states[uav], chi, self.trust_params)
+                    self.trust_states[uav], chi, cfg.trust)
                 self.window_stats[uav] = _WindowStats()
                 self.metrics.trust.append(TrustRecord(
                     window_id=window_index, node=uav, chi=chi.value,
@@ -580,12 +543,13 @@ class Simulation:
     def _finalize(self) -> SimulationResult:
         self._check_invariants()
         scores = {u: self.trust_states[u].score for u in self.uav_ids}
+        _, top_share = trust_deciles(scores, self.metrics.transactions)[0]
         summary = self.metrics.summary(
             duration_s=self.config.sim.duration_s,
             uav_energy_spent_j=sum(self.accounts[u].initial
                                    - self.accounts[u].remaining
                                    for u in self.uav_ids),
-            top_decile_share=self._top_decile_share(scores))
+            top_decile_share=top_share)
         return SimulationResult(
             config=self.config, metrics=self.metrics, summary=summary,
             segments=self.segments, registry=self.registry,
@@ -593,16 +557,6 @@ class Simulation:
             uav_behaviors=self.uav_behaviors,
             malicious_edges=self.malicious_edges,
             final_states=self.uav_states)
-
-    def _top_decile_share(self, scores: dict[str, float]) -> float:
-        committed = [r.sender for r in self.metrics.transactions
-                     if r.status == "committed"]
-        if not committed:
-            return 0.0
-        n_top = max(1, len(self.uav_ids) // 10)
-        ordered = sorted(self.uav_ids, key=lambda u: (-scores[u], u))
-        top = set(ordered[:n_top])
-        return sum(1 for sender in committed if sender in top) / len(committed)
 
     def _check_invariants(self) -> None:
         if not self.metrics.reconciliation_holds():
@@ -637,12 +591,14 @@ def _run_summary(config: ScenarioConfig) -> dict:
 
 
 def sweep(base_config: ScenarioConfig, axis: str, values: list,
-          replications: int = 1, workers: Optional[int] = None) -> list[dict]:
+          replications: int = 1, workers: Optional[int] = None,
+          coupled: tuple[str, ...] = ()) -> list[dict]:
     """Replicated parameter sweep; replication i uses master_seed + i.
 
-    Returns one row per axis value with mean/std aggregates of every numeric
-    summary metric. Aggregation order is deterministic regardless of worker
-    count.
+    Each `coupled` key is set to the swept value too. Returns one row per
+    axis value with mean/std aggregates of every numeric summary metric.
+    Aggregation order is deterministic regardless of worker count, which
+    defaults to the UAVCHAIN_WORKERS environment variable (1 if unset).
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -650,7 +606,8 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
     for value in values:
         for rep in range(replications):
             cfg = copy.deepcopy(base_config)
-            apply_override(cfg, axis, value)
+            for key in (axis, *coupled):
+                apply_override(cfg, key, value)
             cfg.sim.master_seed = base_config.sim.master_seed + rep
             cfg.validate()
             jobs.append(cfg)

@@ -325,13 +325,20 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
 
 
 def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int]:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("format") != "uavchain-ledger-v1":
-        raise LedgerError("not a uavchain ledger dump")
-    registry = {node: bytes.fromhex(key) for node, key in data["registry"].items()}
-    segments = [segment_from_dict(s) for s in data["segments"]]
-    return segments, registry, data["scheme"], data["seed"]
+    """Read a dump; any malformed content (truncated JSON, a missing key, bad
+    hex, an unknown signature scheme) raises LedgerError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        if data.get("format") != "uavchain-ledger-v1":
+            raise LedgerError("not a uavchain ledger dump")
+        registry = {node: bytes.fromhex(key)
+                    for node, key in data["registry"].items()}
+        segments = [segment_from_dict(s) for s in data["segments"]]
+        return segments, registry, data["scheme"], data["seed"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LedgerError(f"malformed ledger dump {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def verify_segment(segment: LedgerSegment, registry: dict[str, bytes],

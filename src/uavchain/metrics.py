@@ -172,6 +172,30 @@ class MetricsCollector:
         return written
 
 
+def trust_deciles(scores: dict[str, float], transactions: list[TxRecord],
+                  ) -> list[tuple[list[str], float]]:
+    """Committed-transaction share of each trust decile, highest trust first.
+
+    Nodes are ranked by (-score, id) and cut into at most ten groups of
+    max(1, n // 10); any remainder belongs to no decile. Each entry is
+    (members, share of all committed transactions), and every share is 0.0
+    when nothing committed.
+    """
+    ranked = sorted(scores, key=lambda node: (-scores[node], node))
+    size = max(1, len(ranked) // 10)
+    decile_of = {node: i // size for i, node in enumerate(ranked[:10 * size])}
+    counts = [0] * ((len(decile_of) + size - 1) // size)
+    total = 0
+    for record in transactions:
+        if record.status == "committed":
+            total += 1
+            decile = decile_of.get(record.sender)
+            if decile is not None:
+                counts[decile] += 1
+    return [(ranked[i * size:(i + 1) * size], count / (total or 1))
+            for i, count in enumerate(counts)]
+
+
 def write_summary(outdir, summary: dict) -> None:
     with open(Path(outdir) / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(summary, handle, sort_keys=True, indent=1)

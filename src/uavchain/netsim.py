@@ -7,7 +7,9 @@ additionally share an always-on wired backhaul. Transmission energy follows
 
     eps_tx = eps0 + eps1 * distance**2
 
-and round energy is the plain sum of member transmit and compute costs.
+(``EnergySection.tx_energy``) and round energy is the plain sum of member
+transmit and compute costs. Every function takes the scenario's config
+section for its parameters.
 """
 
 from __future__ import annotations
@@ -15,26 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .config import EnergySection, MobilitySection, NetworkSection
 
 INFRA_KINDS = ("edge", "base")
-
-
-@dataclass(frozen=True)
-class GaussMarkovParams:
-    memory: float = 0.85         # autocorrelation of successive velocities
-    mean_speed: float = 8.0      # m/s
-    speed_sigma: float = 1.5
-    heading_sigma: float = 0.35  # radians
-    vert_sigma: float = 0.3
-    alt_min: float = 50.0
-    alt_max: float = 150.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.memory <= 1.0:
-            raise ValueError("gauss-markov memory must be in [0,1]")
-        if self.alt_min > self.alt_max:
-            raise ValueError("altitude band is inverted")
 
 
 @dataclass
@@ -67,7 +55,7 @@ def _reflect(value: float, low: float, high: float) -> tuple[float, bool]:
     return value, bounced
 
 
-def step_mobility(state: UavState, dt: float, params: GaussMarkovParams,
+def step_mobility(state: UavState, dt: float, mobility: MobilitySection,
                   area_side: float, rng: Random) -> UavState:
     """One Gauss-Markov step with boundary reflection.
 
@@ -77,13 +65,13 @@ def step_mobility(state: UavState, dt: float, params: GaussMarkovParams,
     """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
-    eta = params.memory
+    eta = mobility.memory
     root = math.sqrt(max(0.0, 1.0 - eta * eta))
-    speed = (eta * state.speed + (1.0 - eta) * params.mean_speed
-             + root * rng.gauss(0.0, params.speed_sigma))
+    speed = (eta * state.speed + (1.0 - eta) * mobility.mean_speed_mps
+             + root * rng.gauss(0.0, mobility.speed_sigma))
     heading = (eta * state.heading + (1.0 - eta) * state.mean_heading
-               + root * rng.gauss(0.0, params.heading_sigma))
-    vz = eta * state.vz + root * rng.gauss(0.0, params.vert_sigma)
+               + root * rng.gauss(0.0, mobility.heading_sigma))
+    vz = eta * state.vz + root * rng.gauss(0.0, mobility.vert_sigma)
 
     x = state.x + speed * math.cos(heading) * dt
     y = state.y + speed * math.sin(heading) * dt
@@ -98,23 +86,13 @@ def step_mobility(state: UavState, dt: float, params: GaussMarkovParams,
     if bounced_y:
         heading = -heading
         mean_heading = -mean_heading
-    z, bounced_z = _reflect(z, params.alt_min, params.alt_max)
+    z, bounced_z = _reflect(z, mobility.alt_min_m, mobility.alt_max_m)
     if bounced_z:
         vz = -vz
 
     return UavState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
                     heading=heading, mean_heading=mean_heading, vz=vz,
                     energy=state.energy, alive=state.alive)
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    range_m: float = 1200.0
-    bandwidth_bps: float = 1e6        # UAV air links
-    backhaul_bps: float = 1e7         # edge/base infrastructure links
-    jitter_mean_s: float = 0.005
-    contention_per_uav: float = 0.08  # queueing growth per UAV sharing the cell
-    prop_speed_mps: float = 3e8
 
 
 class CommGraph:
@@ -129,8 +107,8 @@ class CommGraph:
     only edges and `uav_neighbors` only UAVs instead of every node.
     """
 
-    def __init__(self, params: LinkParams):
-        self.params = params
+    def __init__(self, network: NetworkSection):
+        self.params = network
         self.positions: dict[str, tuple[float, float, float]] = {}
         self.kinds: dict[str, str] = {}
         self.alive: dict[str, bool] = {}
@@ -241,38 +219,10 @@ def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
             + rng.expovariate(1.0 / jitter_mean))
 
 
-@dataclass(frozen=True)
-class CryptoCosts:
-    """Abstract per-primitive compute costs (scenario configuration)."""
-
-    sign_j: float = 0.02
-    verify_j: float = 0.01
-    encaps_j: float = 0.01
-    decaps_j: float = 0.01
-    sign_s: float = 0.002
-    verify_s: float = 0.001
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    eps0_j: float = 0.05        # fixed per-transmission cost
-    eps1_j_per_m2: float = 1e-7
-    costs: CryptoCosts = CryptoCosts()
-
-    def __post_init__(self) -> None:
-        if self.eps0_j < 0.0 or self.eps1_j_per_m2 < 0.0:
-            raise ValueError("energy coefficients must be non-negative")
-
-    def tx_energy(self, distance_m: float) -> float:
-        if distance_m < 0.0:
-            raise ValueError("distance must be non-negative")
-        return self.eps0_j + self.eps1_j_per_m2 * distance_m * distance_m
-
-
-def round_energy(model: EnergyModel, transmit_distances: list[float],
+def round_energy(energy: EnergySection, transmit_distances: list[float],
                  compute_joules: list[float]) -> float:
     """Total consensus-round energy: member transmissions plus compute."""
-    return (sum(model.tx_energy(d) for d in transmit_distances)
+    return (sum(energy.tx_energy(d) for d in transmit_distances)
             + sum(compute_joules))
 
 

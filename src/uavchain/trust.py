@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .config import TrustSection
 
 log = logging.getLogger(__name__)
 
@@ -17,18 +21,6 @@ NEUTRAL_BEHAVIOR = 0.5
 
 class TrustError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TrustParams:
-    smoothing: float = 0.8       # lambda: weight on history, strictly in (0,1)
-    initial_score: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.smoothing < 1.0:
-            raise TrustError("smoothing factor must be strictly inside (0,1)")
-        if not 0.0 <= self.initial_score <= 1.0:
-            raise TrustError("initial score must be in [0,1]")
 
 
 @dataclass(frozen=True)
@@ -52,21 +44,8 @@ class BehaviorScore:
             raise TrustError(f"behavior score {self.value} outside [0,1]")
 
 
-@dataclass(frozen=True)
-class BehaviorWeights:
-    valid: float = 0.5
-    timely: float = 0.3
-    uptime: float = 0.2
-
-    def __post_init__(self) -> None:
-        total = self.valid + self.timely + self.uptime
-        if abs(total - 1.0) > 1e-9:
-            raise TrustError("behavior weights must sum to 1")
-
-
 def behavior_score(submitted: int, accepted: int, timely: int,
-                   uptime_fraction: float,
-                   weights: BehaviorWeights = BehaviorWeights()) -> BehaviorScore:
+                   uptime_fraction: float, params: TrustSection) -> BehaviorScore:
     """Fold one consensus window's counters into a behavior score.
 
     A UAV with no submissions in the window gets the neutral score 0.5.
@@ -83,14 +62,15 @@ def behavior_score(submitted: int, accepted: int, timely: int,
                                          uptime_fraction))
     valid_frac = min(1.0, accepted / submitted)
     timely_frac = min(1.0, timely / submitted)
-    value = (weights.valid * valid_frac + weights.timely * timely_frac
-             + weights.uptime * uptime_fraction)
+    value = (params.weight_valid * valid_frac
+             + params.weight_timely * timely_frac
+             + params.weight_uptime * uptime_fraction)
     return BehaviorScore(value=value,
                          components=(valid_frac, timely_frac, uptime_fraction))
 
 
 def update_trust(state: TrustState, behavior: BehaviorScore,
-                 params: TrustParams) -> TrustState:
+                 params: TrustSection) -> TrustState:
     lam = params.smoothing
     score = lam * state.score + (1.0 - lam) * behavior.value
     return TrustState(score=score)

@@ -2,16 +2,20 @@
 
 Payloads mimic telemetry uploads: a tiled sensor record (highly compressible)
 followed by a slice of raw random bytes (incompressible), mixed by
-``random_fraction``. The fraction is calibrated once so that whole-block
-compression lands in the expected band and then frozen in configuration.
+``workload.payload_random_fraction``. The fraction is calibrated once so
+that whole-block compression lands in the expected band and then frozen in
+configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:  # config imports Behavior from here
+    from .config import WorkloadSection
 
 
 class WorkloadError(ValueError):
@@ -25,42 +29,6 @@ class Behavior(str, Enum):
     VOTE_REJECT = "vote-reject"
 
 
-@dataclass(frozen=True)
-class WorkloadParams:
-    arrival_rate: float = 6.0          # transactions/second, network-wide
-    payload_min: int = 512
-    payload_max: int = 2048
-    random_fraction: float = 0.56      # incompressible share of each payload
-
-    def __post_init__(self) -> None:
-        if self.arrival_rate <= 0.0:
-            raise WorkloadError("arrival rate must be positive")
-        if not 0 < self.payload_min <= self.payload_max:
-            raise WorkloadError("payload bounds must satisfy 0 < min <= max")
-        if not 0.0 <= self.random_fraction <= 1.0:
-            raise WorkloadError("random fraction must be in [0,1]")
-
-
-@dataclass(frozen=True)
-class AdversaryParams:
-    compromised_fraction: float = 0.0
-    malicious_edge_fraction: float = 0.0
-    behaviors: tuple[str, ...] = (Behavior.FORGE_SIGNATURE.value,
-                                  Behavior.REPLAY.value,
-                                  Behavior.DELAY_INJECTION.value)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.compromised_fraction < 1.0:
-            raise WorkloadError("compromised fraction must be in [0,1)")
-        if not 0.0 <= self.malicious_edge_fraction < 1.0:
-            raise WorkloadError("malicious edge fraction must be in [0,1)")
-        for name in self.behaviors:
-            try:
-                Behavior(name)
-            except ValueError:
-                raise WorkloadError(f"unknown behavior {name!r}") from None
-
-
 def next_arrival(rate: float, rng: Random) -> float:
     """Exponential inter-arrival time for a Poisson process."""
     if rate <= 0.0:
@@ -68,10 +36,10 @@ def next_arrival(rate: float, rng: Random) -> float:
     return rng.expovariate(rate)
 
 
-def make_payload(params: WorkloadParams, rng: Random) -> bytes:
+def make_payload(params: WorkloadSection, rng: Random) -> bytes:
     """One telemetry payload of uniform size within the configured bounds."""
-    size = rng.randint(params.payload_min, params.payload_max)
-    n_random = round(size * params.random_fraction)
+    size = rng.randint(params.payload_min_bytes, params.payload_max_bytes)
+    n_random = round(size * params.payload_random_fraction)
     record = ("ts=%010d;zone=%03d;temp=%05.2f;hum=%05.2f;soil=%05.3f;bat=%04.1f|"
               % (rng.randrange(10 ** 10), rng.randrange(1000),
                  rng.uniform(5.0, 40.0), rng.uniform(20.0, 95.0),
@@ -83,17 +51,17 @@ def make_payload(params: WorkloadParams, rng: Random) -> bytes:
 
 
 def assign_adversaries(uav_ids: list[str], edge_ids: list[str],
-                       params: AdversaryParams, rng: Random,
-                       ) -> tuple[dict[str, Behavior], set[str]]:
+                       params: WorkloadSection, behavior_names: Sequence[str],
+                       rng: Random) -> tuple[dict[str, Behavior], set[str]]:
     """Static compromise assignment, fixed for the whole scenario.
 
     Exactly floor(fraction * count) UAVs are compromised, chosen uniformly;
-    behaviors cycle through the configured set in selection order. Malicious
+    behaviors cycle through `behavior_names` in selection order. Malicious
     edges only vote-reject.
     """
     n_uavs = math.floor(params.compromised_fraction * len(uav_ids))
     chosen = rng.sample(sorted(uav_ids), n_uavs)
-    behaviors = [Behavior(b) for b in params.behaviors
+    behaviors = [Behavior(b) for b in behavior_names
                  if b != Behavior.VOTE_REJECT.value]
     if n_uavs and not behaviors:
         raise WorkloadError("no UAV-side behaviors configured")

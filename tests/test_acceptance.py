@@ -16,12 +16,13 @@ from statistics import mean
 import pytest
 
 from uavchain import cli, engine, ledger, trust
-from uavchain.config import ScenarioConfig, apply_override
-from uavchain.consensus import UtilityParams, utility_score
+from uavchain.config import (ConsensusSection, EnergySection, ScenarioConfig,
+                             TrustSection, apply_override)
+from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider, hash_bytes
-from uavchain.netsim import EnergyModel, round_energy
-from uavchain.trust import (TrustParams, TrustState, edge_committee_weights,
-                            trust_rank, update_trust)
+from uavchain.netsim import round_energy
+from uavchain.trust import (TrustState, edge_committee_weights, trust_rank,
+                            update_trust)
 
 
 def _dyadic(rng: Random, scale: int = 8) -> Fraction:
@@ -45,7 +46,7 @@ def test_criterion_1_equation_oracles():
         expected = lam * xi + (1 - lam) * chi
         got = update_trust(TrustState(float(xi)),
                            trust.BehaviorScore(float(chi), (0, 0, 0)),
-                           TrustParams(smoothing=float(lam))).score
+                           TrustSection(smoothing=float(lam))).score
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     for _ in range(cases):  # trust rank normalization
@@ -60,7 +61,8 @@ def test_criterion_1_equation_oracles():
         eta = rng.randrange(1, 500)
         zeta, theta = _dyadic(rng), _dyadic(rng) * 16
         expected = a * eta + b * zeta - g * theta
-        got = utility_score(UtilityParams(float(a), float(b), float(g)),
+        got = utility_score(ConsensusSection(alpha=float(a), beta=float(b),
+                                             gamma=float(g)),
                             eta, float(zeta), float(theta))
         assert got == pytest.approx(float(expected), rel=1e-12)
 
@@ -86,14 +88,14 @@ def test_criterion_1_equation_oracles():
     for _ in range(cases):  # transmission energy, quadratic law
         e0, e1 = _dyadic(rng), _dyadic(rng) / 2 ** 20
         d = Fraction(rng.randrange(0, 3200))
-        model = EnergyModel(eps0_j=float(e0), eps1_j_per_m2=float(e1))
+        model = EnergySection(eps0_j=float(e0), eps1_j_per_m2=float(e1))
         expected = e0 + e1 * d * d
         assert model.tx_energy(float(d)) == pytest.approx(float(expected),
                                                           rel=1e-12)
 
     for _ in range(cases):  # round energy sum
         e0, e1 = _dyadic(rng), _dyadic(rng) / 2 ** 20
-        model = EnergyModel(eps0_j=float(e0), eps1_j_per_m2=float(e1))
+        model = EnergySection(eps0_j=float(e0), eps1_j_per_m2=float(e1))
         dists = [Fraction(rng.randrange(0, 2000)) for _ in range(5)]
         compute = [_dyadic(rng) for _ in range(5)]
         expected = sum(e0 + e1 * d * d for d in dists) + sum(compute)

@@ -1,6 +1,7 @@
 """CLI surface: run/sweep/figures/audit subcommands and their artifacts."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,48 @@ def test_audit_fails_on_tampered_ledger(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _first_tx(data: dict) -> dict:
+    return next(block["transactions"][0] for segment in data["segments"]
+                for block in segment["blocks"])
+
+
+def _unknown_scheme(text: str) -> str:
+    data = json.loads(text)
+    _first_tx(data)["scheme"] = "foo"
+    return json.dumps(data)
+
+
+def _missing_key(text: str) -> str:
+    data = json.loads(text)
+    del _first_tx(data)["signature"]
+    return json.dumps(data)
+
+
+def _bad_hex(text: str) -> str:
+    data = json.loads(text)
+    _first_tx(data)["payload"] = "zz"
+    return json.dumps(data)
+
+
+def _truncated(text: str) -> str:
+    return text[:len(text) // 2]
+
+
+@pytest.mark.parametrize("mutate", [_unknown_scheme, _missing_key, _bad_hex,
+                                    _truncated])
+def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
+    scenario = write_small_scenario(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["run", "--config", scenario, "--out", str(out), "--dump-ledger"])
+    path = out / "ledger.json"
+    path.write_text(mutate(path.read_text()))
+    capsys.readouterr()
+    code = cli.main(["audit", "--ledger", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed ledger dump" in err
+
+
 def test_sweep_writes_csv(tmp_path):
     scenario = write_small_scenario(tmp_path, **{"sim.duration_s": 60})
     out = tmp_path / "out"
@@ -99,17 +142,29 @@ def test_sweep_writes_csv(tmp_path):
     assert float(rows[0]["tps_committed_mean"]) >= 0.0
 
 
-def test_figures_catalog_runs(tmp_path):
+# sha256 of figure_resilience.csv for the run below, pinned across versions.
+RESILIENCE_SHA256 = (
+    "5e80e7450a5d506242927a28c43f9f40f94b9f1c0c870a958aee4e76be3c45a3")
+
+
+def _resilience_figure(tmp_path, out) -> bytes:
     scenario = write_small_scenario(tmp_path)
-    out = tmp_path / "out"
     code = cli.main(["figures", "--figure", "resilience", "--config", scenario,
                      "--replications", "1", "--duration", "60",
                      "--out", str(out)])
     assert code == 0
-    with open(out / "figure_resilience.csv") as handle:
-        rows = list(csv.DictReader(handle))
+    return (out / "figure_resilience.csv").read_bytes()
+
+
+def test_figures_catalog_runs(tmp_path, monkeypatch):
+    monkeypatch.delenv("UAVCHAIN_WORKERS", raising=False)
+    data = _resilience_figure(tmp_path, tmp_path / "out")
+    rows = list(csv.DictReader(data.decode().splitlines()))
     assert len(rows) == len(cli.FIGURES["resilience"]["values"])
     assert "validation_success_pct_mean" in rows[0]
+    assert hashlib.sha256(data).hexdigest() == RESILIENCE_SHA256
+    monkeypatch.setenv("UAVCHAIN_WORKERS", "2")
+    assert _resilience_figure(tmp_path, tmp_path / "out2") == data
 
 
 def test_figures_trustrank_table(tmp_path):
@@ -141,3 +196,5 @@ def test_trust_leadership_table_shape():
     trusts = [r["mean_trust"] for r in rows]
     assert trusts == sorted(trusts, reverse=True)
     assert all(r["population_share_pct"] == 10.0 for r in rows)
+    assert (rows[0]["committed_share_pct"]
+            == result.summary["top_decile_share_pct"])

@@ -1,10 +1,14 @@
 """Scenario config parsing, validation, overrides, bundled defaults."""
 
+import re
+
 import pytest
 
+from uavchain import crypto, engine
 from uavchain.config import (ConfigError, ScenarioConfig, apply_override,
                              config_to_flat_dict, default_scenario_path,
                              known_keys, load_config)
+from uavchain.crypto import MockProvider, register_provider
 
 
 def test_defaults_validate():
@@ -90,12 +94,56 @@ def test_load_config_applies_overrides(tmp_path):
     ("workload.compromised_fraction", 1.0),
     ("workload.behaviors", "forge-signature,unknown"),
     ("crypto.scheme", "rsa-2048"),
+    ("crypto.scheme", "dilithium3-class"),  # named in docs, not registered
+    ("crypto.sign_j", -1.0),
+    ("crypto.verify_s", -0.001),
+    ("network.prop_speed_mps", 0.0),
+    ("consensus.max_block_txs", -3),
+    ("consensus.alpha", -1.0),
+    ("mobility.memory", 1.5),
+    ("mobility.alt_min_m", 200.0),
+    ("energy.eps0_j", -0.1),
+    ("energy.eps1_j_per_m2", -1e-9),
+    ("trust.lambda", 0.0),
+    ("trust.initial_score", 1.5),
+    ("workload.arrival_rate_tps", 0.0),
+    ("workload.payload_min_bytes", 0),
+    ("workload.payload_min_bytes", 4096),
+    ("workload.payload_random_fraction", 1.5),
+    ("workload.malicious_edge_fraction", 1.0),
 ])
 def test_validate_rejects_bad_values(key, value):
     cfg = ScenarioConfig()
     apply_override(cfg, key, value)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         cfg.validate()
+
+
+def test_validate_rejects_all_zero_utility_weights():
+    cfg = ScenarioConfig()
+    for key in ("consensus.alpha", "consensus.beta", "consensus.gamma"):
+        apply_override(cfg, key, 0.0)
+    with pytest.raises(ConfigError, match="consensus.alpha"):
+        cfg.validate()
+
+
+@pytest.fixture
+def x_test_scheme():
+    register_provider("x-test", MockProvider())
+    yield "x-test"
+    crypto._PROVIDERS.pop("x-test")
+
+
+def test_registered_provider_is_a_valid_scheme(x_test_scheme):
+    cfg = ScenarioConfig()
+    apply_override(cfg, "crypto.scheme", x_test_scheme)
+    apply_override(cfg, "sim.duration_s", 60.0)
+    apply_override(cfg, "network.uav_count", 20)
+    cfg.validate()
+    result = engine.run(cfg)
+    assert result.summary["committed"] > 0
+    assert any(b.value == "forge-signature"
+               for b in result.uav_behaviors.values())
 
 
 def test_bundled_default_scenario_matches_code_defaults():

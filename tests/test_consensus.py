@@ -7,9 +7,9 @@ from random import Random
 import pytest
 
 from uavchain import consensus, ledger
-from uavchain.consensus import (BlockLimits, CommitteeRound, ConsensusError,
-                                RejectReason, RoundOutcome, UtilityParams,
-                                ValidationPool, admit_transaction,
+from uavchain.config import ConsensusSection, LedgerSection
+from uavchain.consensus import (CommitteeRound, ConsensusError, RejectReason,
+                                RoundOutcome, ValidationPool, admit_transaction,
                                 assemble_block, freshness, quorum_threshold,
                                 run_round, sample_committee, sample_proposer,
                                 tx_freshness, utility_score)
@@ -20,6 +20,8 @@ provider = MockProvider()
 PAIR = provider.keygen(1)
 REGISTRY = {"u000": PAIR.public_key}
 BOUNDS = (1, 4096)
+# Default utility weights and block limits with a 60 s freshness horizon.
+RULES = ConsensusSection(tau_max_s=60.0)
 
 
 def make_tx(payload: bytes, t: float = 0.0, sender: str = "u000",
@@ -96,15 +98,8 @@ def test_block_freshness_is_mean_of_members():
 
 def test_utility_hand_case():
     # 1.0 * 10 + 2.0 * 0.7 - 0.1 * 2.0 = 11.2
-    params = UtilityParams(alpha=1.0, beta=2.0, gamma=0.1)
+    params = ConsensusSection(alpha=1.0, beta=2.0, gamma=0.1)
     assert utility_score(params, 10, 0.7, 2.0) == pytest.approx(11.2)
-
-
-def test_utility_params_validation():
-    with pytest.raises(ConsensusError):
-        UtilityParams(alpha=-1.0)
-    with pytest.raises(ConsensusError):
-        UtilityParams(alpha=0.0, beta=0.0, gamma=0.0)
 
 
 # --- committee sampling -------------------------------------------------------
@@ -196,7 +191,7 @@ def _filled_pool(n: int, now: float) -> ValidationPool:
 
 def test_assemble_block_empty_pool_returns_none():
     pool = ValidationPool(owner="e00")
-    got = assemble_block(pool, UtilityParams(), BlockLimits(), 0.0, 60.0,
+    got = assemble_block(pool, RULES, LedgerSection(), 0.0,
                          genesis_metadata(1), "e00")
     assert got is None
 
@@ -204,13 +199,13 @@ def test_assemble_block_empty_pool_returns_none():
 def test_assemble_block_packs_pool_and_scores():
     now = 100.0
     pool = _filled_pool(20, now)
-    block, score = assemble_block(pool, UtilityParams(), BlockLimits(), now,
-                                  60.0, genesis_metadata(1), "e00")
+    block, score = assemble_block(pool, RULES, LedgerSection(), now,
+                                  genesis_metadata(1), "e00")
     assert score.valid_count == 20
     assert len(block.transactions) == 20
     assert 0.0 < score.freshness <= 1.0
     assert block.utility == pytest.approx(
-        utility_score(UtilityParams(), 20, score.freshness, score.energy_cost))
+        utility_score(RULES, 20, score.freshness, score.energy_cost))
     # Selection must not consume the pool; removal happens after commit.
     assert len(pool.admitted) == 20
 
@@ -218,8 +213,8 @@ def test_assemble_block_packs_pool_and_scores():
 def test_assemble_block_prefers_fresh_transactions():
     now = 100.0
     pool = _filled_pool(50, now)
-    limits = BlockLimits(max_block_txs=10)
-    block, _ = assemble_block(pool, UtilityParams(), limits, now, 60.0,
+    rules = ConsensusSection(tau_max_s=60.0, max_block_txs=10)
+    block, _ = assemble_block(pool, rules, LedgerSection(), now,
                               genesis_metadata(1), "e00")
     picked_ages = sorted(now - tx.submit_time for tx in block.transactions)
     assert picked_ages == list(range(10))
@@ -232,8 +227,9 @@ def test_assemble_block_respects_compressed_size_limit():
     for i in range(40):
         tx = make_tx(rng.randbytes(512), t=now)  # incompressible payloads
         pool.admitted[tx.id] = tx
-    limits = BlockLimits(max_block_bytes=4096, compression_headroom=0.30)
-    block, _ = assemble_block(pool, UtilityParams(), limits, now, 60.0,
+    rules = ConsensusSection(tau_max_s=60.0, max_block_bytes=4096)
+    block, _ = assemble_block(pool, rules,
+                              LedgerSection(compression_headroom=0.30), now,
                               genesis_metadata(1), "e00")
     assert block.compressed_size <= 4096
 
@@ -241,19 +237,19 @@ def test_assemble_block_respects_compressed_size_limit():
 def test_assemble_block_charges_energy_model():
     now = 5.0
     pool = _filled_pool(4, now)
-    block, score = assemble_block(pool, UtilityParams(), BlockLimits(), now,
-                                  60.0, genesis_metadata(1), "e00",
+    block, score = assemble_block(pool, RULES, LedgerSection(), now,
+                                  genesis_metadata(1), "e00",
                                   energy_cost_fn=lambda b: 2.0)
     assert score.energy_cost == 2.0
     assert score.utility == pytest.approx(
-        utility_score(UtilityParams(), 4, score.freshness, 2.0))
+        utility_score(RULES, 4, score.freshness, 2.0))
 
 
 # --- round execution ----------------------------------------------------------
 
 def _proposal(now: float = 10.0):
     pool = _filled_pool(3, now)
-    block, _ = assemble_block(pool, UtilityParams(), BlockLimits(), now, 60.0,
+    block, _ = assemble_block(pool, RULES, LedgerSection(), now,
                               genesis_metadata(1), "e00")
     return block
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from uavchain.trust import (BehaviorScore, BehaviorWeights, TrustError,
-                            TrustParams, TrustState, behavior_score,
-                            edge_committee_weights, trust_rank, update_trust)
+from uavchain.config import TrustSection
+from uavchain.trust import (BehaviorScore, TrustError, TrustState,
+                            behavior_score, edge_committee_weights, trust_rank,
+                            update_trust)
 
 
 def score(v: float) -> BehaviorScore:
@@ -15,13 +16,13 @@ def score(v: float) -> BehaviorScore:
 
 def test_update_trust_hand_case():
     # 0.8 * 0.5 + 0.2 * 1.0 = 0.6
-    params = TrustParams(smoothing=0.8)
+    params = TrustSection(smoothing=0.8)
     state = update_trust(TrustState(0.5), score(1.0), params)
     assert state.score == pytest.approx(0.6, abs=1e-15)
 
 
 def test_update_trust_fixed_point():
-    params = TrustParams(smoothing=0.8)
+    params = TrustSection(smoothing=0.8)
     state = TrustState(0.37)
     for _ in range(5):
         state = update_trust(state, score(0.37), params)
@@ -31,7 +32,7 @@ def test_update_trust_fixed_point():
 @pytest.mark.parametrize("lam", [0.5, 0.8, 0.9, 0.99])
 def test_update_trust_geometric_convergence(lam):
     # Distance to a constant behavior target shrinks by exactly lambda.
-    params = TrustParams(smoothing=lam)
+    params = TrustSection(smoothing=lam)
     target = 0.9
     state = TrustState(0.1)
     gap = target - state.score
@@ -45,7 +46,7 @@ def test_update_trust_matches_rational_oracle():
     lam = Fraction(4, 5)
     xi = Fraction(1, 2)
     chis = [Fraction(1), Fraction(0), Fraction(3, 4), Fraction(1, 3)]
-    params = TrustParams(smoothing=float(lam))
+    params = TrustSection(smoothing=float(lam))
     state = TrustState(float(xi))
     for chi in chis:
         xi = lam * xi + (1 - lam) * chi
@@ -54,51 +55,44 @@ def test_update_trust_matches_rational_oracle():
 
 
 def test_update_trust_stays_in_unit_interval():
-    params = TrustParams(smoothing=0.8)
+    params = TrustSection(smoothing=0.8)
     state = TrustState(1.0)
     for chi in (0.0, 1.0, 0.0, 0.0, 1.0):
         state = update_trust(state, score(chi), params)
         assert 0.0 <= state.score <= 1.0
 
 
-def test_trust_params_validation():
-    with pytest.raises(TrustError):
-        TrustParams(smoothing=0.0)
-    with pytest.raises(TrustError):
-        TrustParams(smoothing=1.0)
-    with pytest.raises(TrustError):
-        TrustParams(initial_score=1.5)
+def test_trust_state_validation():
     with pytest.raises(TrustError):
         TrustState(-0.1)
 
 
 def test_behavior_score_hand_case():
     # 0.5 * 8/10 + 0.3 * 6/10 + 0.2 * 1.0 = 0.78
-    got = behavior_score(10, 8, 6, 1.0)
+    got = behavior_score(10, 8, 6, 1.0, TrustSection())
     assert got.value == pytest.approx(0.78, abs=1e-15)
     assert got.components == (0.8, 0.6, 1.0)
 
 
 def test_behavior_score_neutral_when_idle():
-    assert behavior_score(0, 0, 0, 1.0).value == 0.5
+    assert behavior_score(0, 0, 0, 1.0, TrustSection()).value == 0.5
 
 
 def test_behavior_score_clamps_overflowing_counters():
-    assert behavior_score(2, 5, 5, 1.0).value == pytest.approx(1.0)
+    assert behavior_score(2, 5, 5, 1.0, TrustSection()).value == pytest.approx(1.0)
 
 
 def test_behavior_score_custom_weights():
-    weights = BehaviorWeights(valid=1.0, timely=0.0, uptime=0.0)
+    weights = TrustSection(weight_valid=1.0, weight_timely=0.0,
+                           weight_uptime=0.0)
     assert behavior_score(4, 1, 0, 0.0, weights).value == pytest.approx(0.25)
-    with pytest.raises(TrustError):
-        BehaviorWeights(valid=0.9, timely=0.3, uptime=0.2)
 
 
 def test_behavior_score_rejects_bad_counters():
     with pytest.raises(TrustError):
-        behavior_score(-1, 0, 0, 1.0)
+        behavior_score(-1, 0, 0, 1.0, TrustSection())
     with pytest.raises(TrustError):
-        behavior_score(1, 1, 1, 1.5)
+        behavior_score(1, 1, 1, 1.5, TrustSection())
 
 
 def test_trust_rank_normalizes():

@@ -7,9 +7,12 @@ from statistics import mean
 
 import pytest
 
-from uavchain.workload import (AdversaryParams, Behavior, WorkloadError,
-                               WorkloadParams, assign_adversaries,
+from uavchain.config import WorkloadSection
+from uavchain.workload import (Behavior, WorkloadError, assign_adversaries,
                                make_payload, next_arrival)
+
+ALL_UAV_BEHAVIORS = (Behavior.FORGE_SIGNATURE.value, Behavior.REPLAY.value,
+                     Behavior.DELAY_INJECTION.value)
 
 
 def test_next_arrival_mean_matches_rate():
@@ -39,7 +42,7 @@ def test_next_arrival_rejects_bad_rate():
 
 
 def test_make_payload_respects_bounds():
-    params = WorkloadParams(payload_min=512, payload_max=2048)
+    params = WorkloadSection(payload_min_bytes=512, payload_max_bytes=2048)
     rng = Random(3)
     for _ in range(200):
         payload = make_payload(params, rng)
@@ -47,10 +50,10 @@ def test_make_payload_respects_bounds():
 
 
 def test_make_payload_structured_part_is_compressible():
-    structured = WorkloadParams(payload_min=2048, payload_max=2048,
-                                random_fraction=0.0)
-    noise = WorkloadParams(payload_min=2048, payload_max=2048,
-                           random_fraction=1.0)
+    structured = WorkloadSection(payload_min_bytes=2048, payload_max_bytes=2048,
+                                 payload_random_fraction=0.0)
+    noise = WorkloadSection(payload_min_bytes=2048, payload_max_bytes=2048,
+                            payload_random_fraction=1.0)
     rng = Random(4)
     packed_structured = len(zlib.compress(make_payload(structured, rng)))
     packed_noise = len(zlib.compress(make_payload(noise, rng)))
@@ -59,32 +62,23 @@ def test_make_payload_structured_part_is_compressible():
 
 
 def test_make_payload_random_fraction_splits_size():
-    params = WorkloadParams(payload_min=1000, payload_max=1000,
-                            random_fraction=0.5)
+    params = WorkloadSection(payload_min_bytes=1000, payload_max_bytes=1000,
+                             payload_random_fraction=0.5)
     payload = make_payload(params, Random(5))
     assert len(payload) == 1000
     # The structured half is ASCII telemetry records.
     assert payload[:500].decode("ascii").startswith("ts=")
 
 
-def test_workload_params_validation():
-    with pytest.raises(WorkloadError):
-        WorkloadParams(arrival_rate=0.0)
-    with pytest.raises(WorkloadError):
-        WorkloadParams(payload_min=0)
-    with pytest.raises(WorkloadError):
-        WorkloadParams(payload_min=10, payload_max=5)
-    with pytest.raises(WorkloadError):
-        WorkloadParams(random_fraction=1.5)
-
-
 def test_assign_adversaries_counts_and_determinism():
     uavs = [f"u{i:03d}" for i in range(100)]
     edges = [f"e{i}" for i in range(10)]
-    params = AdversaryParams(compromised_fraction=0.15,
+    params = WorkloadSection(compromised_fraction=0.15,
                              malicious_edge_fraction=0.2)
-    got_a = assign_adversaries(uavs, edges, params, Random(6))
-    got_b = assign_adversaries(uavs, edges, params, Random(6))
+    got_a = assign_adversaries(uavs, edges, params, ALL_UAV_BEHAVIORS,
+                               Random(6))
+    got_b = assign_adversaries(uavs, edges, params, ALL_UAV_BEHAVIORS,
+                               Random(6))
     assert got_a == got_b
     behaviors, malicious_edges = got_a
     assert len(behaviors) == 15
@@ -94,11 +88,9 @@ def test_assign_adversaries_counts_and_determinism():
 
 def test_assign_adversaries_cycles_behaviors():
     uavs = [f"u{i}" for i in range(30)]
-    params = AdversaryParams(
-        compromised_fraction=0.3,
-        behaviors=(Behavior.FORGE_SIGNATURE.value, Behavior.REPLAY.value,
-                   Behavior.DELAY_INJECTION.value))
-    behaviors, _ = assign_adversaries(uavs, [], params, Random(7))
+    params = WorkloadSection(compromised_fraction=0.3)
+    behaviors, _ = assign_adversaries(uavs, [], params, ALL_UAV_BEHAVIORS,
+                                      Random(7))
     counts = Counter(behaviors.values())
     assert counts[Behavior.FORGE_SIGNATURE] == 3
     assert counts[Behavior.REPLAY] == 3
@@ -106,13 +98,7 @@ def test_assign_adversaries_cycles_behaviors():
 
 
 def test_assign_adversaries_zero_fraction_is_clean():
-    behaviors, edges = assign_adversaries(["u0", "u1"], ["e0"],
-                                          AdversaryParams(), Random(8))
+    clean = WorkloadSection(compromised_fraction=0.0)
+    behaviors, edges = assign_adversaries(["u0", "u1"], ["e0"], clean,
+                                          ALL_UAV_BEHAVIORS, Random(8))
     assert behaviors == {} and edges == set()
-
-
-def test_adversary_params_validation():
-    with pytest.raises(WorkloadError):
-        AdversaryParams(compromised_fraction=1.0)
-    with pytest.raises(WorkloadError):
-        AdversaryParams(behaviors=("not-a-behavior",))
