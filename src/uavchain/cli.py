@@ -140,7 +140,10 @@ def cmd_sweep(args) -> int:
         try:
             values.append(int(raw))
         except ValueError:
-            values.append(float(raw))
+            try:
+                values.append(float(raw))
+            except ValueError:
+                raise ConfigError(f"--values: {raw!r} is not a number") from None
     rows = engine.sweep(config, args.axis, values,
                         replications=args.replications)
     outdir = Path(args.out)

@@ -216,12 +216,16 @@ class ScenarioConfig:
               "workload.compromised_fraction", "must be in [0,1)")
         check(0 <= self.workload.malicious_edge_fraction < 1,
               "workload.malicious_edge_fraction", "must be in [0,1)")
-        for name in self.behavior_list():
+        names = self.behavior_list()
+        for name in names:
             try:
                 Behavior(name)
             except ValueError:
                 raise ConfigError(
                     f"workload.behaviors: unknown behavior {name!r}") from None
+        check(not names or set(names) != {Behavior.VOTE_REJECT.value}
+              or self.workload.compromised_fraction * self.network.uav_count < 1,
+              "workload.behaviors", "compromised UAVs need a UAV-side behavior")
 
 
 # trust.lambda is the documented key; "lambda" is reserved in Python.

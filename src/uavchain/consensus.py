@@ -223,14 +223,9 @@ class CommitteeRound:
     confirm_times: dict[str, float] = field(default_factory=dict)
 
 
-def run_round(rnd: CommitteeRound,
-              member_validators: dict[str, Callable[[Block], bool]],
+def run_round(rnd: CommitteeRound, votes: dict[str, bool],
               quorum: Optional[int] = None) -> RoundOutcome:
-    """Collect independent member votes and settle the round outcome.
-
-    Votes are computed in sorted member order but must be order-independent
-    (each validator sees only the proposal).
-    """
+    """Record every member's vote on the proposal and settle the outcome."""
     if rnd.proposal is None:
         rnd.outcome = RoundOutcome.SKIPPED
         return rnd.outcome
@@ -239,7 +234,7 @@ def run_round(rnd: CommitteeRound,
     if quorum is None:
         quorum = quorum_threshold(len(rnd.committee))
     for member in sorted(rnd.committee):
-        rnd.votes[member] = bool(member_validators[member](rnd.proposal))
+        rnd.votes[member] = bool(votes[member])
     approvals = sum(rnd.votes.values())
     rnd.outcome = (RoundOutcome.COMMITTED if approvals >= quorum
                    else RoundOutcome.ABORTED)

@@ -1,5 +1,11 @@
 """Pluggable signature + KEM provider with a deterministic mock backend.
 
+A provider offers ``keygen(seed) -> KeyPair``, ``sign(private_key, digest)
+-> bytes``, ``verify(digest, signature, public_key) -> bool`` (total: any
+malformed input is False), ``encaps``/``decaps`` and ``signature_len``.
+Signatures are plain bytes; the scheme that made them is named once, by
+``crypto.scheme`` in the scenario and by the ledger dump's ``scheme``.
+
 The mock backend ("mock-sig") is the default for simulation and tests: it is
 a keyed-hash construction that is bit-exact reproducible from integer seeds,
 which makes every simulator output a pure function of the scenario seed.
@@ -24,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from enum import Enum
 
 DIGEST_LEN = 32
 MOCK_PRIVATE_LEN = 32
@@ -34,10 +39,6 @@ MOCK_CIPHERTEXT_LEN = 48
 SESSION_KEY_LEN = 32
 
 _MOCK_PK_TAG = b"MK1"
-
-
-class SchemeId(str, Enum):
-    MOCK = "mock-sig"
 
 
 class CryptoError(Exception):
@@ -60,13 +61,6 @@ class DecapsulationError(CryptoError):
 class KeyPair:
     public_key: bytes
     private_key: bytes
-    scheme_id: SchemeId
-
-
-@dataclass(frozen=True)
-class Signature:
-    bytes: bytes  # noqa: A003 - field name fixed by the wire format docs
-    scheme_id: SchemeId
 
 
 @dataclass(frozen=True)
@@ -95,38 +89,35 @@ class MockProvider:
     failure, not implicit rejection).
     """
 
-    scheme_id = SchemeId.MOCK
-    public_key_len = MOCK_PUBLIC_LEN
     signature_len = MOCK_SIGNATURE_LEN
 
     def keygen(self, seed: int) -> KeyPair:
         sk = hashlib.sha256(b"uav-mock-sk" + _le64(seed)).digest()
-        return KeyPair(public_key=_MOCK_PK_TAG + sk, private_key=sk,
-                       scheme_id=self.scheme_id)
+        return KeyPair(public_key=_MOCK_PK_TAG + sk, private_key=sk)
 
-    def sign(self, private_key: bytes, message_hash: bytes) -> Signature:
+    def sign(self, private_key: bytes, message_hash: bytes) -> bytes:
         if len(private_key) != MOCK_PRIVATE_LEN:
             raise MalformedKeyError("mock private key must be 32 bytes")
         if len(message_hash) != DIGEST_LEN:
             raise CryptoError(f"message hash must be {DIGEST_LEN} bytes")
         t1 = hmac.new(private_key, b"sig1" + message_hash, hashlib.sha256).digest()
         t2 = hmac.new(private_key, b"sig2" + message_hash, hashlib.sha256).digest()
-        return Signature(bytes=t1 + t2, scheme_id=self.scheme_id)
+        return t1 + t2
 
-    def verify(self, message_hash: bytes, signature: Signature,
+    def verify(self, message_hash: bytes, signature: bytes,
                public_key: bytes) -> bool:
         # Total by contract: any malformed input yields False, never an error.
-        if not isinstance(signature, Signature):
+        if not isinstance(signature, bytes):
             return False
         if len(message_hash) != DIGEST_LEN:
             return False
-        if len(signature.bytes) != MOCK_SIGNATURE_LEN:
+        if len(signature) != MOCK_SIGNATURE_LEN:
             return False
         if len(public_key) != MOCK_PUBLIC_LEN or not public_key.startswith(_MOCK_PK_TAG):
             return False
         sk = public_key[len(_MOCK_PK_TAG):]
         expected = self.sign(sk, message_hash)
-        return hmac.compare_digest(expected.bytes, signature.bytes)
+        return hmac.compare_digest(expected, signature)
 
     def encaps(self, public_key: bytes, randomness_seed: int,
                peer_ids: tuple[str, str] = ("", "")) -> tuple[bytes, SessionKey]:
@@ -152,7 +143,7 @@ class MockProvider:
         return SessionKey(secret=secret, peer_ids=peer_ids)
 
 
-_PROVIDERS: dict[str, object] = {SchemeId.MOCK.value: MockProvider()}
+_PROVIDERS: dict[str, object] = {"mock-sig": MockProvider()}
 
 
 def register_provider(scheme: str, provider) -> None:

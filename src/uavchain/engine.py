@@ -26,8 +26,8 @@ from statistics import mean, stdev
 from typing import Optional
 
 from . import consensus, ledger, netsim, trust, workload
-from .config import ScenarioConfig, apply_override
-from .crypto import MOCK_SIGNATURE_LEN, Signature, get_provider
+from .config import ConfigError, ScenarioConfig, apply_override
+from .crypto import get_provider
 from .ledger import LedgerSegment, Transaction, genesis_metadata
 from .metrics import (MetricsCollector, RoundRecord, TrustRecord, TxRecord,
                       trust_deciles)
@@ -297,9 +297,8 @@ class Simulation:
             if behavior is workload.Behavior.DELAY_INJECTION:
                 submit_time = self.now - 1.5 * cfg.consensus.tau_max_s
             if behavior is workload.Behavior.FORGE_SIGNATURE:
-                signature = Signature(
-                    bytes=self.rng_adversary.randbytes(MOCK_SIGNATURE_LEN),
-                    scheme_id=self.provider.scheme_id)
+                signature = self.rng_adversary.randbytes(
+                    self.provider.signature_len)
             else:
                 core = ledger.encode_tx_core(uav, submit_time, payload)
                 signature = self.provider.sign(self.keys[uav].private_key,
@@ -383,38 +382,6 @@ class Simulation:
                 if seq is not None:
                     self.metrics.transactions[seq].status = "expired"
 
-    def _round_energy_fn(self, proposer: str, committee: list[str]):
-        verify_j = self.config.crypto.verify_j
-
-        def cost(block: ledger.Block) -> float:
-            members = [m for m in committee if m != proposer]
-            distances = [self.graph.distance(proposer, m) for m in members]
-            compute = [len(block.transactions) * verify_j for _ in members]
-            return netsim.round_energy(self.config.energy, distances, compute)
-
-        return cost
-
-    def _member_validator(self, member: str, proposer: str):
-        cfg = self.config
-
-        def validate(block: ledger.Block) -> bool:
-            if member in self.malicious_edges and member != proposer:
-                return False
-            head = self.segments[proposer].head()
-            if block.metadata.hash_prev != head.block_id:
-                return False
-            if ledger.merkle_root(block.tx_ids()) != block.metadata.merkle_root:
-                return False
-            if block.compressed_size > cfg.consensus.max_block_bytes:
-                return False
-            for tx in block.transactions:
-                key = self.registry.get(tx.sender)
-                if key is None or not self.provider.verify(tx.id, tx.signature, key):
-                    return False
-            return True
-
-        return validate
-
     def _handle_round(self, round_index: int) -> None:
         cfg = self.config
         self._expire_pool_txs()
@@ -426,11 +393,15 @@ class Simulation:
                              committee="|".join(committee), proposer=proposer)
         self.metrics.rounds.append(record)
 
-        pool = self.pools[proposer]
+        costs = cfg.crypto
+        members = [m for m in committee if m != proposer]
+        distances = [self.graph.distance(proposer, m) for m in members]
+        pool, segment = self.pools[proposer], self.segments[proposer]
         assembled = consensus.assemble_block(
-            pool, cfg.consensus, cfg.ledger, self.now,
-            self.segments[proposer].head(), proposer,
-            self._round_energy_fn(proposer, committee))
+            pool, cfg.consensus, cfg.ledger, self.now, segment.head(), proposer,
+            lambda b: netsim.round_energy(
+                cfg.energy, distances,
+                [len(b.transactions) * costs.verify_j for _ in members]))
         if assembled is None:
             return
         block, score = assembled
@@ -446,15 +417,18 @@ class Simulation:
         rnd = consensus.CommitteeRound(window_id=window_id, committee=committee,
                                        proposer=proposer, proposal=block,
                                        t_propose=self.now)
-        validators = {m: self._member_validator(m, proposer) for m in committee}
-        outcome = consensus.run_round(rnd, validators)
+        # Honest members all check the same block against the same head, so
+        # one check stands for each of their votes; vote-reject edges say no.
+        valid = not ledger.check_block(block, segment.head(), self.registry,
+                                       self.provider, cfg.consensus.max_block_bytes,
+                                       segment.committed_ids)
+        outcome = consensus.run_round(rnd, {
+            m: valid and (m == proposer or m not in self.malicious_edges)
+            for m in committee})
         record.approvals = sum(rnd.votes.values())
 
-        costs = cfg.crypto
         rnd.confirm_times[proposer] = self.now
-        for member in committee:
-            if member == proposer:
-                continue
+        for member in members:
             down = netsim.deliver(block.compressed_size, proposer, member,
                                   self.graph, self.rng_network)
             up = netsim.deliver(cfg.network.vote_size_bytes, member, proposer,
@@ -468,10 +442,8 @@ class Simulation:
         record.delta_cons = consensus.consensus_delay(rnd.t_propose,
                                                       rnd.confirm_times)
         # Charge the round energy to the mains-powered infrastructure tier.
-        members = [m for m in committee if m != proposer]
-        self._charge_infra(proposer, sum(
-            cfg.energy.tx_energy(self.graph.distance(proposer, m))
-            for m in members))
+        self._charge_infra(proposer, sum(cfg.energy.tx_energy(d)
+                                         for d in distances))
         for member in members:
             self._charge_infra(member, len(block.transactions) * costs.verify_j)
 
@@ -479,7 +451,7 @@ class Simulation:
         if outcome is not consensus.RoundOutcome.COMMITTED:
             return
 
-        self.segments[proposer].append_block(block, cfg.consensus.max_block_bytes)
+        segment.append_block(block, cfg.consensus.max_block_bytes)
         share = score.energy_cost / score.valid_count if score.valid_count else 0.0
         for tx in block.transactions:
             del pool.admitted[tx.id]
@@ -532,8 +504,6 @@ class Simulation:
             if edge is not None:
                 assignment[edge].add(uav)
         scores = {u: self.trust_states[u].score for u in alive}
-        for edge in assignment:  # guard for empty cells feeding the rank sum
-            assignment[edge] = {u for u in assignment[edge] if u in scores}
         self.edge_weights = trust.edge_committee_weights(assignment, scores)
         self.committee = consensus.sample_committee(
             self.edge_weights, cfg.consensus.committee_size, self.rng_committee)
@@ -601,7 +571,7 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
     defaults to the UAVCHAIN_WORKERS environment variable (1 if unset).
     """
     if replications < 1:
-        raise ValueError("replications must be >= 1")
+        raise ConfigError("replications must be >= 1")
     jobs: list[ScenarioConfig] = []
     for value in values:
         for rep in range(replications):

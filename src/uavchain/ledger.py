@@ -13,6 +13,11 @@ little-endian i64 fixed-point microseconds):
 Merkle convention: leaves are sha256(tx id); an odd level duplicates its last
 node; internal node = sha256(left || right). A single-transaction block has
 root sha256(tx.id).
+
+Signatures are opaque bytes of the provider named by ``crypto.scheme``; a
+dump names that scheme once, at the top. ``check_block`` is the one block
+validity rule: committee members vote its result and the audit
+(``verify_segment``) applies it along a chain.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 
-from .crypto import DIGEST_LEN, SchemeId, Signature, hash_bytes
+from .crypto import DIGEST_LEN, hash_bytes
 
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
 CODECS = ("zlib", "none")
@@ -75,7 +80,7 @@ class Transaction:
     sender: str
     payload: bytes
     submit_time: float
-    signature: Signature
+    signature: bytes
     id: bytes = field(init=False)
     # Length of the canonical encoding, measured once when the id is
     # computed; the encoding itself is not kept, to hold memory down.
@@ -90,10 +95,10 @@ class Transaction:
         return encode_tx_core(self.sender, self.submit_time, self.payload)
 
     def wire(self) -> bytes:
-        return self.canonical_encoding() + encode_bytes(self.signature.bytes)
+        return self.canonical_encoding() + encode_bytes(self.signature)
 
     def wire_size(self) -> int:
-        return self._core_size + 4 + len(self.signature.bytes)
+        return self._core_size + 4 + len(self.signature)
 
 
 @dataclass(frozen=True)
@@ -281,8 +286,7 @@ def segment_to_dict(segment: LedgerSegment) -> dict:
                 "sender": tx.sender,
                 "submit_time": tx.submit_time,
                 "payload": tx.payload.hex(),
-                "signature": tx.signature.bytes.hex(),
-                "scheme": tx.signature.scheme_id.value,
+                "signature": tx.signature.hex(),
             } for tx in block.transactions],
         })
     return {"owner": segment.owner, "genesis": _meta_to_dict(segment.genesis),
@@ -296,8 +300,7 @@ def segment_from_dict(data: dict) -> LedgerSegment:
         txs = [Transaction(sender=t["sender"],
                            payload=bytes.fromhex(t["payload"]),
                            submit_time=t["submit_time"],
-                           signature=Signature(bytes=bytes.fromhex(t["signature"]),
-                                               scheme_id=SchemeId(t["scheme"])))
+                           signature=bytes.fromhex(t["signature"]))
                for t in entry["transactions"]]
         meta = _meta_from_dict(entry["metadata"])
         block = Block(metadata=meta, transactions=txs, proposer=entry["proposer"],
@@ -326,7 +329,7 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
 
 def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int]:
     """Read a dump; any malformed content (truncated JSON, a missing key, bad
-    hex, an unknown signature scheme) raises LedgerError."""
+    hex) raises LedgerError."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -341,9 +344,48 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int]:
                           f"{type(exc).__name__}: {exc}") from None
 
 
+def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],
+                provider, max_block_bytes: int, seen: set[bytes]) -> list[str]:
+    """Every finding against `block` appended after `prev`: linkage, block
+    id, Merkle root, size, signatures and tx ids already in `seen` or
+    earlier in the block. An empty list means the block is valid; `seen` is
+    not modified.
+    """
+    findings: list[str] = []
+    meta = block.metadata
+    if meta.hash_prev != prev.block_id:
+        findings.append("broken linkage")
+    if meta.timestamp <= prev.timestamp:
+        findings.append("non-increasing timestamp")
+    if not block.transactions:
+        findings.append("empty block")
+        return findings
+    header = block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
+                          block.proposer)
+    if block_id_for(header) != meta.block_id:
+        findings.append("block id mismatch")
+    if merkle_root(block.tx_ids()) != meta.merkle_root:
+        findings.append("merkle root mismatch")
+    if max_block_bytes and block.compressed_size > max_block_bytes:
+        findings.append("oversize block")
+    if not 0 < block.compressed_size <= block.raw_size:
+        findings.append("inconsistent size accounting")
+    in_block: set[bytes] = set()
+    for tx in block.transactions:
+        key = registry.get(tx.sender)
+        if key is None:
+            findings.append(f"unknown sender {tx.sender}")
+        elif not provider.verify(tx.id, tx.signature, key):
+            findings.append(f"bad signature on tx {tx.id.hex()[:16]}")
+        if tx.id in seen or tx.id in in_block:
+            findings.append(f"duplicate tx {tx.id.hex()[:16]}")
+        in_block.add(tx.id)
+    return findings
+
+
 def verify_segment(segment: LedgerSegment, registry: dict[str, bytes],
                    provider, max_block_bytes: int = 0) -> list[str]:
-    """Full re-verification: linkage, block ids, Merkle roots, signatures.
+    """Apply `check_block` along the whole chain from its genesis.
 
     Returns a list of human-readable findings; empty list means the segment
     is fully valid.
@@ -353,34 +395,8 @@ def verify_segment(segment: LedgerSegment, registry: dict[str, bytes],
     seen: set[bytes] = set()
     for height, block in enumerate(segment.chain, start=1):
         where = f"segment {segment.owner} block {height}"
-        meta = block.metadata
-        if meta.hash_prev != prev.block_id:
-            findings.append(f"{where}: broken linkage")
-        if meta.timestamp <= prev.timestamp:
-            findings.append(f"{where}: non-increasing timestamp")
-        if not block.transactions:
-            findings.append(f"{where}: empty block")
-            prev = meta
-            continue
-        header = block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
-                              block.proposer)
-        if block_id_for(header) != meta.block_id:
-            findings.append(f"{where}: block id mismatch")
-        if merkle_root(block.tx_ids()) != meta.merkle_root:
-            findings.append(f"{where}: merkle root mismatch")
-        if max_block_bytes and block.compressed_size > max_block_bytes:
-            findings.append(f"{where}: oversize block")
-        if not 0 < block.compressed_size <= block.raw_size:
-            findings.append(f"{where}: inconsistent size accounting")
-        for tx in block.transactions:
-            key = registry.get(tx.sender)
-            if key is None:
-                findings.append(f"{where}: unknown sender {tx.sender}")
-            elif not provider.verify(tx.id, tx.signature, key):
-                findings.append(
-                    f"{where}: bad signature on tx {tx.id.hex()[:16]}")
-            if tx.id in seen:
-                findings.append(f"{where}: duplicate tx {tx.id.hex()[:16]}")
-            seen.add(tx.id)
-        prev = meta
+        findings += [f"{where}: {finding}" for finding in check_block(
+            block, prev, registry, provider, max_block_bytes, seen)]
+        seen.update(block.tx_ids())
+        prev = block.metadata
     return findings

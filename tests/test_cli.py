@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from uavchain import cli, engine
+from uavchain import cli, crypto, engine
 from uavchain.config import ScenarioConfig
 
 
@@ -92,9 +92,51 @@ def _first_tx(data: dict) -> dict:
                 for block in segment["blocks"])
 
 
-def _unknown_scheme(text: str) -> str:
+class XRealProvider(crypto.MockProvider):
+    """A backend under its own name with its own signature size, as a real
+    one would have: mock signatures behind a 16-byte tag."""
+
+    TAG = b"x-real-signature"
+    signature_len = len(TAG) + crypto.MOCK_SIGNATURE_LEN
+
+    def sign(self, private_key: bytes, message_hash: bytes) -> bytes:
+        return self.TAG + super().sign(private_key, message_hash)
+
+    def verify(self, message_hash: bytes, signature: bytes,
+               public_key: bytes) -> bool:
+        # The mock's verify re-runs sign, so check the inner part with a
+        # plain mock rather than through this class's sign.
+        return (isinstance(signature, bytes) and signature.startswith(self.TAG)
+                and crypto.MockProvider().verify(
+                    message_hash, signature[len(self.TAG):], public_key))
+
+
+@pytest.fixture
+def x_real_scheme():
+    crypto.register_provider("x-real", XRealProvider())
+    yield "x-real"
+    crypto._PROVIDERS.pop("x-real")
+
+
+def test_registered_provider_dump_passes_audit(tmp_path, capsys, x_real_scheme):
+    scenario = write_small_scenario(tmp_path, **{"sim.duration_s": 30,
+                                                 "crypto.scheme": x_real_scheme})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", scenario, "--out", str(out),
+                     "--dump-ledger"]) == 0
+    data = json.loads((out / "ledger.json").read_text())
+    assert data["scheme"] == "x-real"
+    tx = _first_tx(data)
+    assert "scheme" not in tx
+    assert bytes.fromhex(tx["signature"]).startswith(XRealProvider.TAG)
+    capsys.readouterr()
+    assert cli.main(["audit", "--ledger", str(out / "ledger.json")]) == 0
+    assert "audit passed" in capsys.readouterr().out
+
+
+def _unregistered_scheme(text: str) -> str:
     data = json.loads(text)
-    _first_tx(data)["scheme"] = "foo"
+    data["scheme"] = "foo"
     return json.dumps(data)
 
 
@@ -114,8 +156,8 @@ def _truncated(text: str) -> str:
     return text[:len(text) // 2]
 
 
-@pytest.mark.parametrize("mutate", [_unknown_scheme, _missing_key, _bad_hex,
-                                    _truncated])
+@pytest.mark.parametrize("mutate", [_unregistered_scheme, _missing_key,
+                                    _bad_hex, _truncated])
 def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"
@@ -126,7 +168,24 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     code = cli.main(["audit", "--ledger", str(path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "malformed ledger dump" in err
+    expected = ("no provider registered for 'foo'"
+                if mutate is _unregistered_scheme else "malformed ledger dump")
+    assert err.startswith("error:") and expected in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "network.uav_count", "--values", "10,abc"],
+    ["sweep", "--axis", "network.uav_count", "--values", ""],
+    ["sweep", "--axis", "network.uav_count", "--values", "10",
+     "--replications", "0"],
+    ["figures", "--figure", "latency", "--replications", "0"],
+], ids=["non-numeric-value", "empty-values", "sweep-zero-replications",
+        "figures-zero-replications"])
+def test_sweep_and_figures_reject_bad_input(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_sweep_writes_csv(tmp_path):

@@ -93,6 +93,7 @@ def test_load_config_applies_overrides(tmp_path):
     ("ledger.replication", 10),
     ("workload.compromised_fraction", 1.0),
     ("workload.behaviors", "forge-signature,unknown"),
+    ("workload.behaviors", "vote-reject"),  # compromised UAVs, no UAV behavior
     ("crypto.scheme", "rsa-2048"),
     ("crypto.scheme", "dilithium3-class"),  # named in docs, not registered
     ("crypto.sign_j", -1.0),

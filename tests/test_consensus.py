@@ -13,7 +13,7 @@ from uavchain.consensus import (CommitteeRound, ConsensusError, RejectReason,
                                 assemble_block, freshness, quorum_threshold,
                                 run_round, sample_committee, sample_proposer,
                                 tx_freshness, utility_score)
-from uavchain.crypto import MockProvider, SchemeId, Signature, hash_bytes
+from uavchain.crypto import MockProvider, hash_bytes
 from uavchain.ledger import Transaction, genesis_metadata
 
 provider = MockProvider()
@@ -30,7 +30,7 @@ def make_tx(payload: bytes, t: float = 0.0, sender: str = "u000",
     if signed:
         sig = provider.sign(PAIR.private_key, hash_bytes(core))
     else:
-        sig = Signature(bytes=b"\x00" * 64, scheme_id=SchemeId.MOCK)
+        sig = b"\x00" * 64
     return Transaction(sender=sender, payload=payload, submit_time=t,
                        signature=sig)
 
@@ -258,9 +258,9 @@ def test_run_round_commits_at_quorum():
     committee = ["e00", "e01", "e02", "e03", "e04"]
     rnd = CommitteeRound(window_id=1, committee=committee, proposer="e00",
                          proposal=_proposal())
-    validators = {m: (lambda b: True) for m in committee}
-    validators["e04"] = lambda b: False
-    assert run_round(rnd, validators) is RoundOutcome.COMMITTED
+    votes = {m: True for m in committee}
+    votes["e04"] = False
+    assert run_round(rnd, votes) is RoundOutcome.COMMITTED
     assert sum(rnd.votes.values()) == 4
 
 
@@ -268,9 +268,8 @@ def test_run_round_aborts_below_quorum():
     committee = ["e00", "e01", "e02", "e03", "e04"]
     rnd = CommitteeRound(window_id=1, committee=committee, proposer="e00",
                          proposal=_proposal())
-    validators = {m: (lambda b, ok=(m in ("e00", "e01", "e02")): ok)
-                  for m in committee}
-    assert run_round(rnd, validators) is RoundOutcome.ABORTED
+    votes = {m: m in ("e00", "e01", "e02") for m in committee}
+    assert run_round(rnd, votes) is RoundOutcome.ABORTED
 
 
 def test_run_round_skips_without_proposal():
@@ -283,7 +282,7 @@ def test_run_round_requires_member_proposer():
     rnd = CommitteeRound(window_id=1, committee=["e01"], proposer="e99",
                          proposal=_proposal())
     with pytest.raises(ConsensusError):
-        run_round(rnd, {"e01": lambda b: True})
+        run_round(rnd, {"e01": True})
 
 
 def test_consensus_delay_is_slowest_member():

@@ -7,7 +7,7 @@ import pytest
 from uavchain.crypto import (DIGEST_LEN, MOCK_CIPHERTEXT_LEN, MOCK_PUBLIC_LEN,
                              MOCK_SIGNATURE_LEN, CryptoError,
                              DecapsulationError, MalformedKeyError,
-                             MockProvider, SchemeId, Signature,
+                             MockProvider,
                              UnsupportedSchemeError, get_provider, hash_bytes,
                              register_provider)
 
@@ -27,14 +27,13 @@ def test_keygen_deterministic_and_sized():
     assert a.private_key != c.private_key
     assert len(a.public_key) == MOCK_PUBLIC_LEN
     assert a.public_key.startswith(b"MK1")
-    assert a.scheme_id is SchemeId.MOCK
 
 
 def test_sign_verify_roundtrip():
     pair = provider.keygen(1)
     digest = hash_bytes(b"payload")
     sig = provider.sign(pair.private_key, digest)
-    assert len(sig.bytes) == MOCK_SIGNATURE_LEN
+    assert isinstance(sig, bytes) and len(sig) == MOCK_SIGNATURE_LEN
     assert provider.verify(digest, sig, pair.public_key)
 
 
@@ -48,8 +47,7 @@ def test_verify_rejects_tampered_signature():
     pair = provider.keygen(3)
     digest = hash_bytes(b"msg")
     sig = provider.sign(pair.private_key, digest)
-    flipped = Signature(bytes=bytes([sig.bytes[0] ^ 1]) + sig.bytes[1:],
-                        scheme_id=sig.scheme_id)
+    flipped = bytes([sig[0] ^ 1]) + sig[1:]
     assert not provider.verify(digest, flipped, pair.public_key)
 
 
@@ -68,7 +66,7 @@ def test_verify_is_total_on_malformed_input():
     assert not provider.verify(digest, sig, b"notakey")
     assert not provider.verify(digest, sig, b"XX" + pair.public_key[2:])
     assert not provider.verify(digest, "not a signature", pair.public_key)
-    short = Signature(bytes=b"\x00" * 8, scheme_id=SchemeId.MOCK)
+    short = b"\x00" * 8
     assert not provider.verify(digest, short, pair.public_key)
 
 

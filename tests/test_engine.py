@@ -142,6 +142,27 @@ def test_malicious_edge_minority_cannot_abort_rounds():
     assert result.summary["rounds_aborted"] == 0
 
 
+def test_each_proposal_is_checked_once_and_sets_the_honest_votes(monkeypatch):
+    checked = []
+
+    def counting_check_block(block, *args):
+        checked.append(block)
+        return real_check_block(block, *args)
+
+    real_check_block = ledger.check_block
+    monkeypatch.setattr(ledger, "check_block", counting_check_block)
+    result = engine.run(small_config(workload__malicious_edge_fraction=0.4))
+    proposed = [r for r in result.metrics.rounds if r.outcome != "skipped"]
+    chain_blocks = sum(len(s.chain) for s in result.segments.values())
+    # Once in its round, and each committed block once more in the
+    # end-of-run audit.
+    assert proposed and len(checked) == len(proposed) + chain_blocks
+    for row in proposed:
+        honest = [m for m in row.committee.split("|")
+                  if m == row.proposer or m not in result.malicious_edges]
+        assert row.approvals == len(honest)
+
+
 def test_dead_uavs_stop_everything():
     cfg = small_config(energy__uav_budget_j=2.0,
                        sim__duration_s=300.0)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from uavchain import ledger
-from uavchain.crypto import MockProvider, SchemeId, Signature, hash_bytes
+from uavchain.crypto import MockProvider, hash_bytes
 from uavchain.ledger import (BlockSizeError, DuplicateTransactionError,
                              LedgerError, LedgerSegment, LinkageError,
                              MerkleError, Transaction, genesis_metadata,
@@ -48,14 +48,13 @@ def test_tx_id_is_hash_of_core_encoding():
 def test_tx_wire_size_matches_wire():
     tx = make_tx(b"x" * 100)
     assert tx.wire_size() == len(tx.wire())
-    assert tx.wire() == tx.canonical_encoding() + ledger.u32(64) + tx.signature.bytes
+    assert tx.wire() == tx.canonical_encoding() + ledger.u32(64) + tx.signature
 
 
 def test_wire_size_matches_wire_for_adversarial_and_loaded_txs():
     honest = make_tx(b"reading" * 20, t=4.0)
     forged = Transaction(sender="u000", payload=b"f" * 70, submit_time=5.0,
-                         signature=Signature(bytes=bytes(range(64)),
-                                             scheme_id=SchemeId.MOCK))
+                         signature=bytes(range(64)))
     # A replay resubmits the same fields under the same signature.
     replayed = Transaction(sender=honest.sender, payload=honest.payload,
                            submit_time=honest.submit_time,
@@ -230,3 +229,92 @@ def test_verify_segment_flags_broken_linkage():
     seg.genesis = genesis_metadata(99)
     findings = ledger.verify_segment(seg, REGISTRY, provider)
     assert any("linkage" in f for f in findings)
+
+
+def _check(block, prev=None, registry=None, max_block_bytes=0, seen=()):
+    return ledger.check_block(block, prev or genesis_metadata(1),
+                              REGISTRY if registry is None else registry,
+                              provider, max_block_bytes, set(seen))
+
+
+def test_check_block_accepts_valid_block():
+    _, block = _segment_with_block([make_tx(b"a"), make_tx(b"b")])
+    assert _check(block) == []
+
+
+def test_check_block_flags_broken_linkage():
+    _, block = _segment_with_block([make_tx(b"a")])
+    assert _check(block, prev=genesis_metadata(99)) == ["broken linkage"]
+
+
+def test_check_block_flags_non_increasing_timestamp():
+    _, block = _segment_with_block([make_tx(b"a")], t=0.0)
+    assert _check(block) == ["non-increasing timestamp"]
+
+
+def test_check_block_flags_empty_block():
+    _, block = _segment_with_block([make_tx(b"a")])
+    block.transactions = []
+    assert _check(block) == ["empty block"]
+
+
+def test_check_block_flags_block_id_mismatch():
+    _, block = _segment_with_block([make_tx(b"a")])
+    block.proposer = "e01"  # the header, and so the id, names the proposer
+    assert _check(block) == ["block id mismatch"]
+
+
+def test_check_block_flags_merkle_mismatch():
+    _, block = _segment_with_block([make_tx(b"a"), make_tx(b"b")])
+    block.transactions.reverse()
+    assert _check(block) == ["merkle root mismatch"]
+
+
+def test_check_block_flags_oversize_block():
+    _, block = _segment_with_block([make_tx(b"a" * 500)])
+    assert _check(block, max_block_bytes=block.compressed_size) == []
+    assert _check(block, max_block_bytes=block.compressed_size - 1) == [
+        "oversize block"]
+
+
+def test_check_block_flags_inconsistent_size_accounting():
+    _, block = _segment_with_block([make_tx(b"a")])
+    block.compressed_size = block.raw_size + 1
+    assert _check(block) == ["inconsistent size accounting"]
+    block.compressed_size = 0
+    assert _check(block) == ["inconsistent size accounting"]
+
+
+def test_check_block_flags_unknown_sender():
+    _, block = _segment_with_block([make_tx(b"a")])
+    assert _check(block, registry={}) == ["unknown sender u000"]
+
+
+def test_check_block_flags_bad_signature():
+    forged = Transaction(sender="u000", payload=b"f", submit_time=1.0,
+                         signature=bytes(64))
+    _, block = _segment_with_block([make_tx(b"a"), forged])
+    assert _check(block) == [f"bad signature on tx {forged.id.hex()[:16]}"]
+
+
+def test_check_block_flags_duplicate_inside_block():
+    tx = make_tx(b"twin")
+    _, block = _segment_with_block([tx, make_tx(b"other"), tx])
+    assert _check(block) == [f"duplicate tx {tx.id.hex()[:16]}"]
+
+
+def test_check_block_flags_duplicate_of_seen_and_keeps_seen():
+    tx = make_tx(b"again")
+    _, block = _segment_with_block([make_tx(b"new"), tx])
+    seen = {tx.id}
+    assert ledger.check_block(block, genesis_metadata(1), REGISTRY, provider,
+                              0, seen) == [f"duplicate tx {tx.id.hex()[:16]}"]
+    assert seen == {tx.id}
+
+
+def test_verify_segment_prefixes_check_block_findings():
+    seg, block = _segment_with_block([make_tx(b"a")])
+    seg.append_block(block)
+    block.compressed_size = block.raw_size + 1
+    assert ledger.verify_segment(seg, REGISTRY, provider) == [
+        "segment e00 block 1: inconsistent size accounting"]
