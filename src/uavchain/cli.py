@@ -101,7 +101,8 @@ def write_run_outputs(result: engine.SimulationResult, outdir,
         ledger.dump_ledger(outdir / "ledger.json",
                            [result.segments[e] for e in sorted(result.segments)],
                            result.registry, result.config.crypto.scheme,
-                           result.config.sim.master_seed)
+                           result.config.sim.master_seed,
+                           result.config.consensus.max_block_bytes)
         outputs.append("ledger.json")
     _write_manifest(outdir, result.config, outputs)
     return outputs
@@ -196,11 +197,11 @@ def cmd_figures(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    segments, registry, scheme, _ = ledger.load_ledger(args.ledger)
+    segments, registry, scheme, _, limit = ledger.load_ledger(args.ledger)
     provider = get_provider(scheme)
     failures = 0
     for segment in segments:
-        findings = ledger.verify_segment(segment, registry, provider)
+        findings = ledger.verify_segment(segment, registry, provider, limit)
         status = "PASS" if not findings else "FAIL"
         print(f"{status} segment {segment.owner} "
               f"({len(segment.chain)} blocks)")

@@ -60,7 +60,6 @@ class CryptoSection:
     verify_j: float = 0.01
     encaps_j: float = 0.01
     decaps_j: float = 0.01
-    sign_s: float = 0.002
     verify_s: float = 0.001
 
 
@@ -259,12 +258,6 @@ def _resolve_key(key: str) -> tuple[str, str]:
 def _coerce(key: str, current: Any, raw: str) -> Any:
     text = raw.strip().strip('"')
     try:
-        if isinstance(current, bool):
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if isinstance(current, int):
             return int(text, 0)
         if isinstance(current, float):

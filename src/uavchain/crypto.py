@@ -100,9 +100,7 @@ class MockProvider:
             raise MalformedKeyError("mock private key must be 32 bytes")
         if len(message_hash) != DIGEST_LEN:
             raise CryptoError(f"message hash must be {DIGEST_LEN} bytes")
-        t1 = hmac.new(private_key, b"sig1" + message_hash, hashlib.sha256).digest()
-        t2 = hmac.new(private_key, b"sig2" + message_hash, hashlib.sha256).digest()
-        return t1 + t2
+        return self._mac(private_key, message_hash)
 
     def verify(self, message_hash: bytes, signature: bytes,
                public_key: bytes) -> bool:
@@ -116,8 +114,14 @@ class MockProvider:
         if len(public_key) != MOCK_PUBLIC_LEN or not public_key.startswith(_MOCK_PK_TAG):
             return False
         sk = public_key[len(_MOCK_PK_TAG):]
-        expected = self.sign(sk, message_hash)
-        return hmac.compare_digest(expected, signature)
+        return hmac.compare_digest(self._mac(sk, message_hash), signature)
+
+    @staticmethod
+    def _mac(private_key: bytes, message_hash: bytes) -> bytes:
+        # Shared by sign and verify, so a subclass may wrap sign (say, in a tag).
+        t1 = hmac.new(private_key, b"sig1" + message_hash, hashlib.sha256).digest()
+        t2 = hmac.new(private_key, b"sig2" + message_hash, hashlib.sha256).digest()
+        return t1 + t2
 
     def encaps(self, public_key: bytes, randomness_seed: int,
                peer_ids: tuple[str, str] = ("", "")) -> tuple[bytes, SessionKey]:

@@ -58,7 +58,6 @@ def make_stream(master_seed: int, label: str) -> Random:
 @dataclass
 class _WindowStats:
     submitted: int = 0
-    arrived: int = 0
     accepted: int = 0
     timely: int = 0
 
@@ -134,8 +133,7 @@ class Simulation:
                                             cfg.mobility.alt_max_m),
                 speed=cfg.mobility.mean_speed_mps,
                 heading=self.rng_mobility.uniform(-math.pi, math.pi),
-                mean_heading=0.0,
-                energy=cfg.energy.uav_budget_j)
+                mean_heading=0.0)
             state.mean_heading = state.heading
             self.uav_states[uav] = state
             self.graph.add_node(uav, "uav", state.position())
@@ -151,11 +149,8 @@ class Simulation:
             self.keys[node] = pair
             self.registry[node] = pair.public_key
 
-        self.accounts = {
-            uav: EnergyAccount(uav, cfg.energy.uav_budget_j, budget_limited=True)
-            for uav in self.uav_ids}
-        for node in self.edge_ids + ["base"]:
-            self.accounts[node] = EnergyAccount(node, 0.0, budget_limited=False)
+        self.accounts = {uav: EnergyAccount(cfg.energy.uav_budget_j)
+                         for uav in self.uav_ids}
 
     def _setup_protocol_state(self) -> None:
         cfg = self.config
@@ -248,18 +243,11 @@ class Simulation:
     def _charge_uav(self, uav: str, amount: float) -> bool:
         account = self.accounts[uav]
         ok = account.try_charge(amount)
-        state = self.uav_states[uav]
-        state.energy = account.remaining
-        if account.depleted and state.alive:
-            state.alive = False
+        if account.depleted and uav not in self.death_times:
+            self.death_times[uav] = self.now
             self.alive_uavs.remove(uav)
             self.graph.set_alive(uav, False)
-            self.death_times[uav] = self.now
         return ok
-
-    def _charge_infra(self, node: str, amount: float) -> None:
-        self.accounts[node].try_charge(amount)
-        self.metrics.infra_energy_j += amount
 
     def _ensure_session(self, uav: str, edge: str) -> bool:
         """Establish the KEM session key on first contact of a pair."""
@@ -272,7 +260,7 @@ class Simulation:
         ciphertext, _ = self.provider.encaps(self.registry[edge],
                                              self._kem_counter, (uav, edge))
         self.provider.decaps(self.keys[edge].private_key, ciphertext, (uav, edge))
-        self._charge_infra(edge, costs.decaps_j)
+        self.metrics.infra_energy_j += costs.decaps_j
         self.sessions.add((uav, edge))
         return True
 
@@ -296,54 +284,43 @@ class Simulation:
             submit_time = self.now
             if behavior is workload.Behavior.DELAY_INJECTION:
                 submit_time = self.now - 1.5 * cfg.consensus.tau_max_s
+            tx = Transaction(sender=uav, payload=payload,
+                             submit_time=submit_time, signature=b"")
             if behavior is workload.Behavior.FORGE_SIGNATURE:
-                signature = self.rng_adversary.randbytes(
+                tx.signature = self.rng_adversary.randbytes(
                     self.provider.signature_len)
             else:
-                core = ledger.encode_tx_core(uav, submit_time, payload)
-                signature = self.provider.sign(self.keys[uav].private_key,
-                                               ledger.hash_bytes(core))
+                tx.signature = self.provider.sign(self.keys[uav].private_key,
+                                                  tx.id)
             if not self._charge_uav(uav, costs.sign_j):
                 return
             sign_spend = costs.sign_j
-            tx = Transaction(sender=uav, payload=payload,
-                             submit_time=submit_time, signature=signature)
 
         seq = len(self.metrics.transactions)
         record = TxRecord(seq=seq, tx_id=tx.id.hex(), sender=tx.sender,
                           submit_time=tx.submit_time)
         self.metrics.transactions.append(record)
-        # Behavior stats count at resolution (drop here or later arrival), so
-        # a window never sees an attempt whose outcome lands in the next one.
-        stats = self.window_stats[uav]
 
         edge = self.graph.nearest_edge(uav, require_range=True)
-        if edge is None:
-            record.status = "dropped"
-            record.reject_reason = "no-link"
-            stats.submitted += 1
-            return
-        record.edge = edge
-        if not self._ensure_session(uav, edge):
-            record.status = "dropped"
-            record.reject_reason = "energy-exhausted"
-            stats.submitted += 1
-            return
-        distance = self.graph.distance(uav, edge)
-        if not self._charge_uav(uav, cfg.energy.tx_energy(distance)):
-            record.status = "dropped"
-            record.reject_reason = "energy-exhausted"
-            stats.submitted += 1
-            return
-        record.energy_j += sign_spend + cfg.energy.tx_energy(distance)
-        delay = netsim.deliver(tx.wire_size(), uav, edge, self.graph,
-                               self.rng_network)
-        if delay is None:
-            record.status = "dropped"
-            record.reject_reason = "no-link"
-            stats.submitted += 1
-            return
-        self._schedule(self.now + delay, _PRIO_RECV, "recv", (tx, edge, seq, uav))
+        reason = "no-link"
+        if edge is not None:
+            record.edge = edge
+            reason = "energy-exhausted"
+            spend = cfg.energy.tx_energy(self.graph.distance(uav, edge))
+            if self._ensure_session(uav, edge) and self._charge_uav(uav, spend):
+                record.energy_j += sign_spend + spend
+                delay = netsim.deliver(tx.wire_size(), uav, edge, self.graph,
+                                       self.rng_network)
+                if delay is not None:
+                    self._schedule(self.now + delay, _PRIO_RECV, "recv",
+                                   (tx, edge, seq, uav))
+                    return
+                reason = "no-link"
+        record.status = "dropped"
+        record.reject_reason = reason
+        # Behavior stats count at resolution (drop here or later arrival), so
+        # a window never sees an attempt whose outcome lands in the next one.
+        self.window_stats[uav].submitted += 1
 
     def _handle_recv(self, tx: Transaction, edge: str, seq: int, emitter: str) -> None:
         cfg = self.config
@@ -353,11 +330,9 @@ class Simulation:
         record.timely = record.latency < cfg.consensus.tau_max_s
         stats = self.window_stats[emitter]
         stats.submitted += 1
-        stats.arrived += 1
-        if record.timely:
-            stats.timely += 1
+        stats.timely += record.timely
 
-        self._charge_infra(edge, cfg.crypto.verify_j)
+        self.metrics.infra_energy_j += cfg.crypto.verify_j
         reason = consensus.admit_transaction(
             self.pools[edge], tx, self.registry, self.provider,
             self.segments[edge].committed_ids,
@@ -378,9 +353,8 @@ class Simulation:
                      if self.now - tx.submit_time > tau]
             for tx_id in stale:
                 del pool.admitted[tx_id]
-                seq = self.pending_rows.pop((edge, tx_id), None)
-                if seq is not None:
-                    self.metrics.transactions[seq].status = "expired"
+                seq = self.pending_rows.pop((edge, tx_id))
+                self.metrics.transactions[seq].status = "expired"
 
     def _handle_round(self, round_index: int) -> None:
         cfg = self.config
@@ -441,11 +415,11 @@ class Simulation:
             rnd.confirm_times[member] = self.now + down + verify_time + up
         record.delta_cons = consensus.consensus_delay(rnd.t_propose,
                                                       rnd.confirm_times)
-        # Charge the round energy to the mains-powered infrastructure tier.
-        self._charge_infra(proposer, sum(cfg.energy.tx_energy(d)
-                                         for d in distances))
-        for member in members:
-            self._charge_infra(member, len(block.transactions) * costs.verify_j)
+        # The mains-powered infrastructure tier pays the round energy.
+        self.metrics.infra_energy_j += sum(cfg.energy.tx_energy(d)
+                                           for d in distances)
+        for _ in members:
+            self.metrics.infra_energy_j += len(block.transactions) * costs.verify_j
 
         record.outcome = outcome.value
         if outcome is not consensus.RoundOutcome.COMMITTED:
@@ -455,11 +429,9 @@ class Simulation:
         share = score.energy_cost / score.valid_count if score.valid_count else 0.0
         for tx in block.transactions:
             del pool.admitted[tx.id]
-            seq = self.pending_rows.pop((proposer, tx.id), None)
-            if seq is not None:
-                row = self.metrics.transactions[seq]
-                row.status = "committed"
-                row.energy_j += share
+            row = self.metrics.transactions[self.pending_rows.pop((proposer, tx.id))]
+            row.status = "committed"
+            row.energy_j += share
             self.committed_recent.append(tx)
         others = [e for e in self.edge_ids if e != proposer]
         replicas = self.rng_replication.sample(sorted(others),
@@ -468,9 +440,9 @@ class Simulation:
         self.metrics.replication_bytes += block.compressed_size * len(replicas)
 
     def _uptime_fraction(self, uav: str, window_start: float) -> float:
-        if self.uav_states[uav].alive:
+        died = self.death_times.get(uav)
+        if died is None:
             return 1.0
-        died = self.death_times.get(uav, window_start)
         span = self.now - window_start
         if span <= 0:
             return 0.0
@@ -516,9 +488,8 @@ class Simulation:
         _, top_share = trust_deciles(scores, self.metrics.transactions)[0]
         summary = self.metrics.summary(
             duration_s=self.config.sim.duration_s,
-            uav_energy_spent_j=sum(self.accounts[u].initial
-                                   - self.accounts[u].remaining
-                                   for u in self.uav_ids),
+            uav_energy_spent_j=sum(a.initial - a.remaining
+                                   for a in self.accounts.values()),
             top_decile_share=top_share)
         return SimulationResult(
             config=self.config, metrics=self.metrics, summary=summary,
@@ -529,12 +500,34 @@ class Simulation:
             final_states=self.uav_states)
 
     def _check_invariants(self) -> None:
-        if not self.metrics.reconciliation_holds():
-            raise SimulationInvariantError("transaction accounting mismatch")
-        for account in self.accounts.values():
-            if not account.verify_conservation():
+        rows = self.metrics.transactions
+        arrived = [r for r in rows if r.recv_time is not None]
+        # A row still in flight is pending too, but has no recv time.
+        waiting = sum(1 for r in arrived if r.status == "pending")
+        pooled = sum(len(pool) for pool in self.pools.values())
+        if not waiting == len(self.pending_rows) == pooled:
+            raise SimulationInvariantError(
+                f"transaction accounting mismatch: {waiting} pending rows "
+                f"arrived, {len(self.pending_rows)} tracked, {pooled} pooled")
+        budget = self.config.energy.uav_budget_j
+        alive = set(self.alive_uavs)
+        for uav, account in self.accounts.items():
+            dead = (uav in self.death_times, uav not in alive,
+                    not self.graph.alive[uav])
+            if (set(dead) != {account.depleted}
+                    or not 0.0 <= account.remaining <= budget):
                 raise SimulationInvariantError(
-                    f"energy conservation violated for {account.node_id}")
+                    f"{uav} liveness disagrees with its energy account: "
+                    f"{account.remaining} J of {budget} J left, dead in "
+                    f"{sum(dead)} of 3 liveness records")
+        costs = self.config.crypto
+        attributed = (sum(r.theta_j for r in self.metrics.rounds)
+                      + costs.verify_j * len(arrived)
+                      + costs.decaps_j * len(self.sessions))
+        if not math.isclose(self.metrics.infra_energy_j, attributed):
+            raise SimulationInvariantError(
+                f"infrastructure energy {self.metrics.infra_energy_j} J does "
+                f"not match its attribution {attributed} J")
         side = self.config.area_side_m()
         for uav, state in self.uav_states.items():
             if not (0.0 <= state.x <= side and 0.0 <= state.y <= side):

@@ -150,7 +150,7 @@ def make_block(transactions: list[Transaction], hash_prev: bytes,
     meta = BlockMetadata(block_id=block_id_for(header), hash_prev=hash_prev,
                          merkle_root=root, timestamp=timestamp)
     block = Block(metadata=meta, transactions=list(transactions), proposer=proposer)
-    block.raw_size = len(block_wire(block))
+    block.raw_size = block_wire_size(block)
     return block
 
 
@@ -161,6 +161,15 @@ def block_wire(block: Block) -> bytes:
     parts = [meta.block_id, header, u32(len(block.transactions))]
     parts.extend(tx.wire() for tx in block.transactions)
     return b"".join(parts)
+
+
+def block_wire_size(block: Block) -> int:
+    """len(block_wire(block)), without building the transaction bytes."""
+    meta = block.metadata
+    header = block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
+                          block.proposer)
+    return (len(meta.block_id) + len(header) + 4
+            + sum(tx.wire_size() for tx in block.transactions))
 
 
 def compression_ratio(raw_size: int, compressed_size: int) -> float:
@@ -313,12 +322,13 @@ def segment_from_dict(data: dict) -> LedgerSegment:
 
 
 def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
-                scheme: str, seed: int) -> None:
-    """Write the documented JSON ledger dump (includes the key registry)."""
+                scheme: str, seed: int, max_block_bytes: int = 0) -> None:
+    """Write the documented JSON ledger dump (key registry and size limit)."""
     data = {
         "format": "uavchain-ledger-v1",
         "scheme": scheme,
         "seed": seed,
+        "max_block_bytes": max_block_bytes,
         "registry": {node: key.hex() for node, key in sorted(registry.items())},
         "segments": [segment_to_dict(s) for s in segments],
     }
@@ -327,9 +337,10 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
         handle.write("\n")
 
 
-def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int]:
-    """Read a dump; any malformed content (truncated JSON, a missing key, bad
-    hex) raises LedgerError."""
+def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, int]:
+    """Read a dump as (segments, registry, scheme, seed, max_block_bytes); a
+    dump without a size limit gets 0 (none). Any malformed content (truncated
+    JSON, a missing key, bad hex, a bad limit) raises LedgerError."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -338,7 +349,10 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int]:
         registry = {node: bytes.fromhex(key)
                     for node, key in data["registry"].items()}
         segments = [segment_from_dict(s) for s in data["segments"]]
-        return segments, registry, data["scheme"], data["seed"]
+        limit = data.get("max_block_bytes", 0)
+        if not isinstance(limit, int) or limit < 0:
+            raise ValueError(f"max_block_bytes {limit!r} is not a size in bytes")
+        return segments, registry, data["scheme"], data["seed"], limit
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger dump {path}: "
                           f"{type(exc).__name__}: {exc}") from None
@@ -347,9 +361,9 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int]:
 def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],
                 provider, max_block_bytes: int, seen: set[bytes]) -> list[str]:
     """Every finding against `block` appended after `prev`: linkage, block
-    id, Merkle root, size, signatures and tx ids already in `seen` or
-    earlier in the block. An empty list means the block is valid; `seen` is
-    not modified.
+    id, Merkle root, raw size, size limit, signatures and tx ids already in
+    `seen` or earlier in the block. An empty list means the block is valid;
+    `seen` is not modified.
     """
     findings: list[str] = []
     meta = block.metadata
@@ -366,6 +380,8 @@ def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],
         findings.append("block id mismatch")
     if merkle_root(block.tx_ids()) != meta.merkle_root:
         findings.append("merkle root mismatch")
+    if block.raw_size != block_wire_size(block):
+        findings.append("raw size mismatch")
     if max_block_bytes and block.compressed_size > max_block_bytes:
         findings.append("oversize block")
     if not 0 < block.compressed_size <= block.raw_size:

@@ -87,19 +87,11 @@ class MetricsCollector:
     replication_bytes: int = 0
     infra_energy_j: float = 0.0
 
-    def counts_by_status(self) -> dict[str, int]:
-        counts = {status: 0 for status in TX_STATUSES}
-        for record in self.transactions:
-            counts[record.status] += 1
-        return counts
-
-    def reconciliation_holds(self) -> bool:
-        counts = self.counts_by_status()
-        return sum(counts.values()) == len(self.transactions)
-
     def summary(self, duration_s: float, uav_energy_spent_j: float,
                 top_decile_share: float) -> dict:
-        counts = self.counts_by_status()
+        counts = dict.fromkeys(TX_STATUSES, 0)
+        for record in self.transactions:
+            counts[record.status] += 1
         latencies = [r.latency for r in self.transactions if r.latency is not None]
         timely = [r.timely for r in self.transactions if r.timely is not None]
         committed_energy = [r.energy_j for r in self.transactions

@@ -10,6 +10,10 @@ additionally share an always-on wired backhaul. Transmission energy follows
 (``EnergySection.tx_energy``) and round energy is the plain sum of member
 transmit and compute costs. Every function takes the scenario's config
 section for its parameters.
+
+``UavState`` is kinematics only: a UAV's energy lives in its
+``EnergyAccount`` and its liveness in the graph. Accounts are UAV-only; the
+mains-powered infrastructure tier keeps one running total in the metrics.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ class UavState:
     heading: float
     mean_heading: float
     vz: float = 0.0
-    energy: float = 1000.0
-    alive: bool = True
 
     def position(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -59,9 +61,8 @@ def step_mobility(state: UavState, dt: float, mobility: MobilitySection,
                   area_side: float, rng: Random) -> UavState:
     """One Gauss-Markov step with boundary reflection.
 
-    Pure: `state` is left untouched and the step returns a new UavState that
-    carries over the node id, energy and liveness. Draws speed, heading and
-    vertical-speed noise from `rng` in that order.
+    Pure: `state` is left untouched and the step returns a new UavState.
+    Draws speed, heading and vertical-speed noise from `rng` in that order.
     """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
@@ -91,8 +92,7 @@ def step_mobility(state: UavState, dt: float, mobility: MobilitySection,
         vz = -vz
 
     return UavState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
-                    heading=heading, mean_heading=mean_heading, vz=vz,
-                    energy=state.energy, alive=state.alive)
+                    heading=heading, mean_heading=mean_heading, vz=vz)
 
 
 class CommGraph:
@@ -228,45 +228,26 @@ def round_energy(energy: EnergySection, transmit_distances: list[float],
 
 @dataclass
 class EnergyAccount:
-    """Per-node energy ledger; UAVs deplete a budget, infra only records.
+    """A UAV's battery: each charge draws `remaining` down from `initial`."""
 
-    The conservation identity (initial - sequential charges == remaining) is
-    checked exactly, replaying charges in order so float rounding cancels.
-    """
-
-    node_id: str
     initial: float
-    budget_limited: bool = True
-    remaining: float = 0.0
-    charges: list[float] = field(default_factory=list)
+    remaining: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.remaining = self.initial
 
     @property
     def depleted(self) -> bool:
-        return self.budget_limited and self.remaining <= 0.0
+        return self.remaining <= 0.0
 
     def try_charge(self, amount: float) -> bool:
         """Charge if affordable; an unaffordable charge drains to zero."""
         if amount < 0.0:
             raise ValueError("negative energy charge")
-        if not self.budget_limited:
-            self.charges.append(amount)
-            self.remaining -= amount
-            return True
         if self.remaining <= 0.0:
             return False
         if amount > self.remaining:
-            self.charges.append(self.remaining)
-            self.remaining -= self.remaining
+            self.remaining = 0.0
             return False
-        self.charges.append(amount)
         self.remaining -= amount
         return True
-
-    def verify_conservation(self) -> bool:
-        balance = self.initial
-        for charge in self.charges:
-            balance -= charge
-        return balance == self.remaining

@@ -87,9 +87,52 @@ def test_audit_fails_on_tampered_ledger(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def _first_tx(data: dict) -> dict:
-    return next(block["transactions"][0] for segment in data["segments"]
+def _first_block(data: dict) -> dict:
+    return next(block for segment in data["segments"]
                 for block in segment["blocks"])
+
+
+def _first_tx(data: dict) -> dict:
+    return _first_block(data)["transactions"][0]
+
+
+def _forge_raw_size(data: dict) -> str:
+    _first_block(data)["raw_size"] += 1
+    return "raw size mismatch"
+
+
+def _lower_size_limit(data: dict) -> str:
+    data["max_block_bytes"] = _first_block(data)["compressed_size"] - 1
+    return "oversize block"
+
+
+@pytest.mark.parametrize("forge", [_forge_raw_size, _lower_size_limit])
+def test_audit_binds_block_sizes(tmp_path, capsys, forge):
+    scenario = write_small_scenario(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["run", "--config", scenario, "--out", str(out), "--dump-ledger"])
+    path = out / "ledger.json"
+    data = json.loads(path.read_text())
+    expected = forge(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["audit", "--ledger", str(path)]) == 1
+    assert expected in capsys.readouterr().out
+
+
+def test_dump_records_the_size_limit_and_a_dump_without_one_has_none(
+        tmp_path, capsys):
+    scenario = write_small_scenario(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["run", "--config", scenario, "--out", str(out), "--dump-ledger"])
+    path = out / "ledger.json"
+    data = json.loads(path.read_text())
+    assert data["max_block_bytes"] == ScenarioConfig().consensus.max_block_bytes
+    del data["max_block_bytes"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["audit", "--ledger", str(path)]) == 0
+    assert "audit passed" in capsys.readouterr().out
 
 
 class XRealProvider(crypto.MockProvider):
@@ -104,11 +147,9 @@ class XRealProvider(crypto.MockProvider):
 
     def verify(self, message_hash: bytes, signature: bytes,
                public_key: bytes) -> bool:
-        # The mock's verify re-runs sign, so check the inner part with a
-        # plain mock rather than through this class's sign.
         return (isinstance(signature, bytes) and signature.startswith(self.TAG)
-                and crypto.MockProvider().verify(
-                    message_hash, signature[len(self.TAG):], public_key))
+                and super().verify(message_hash, signature[len(self.TAG):],
+                                   public_key))
 
 
 @pytest.fixture
@@ -156,8 +197,14 @@ def _truncated(text: str) -> str:
     return text[:len(text) // 2]
 
 
+def _bad_size_limit(text: str) -> str:
+    data = json.loads(text)
+    data["max_block_bytes"] = "2MB"
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("mutate", [_unregistered_scheme, _missing_key,
-                                    _bad_hex, _truncated])
+                                    _bad_hex, _truncated, _bad_size_limit])
 def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"

@@ -70,6 +70,31 @@ def test_verify_is_total_on_malformed_input():
     assert not provider.verify(digest, short, pair.public_key)
 
 
+class TaggedProvider(MockProvider):
+    """Mock signatures behind a tag: sign adds it, verify strips it."""
+
+    TAG = b"tag"
+
+    def sign(self, private_key: bytes, message_hash: bytes) -> bytes:
+        return self.TAG + super().sign(private_key, message_hash)
+
+    def verify(self, message_hash: bytes, signature: bytes,
+               public_key: bytes) -> bool:
+        return (signature.startswith(self.TAG)
+                and super().verify(message_hash, signature[len(self.TAG):],
+                                   public_key))
+
+
+def test_subclass_that_wraps_sign_verifies_its_own_signatures():
+    tagged = TaggedProvider()
+    pair = tagged.keygen(10)
+    digest = hash_bytes(b"msg")
+    sig = tagged.sign(pair.private_key, digest)
+    assert sig.startswith(TaggedProvider.TAG)
+    assert tagged.verify(digest, sig, pair.public_key)
+    assert not tagged.verify(hash_bytes(b"other"), sig, pair.public_key)
+
+
 def test_sign_rejects_malformed_inputs():
     pair = provider.keygen(7)
     with pytest.raises(MalformedKeyError):

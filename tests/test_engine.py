@@ -93,7 +93,6 @@ def test_energy_accounts_conserve_and_bound():
     result = engine.run(small_config())
     budget = result.config.energy.uav_budget_j
     for node, account in result.accounts.items():
-        assert account.verify_conservation()
         if node.startswith("u"):
             assert 0.0 <= account.remaining <= budget
 
@@ -167,7 +166,7 @@ def test_dead_uavs_stop_everything():
     cfg = small_config(energy__uav_budget_j=2.0,
                        sim__duration_s=300.0)
     result = engine.run(cfg)
-    dead = [u for u, st in result.final_states.items() if not st.alive]
+    dead = [u for u in result.final_states if result.accounts[u].depleted]
     assert dead
     for account in (result.accounts[u] for u in dead):
         assert account.remaining == 0.0
@@ -180,7 +179,7 @@ def test_alive_list_drops_uavs_as_they_run_out_of_energy():
     sim.run()
     assert len(sim.alive_uavs) < len(sim.uav_ids)
     assert sim.alive_uavs == [u for u in sim.uav_ids
-                              if sim.uav_states[u].alive]
+                              if not sim.accounts[u].depleted]
 
 
 def test_dropped_committee_message_raises_invariant_error(monkeypatch):
@@ -195,6 +194,50 @@ def test_dropped_committee_message_raises_invariant_error(monkeypatch):
     with pytest.raises(engine.SimulationInvariantError,
                        match=r"proposer e\d+ and member e\d+ was dropped"):
         engine.run(small_config())
+
+
+def _finalize_after(monkeypatch, corrupt):
+    """Apply `corrupt` to the simulation just before its end-of-run checks."""
+    finalize = engine.Simulation._finalize
+
+    def corrupted_finalize(self):
+        corrupt(self)
+        return finalize(self)
+
+    monkeypatch.setattr(engine.Simulation, "_finalize", corrupted_finalize)
+
+
+def test_unattributed_infra_energy_raises(monkeypatch):
+    def extra_charge(sim):
+        sim.metrics.infra_energy_j += sim.config.crypto.verify_j
+
+    _finalize_after(monkeypatch, extra_charge)
+    with pytest.raises(engine.SimulationInvariantError,
+                       match="infrastructure energy"):
+        engine.run(small_config(sim__duration_s=60.0))
+
+
+def test_pool_entry_without_a_pending_row_raises(monkeypatch):
+    def stray_pool_entry(sim):
+        tx = sim.committed_recent[0]
+        sim.pools[sim.edge_ids[0]].admitted[tx.id] = tx
+
+    _finalize_after(monkeypatch, stray_pool_entry)
+    with pytest.raises(engine.SimulationInvariantError,
+                       match="transaction accounting mismatch"):
+        engine.run(small_config(sim__duration_s=60.0))
+
+
+def test_uav_marked_dead_without_depletion_raises(monkeypatch):
+    def kill_first_uav(sim):
+        uav = sim.alive_uavs.pop(0)
+        sim.graph.set_alive(uav, False)
+        sim.death_times[uav] = sim.now
+
+    _finalize_after(monkeypatch, kill_first_uav)
+    with pytest.raises(engine.SimulationInvariantError,
+                       match=r"u\d+ liveness disagrees with its energy account"):
+        engine.run(small_config(sim__duration_s=60.0))
 
 
 def test_sweep_aggregates_replications():

@@ -196,8 +196,8 @@ def test_dump_load_roundtrip_and_audit(tmp_path):
     seg.append_block(block)
     path = tmp_path / "ledger.json"
     ledger.dump_ledger(path, [seg], REGISTRY, "mock-sig", 1)
-    segments, registry, scheme, seed = ledger.load_ledger(path)
-    assert scheme == "mock-sig" and seed == 1
+    segments, registry, scheme, seed, max_block_bytes = ledger.load_ledger(path)
+    assert scheme == "mock-sig" and seed == 1 and max_block_bytes == 0
     assert registry == REGISTRY
     assert len(segments) == 1 and len(segments[0].chain) == 1
     assert ledger.verify_segment(segments[0], registry, provider) == []
@@ -268,6 +268,19 @@ def test_check_block_flags_merkle_mismatch():
     _, block = _segment_with_block([make_tx(b"a"), make_tx(b"b")])
     block.transactions.reverse()
     assert _check(block) == ["merkle root mismatch"]
+
+
+def test_make_block_raw_size_is_the_wire_length():
+    block = ledger.make_block([make_tx(b"a"), make_tx(b"b" * 300)],
+                              genesis_metadata(1).block_id, 10.0, "e00")
+    assert block.raw_size == len(ledger.block_wire(block))
+    assert ledger.block_wire_size(block) == block.raw_size
+
+
+def test_check_block_flags_raw_size_mismatch():
+    _, block = _segment_with_block([make_tx(b"a" * 500)])
+    block.raw_size += 1
+    assert _check(block) == ["raw size mismatch"]
 
 
 def test_check_block_flags_oversize_block():

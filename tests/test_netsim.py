@@ -226,7 +226,7 @@ def test_round_energy_is_plain_sum():
 
 
 def test_energy_account_charging_and_conservation():
-    account = EnergyAccount("u0", 1.0)
+    account = EnergyAccount(1.0)
     assert account.try_charge(0.4)
     assert account.try_charge(0.4)
     assert not account.depleted
@@ -235,21 +235,11 @@ def test_energy_account_charging_and_conservation():
     assert account.remaining == 0.0
     assert account.depleted
     assert not account.try_charge(0.1)
-    assert account.verify_conservation()
     with pytest.raises(ValueError):
         account.try_charge(-1.0)
-
-
-def test_infra_account_is_not_budget_limited():
-    account = EnergyAccount("e0", 0.0, budget_limited=False)
-    for _ in range(10):
-        assert account.try_charge(5.0)
-    assert not account.depleted
-    assert account.remaining == -50.0
-    assert account.verify_conservation()
 
 
 def test_crypto_costs_defaults_are_sane():
     costs = CryptoSection()
     assert costs.sign_j > costs.verify_j > 0.0
-    assert math.isfinite(costs.sign_s + costs.verify_s)
+    assert math.isfinite(costs.verify_s)
