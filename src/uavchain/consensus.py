@@ -14,7 +14,6 @@ and a round commits when approvals reach ceil(2m/3).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -60,35 +59,33 @@ class BlockScore:
 
 @dataclass
 class ValidationPool:
-    """Signature-verified transactions held at one edge node."""
+    """Signature-verified transactions held at one edge node, each keyed by
+    its id and kept with the index of its transactions.csv row."""
 
     owner: str
-    admitted: dict[bytes, Transaction] = field(default_factory=dict)
-    rejected_counts: Counter = field(default_factory=Counter)
+    admitted: dict[bytes, tuple[Transaction, int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.admitted)
 
 
-def admit_transaction(pool: ValidationPool, tx: Transaction,
+def admit_transaction(pool: ValidationPool, tx: Transaction, row: int,
                       registry: dict[str, bytes], provider,
                       committed_ids: set[bytes],
                       payload_bounds: tuple[int, int]) -> Optional[RejectReason]:
-    """Admit tx into the pool; returns the reject reason or None on accept."""
+    """Admit tx, recorded in transactions.csv row `row`, into the pool;
+    returns the reject reason or None on accept."""
     key = registry.get(tx.sender)
     if key is None:
-        reason = RejectReason.UNKNOWN_SENDER
-    elif not payload_bounds[0] <= len(tx.payload) <= payload_bounds[1]:
-        reason = RejectReason.OVERSIZE
-    elif tx.id in pool.admitted or tx.id in committed_ids:
-        reason = RejectReason.DUPLICATE
-    elif not provider.verify(tx.id, tx.signature, key):
-        reason = RejectReason.BAD_SIGNATURE
-    else:
-        pool.admitted[tx.id] = tx
-        return None
-    pool.rejected_counts[reason.value] += 1
-    return reason
+        return RejectReason.UNKNOWN_SENDER
+    if not payload_bounds[0] <= len(tx.payload) <= payload_bounds[1]:
+        return RejectReason.OVERSIZE
+    if tx.id in pool.admitted or tx.id in committed_ids:
+        return RejectReason.DUPLICATE
+    if not provider.verify(tx.id, tx.signature, key):
+        return RejectReason.BAD_SIGNATURE
+    pool.admitted[tx.id] = (tx, row)
+    return None
 
 
 def tx_freshness(tx: Transaction, now: float, tau_max: float) -> float:
@@ -117,7 +114,7 @@ def assemble_block(pool: ValidationPool, params: ConsensusSection,
     if not pool.admitted:
         return None
     tau_max = params.tau_max_s
-    candidates = sorted(pool.admitted.values(),
+    candidates = sorted((tx for tx, _ in pool.admitted.values()),
                         key=lambda tx: (-tx_freshness(tx, now, tau_max), tx.id))
     # Raw budget assumes the codec removes at least `compression_headroom`;
     # the compressed result is re-checked below and trimmed if needed.
@@ -211,34 +208,16 @@ def sample_proposer(committee: list[str], weights: dict[str, float],
     return members[-1]
 
 
-@dataclass
-class CommitteeRound:
-    window_id: int
-    committee: list[str]
-    proposer: str
-    proposal: Optional[Block] = None
-    votes: dict[str, bool] = field(default_factory=dict)
-    outcome: RoundOutcome = RoundOutcome.SKIPPED
-    t_propose: float = 0.0
-    confirm_times: dict[str, float] = field(default_factory=dict)
-
-
-def run_round(rnd: CommitteeRound, votes: dict[str, bool],
+def run_round(committee: list[str], proposer: str, votes: dict[str, bool],
               quorum: Optional[int] = None) -> RoundOutcome:
-    """Record every member's vote on the proposal and settle the outcome."""
-    if rnd.proposal is None:
-        rnd.outcome = RoundOutcome.SKIPPED
-        return rnd.outcome
-    if rnd.proposer not in rnd.committee:
+    """Settle a proposal's round from every committee member's vote."""
+    if proposer not in committee:
         raise ConsensusError("proposer must be a committee member")
     if quorum is None:
-        quorum = quorum_threshold(len(rnd.committee))
-    for member in sorted(rnd.committee):
-        rnd.votes[member] = bool(votes[member])
-    approvals = sum(rnd.votes.values())
-    rnd.outcome = (RoundOutcome.COMMITTED if approvals >= quorum
-                   else RoundOutcome.ABORTED)
-    return rnd.outcome
+        quorum = quorum_threshold(len(committee))
+    approvals = sum(bool(votes[member]) for member in committee)
+    return (RoundOutcome.COMMITTED if approvals >= quorum
+            else RoundOutcome.ABORTED)
 
 
 def consensus_delay(t_propose: float, confirm_times: dict[str, float]) -> float:

@@ -2,9 +2,11 @@
 
 A provider offers ``keygen(seed) -> KeyPair``, ``sign(private_key, digest)
 -> bytes``, ``verify(digest, signature, public_key) -> bool`` (total: any
-malformed input is False), ``encaps``/``decaps`` and ``signature_len``.
-Signatures are plain bytes; the scheme that made them is named once, by
-``crypto.scheme`` in the scenario and by the ledger dump's ``scheme``.
+malformed input is False), ``encaps(public_key, seed) -> (ciphertext,
+secret)``, ``decaps(private_key, ciphertext) -> secret`` and
+``signature_len``. Signatures, KEM ciphertexts and shared secrets are
+plain bytes; the scheme that made them is named once, by ``crypto.scheme``
+in the scenario (and, for signatures, by the ledger dump's ``scheme``).
 
 The mock backend ("mock-sig") is the default for simulation and tests: it is
 a keyed-hash construction that is bit-exact reproducible from integer seeds,
@@ -36,7 +38,6 @@ MOCK_PRIVATE_LEN = 32
 MOCK_PUBLIC_LEN = 35
 MOCK_SIGNATURE_LEN = 64
 MOCK_CIPHERTEXT_LEN = 48
-SESSION_KEY_LEN = 32
 
 _MOCK_PK_TAG = b"MK1"
 
@@ -61,16 +62,6 @@ class DecapsulationError(CryptoError):
 class KeyPair:
     public_key: bytes
     private_key: bytes
-
-
-@dataclass(frozen=True)
-class SessionKey:
-    secret: bytes
-    peer_ids: tuple[str, str]
-
-    def __post_init__(self) -> None:
-        if len(self.secret) != SESSION_KEY_LEN:
-            raise CryptoError(f"session key must be {SESSION_KEY_LEN} bytes")
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -123,18 +114,15 @@ class MockProvider:
         t2 = hmac.new(private_key, b"sig2" + message_hash, hashlib.sha256).digest()
         return t1 + t2
 
-    def encaps(self, public_key: bytes, randomness_seed: int,
-               peer_ids: tuple[str, str] = ("", "")) -> tuple[bytes, SessionKey]:
+    def encaps(self, public_key: bytes, randomness_seed: int) -> tuple[bytes, bytes]:
         if len(public_key) != MOCK_PUBLIC_LEN or not public_key.startswith(_MOCK_PK_TAG):
             raise MalformedKeyError("not a mock public key")
         sk = public_key[len(_MOCK_PK_TAG):]
         eph = hashlib.sha256(b"uav-mock-eph" + _le64(randomness_seed)).digest()
         tag = hmac.new(sk, b"kem" + eph, hashlib.sha256).digest()[:16]
-        secret = hashlib.sha256(b"uav-mock-ss" + sk + eph).digest()
-        return eph + tag, SessionKey(secret=secret, peer_ids=peer_ids)
+        return eph + tag, hashlib.sha256(b"uav-mock-ss" + sk + eph).digest()
 
-    def decaps(self, private_key: bytes, ciphertext: bytes,
-               peer_ids: tuple[str, str] = ("", "")) -> SessionKey:
+    def decaps(self, private_key: bytes, ciphertext: bytes) -> bytes:
         if len(private_key) != MOCK_PRIVATE_LEN:
             raise MalformedKeyError("mock private key must be 32 bytes")
         if len(ciphertext) != MOCK_CIPHERTEXT_LEN:
@@ -143,8 +131,7 @@ class MockProvider:
         expected = hmac.new(private_key, b"kem" + eph, hashlib.sha256).digest()[:16]
         if not hmac.compare_digest(expected, tag):
             raise DecapsulationError("ciphertext integrity check failed")
-        secret = hashlib.sha256(b"uav-mock-ss" + private_key + eph).digest()
-        return SessionKey(secret=secret, peer_ids=peer_ids)
+        return hashlib.sha256(b"uav-mock-ss" + private_key + eph).digest()
 
 
 _PROVIDERS: dict[str, object] = {"mock-sig": MockProvider()}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import heapq
+import logging
 import math
 import os
 from collections import deque
@@ -32,6 +33,8 @@ from .ledger import LedgerSegment, Transaction, genesis_metadata
 from .metrics import (MetricsCollector, RoundRecord, TrustRecord, TxRecord,
                       trust_deciles)
 from .netsim import CommGraph, EnergyAccount, UavState
+
+log = logging.getLogger(__name__)
 
 # Event priorities at equal timestamps: move first, then the window
 # bookkeeping, then the consensus round, then message traffic.
@@ -171,8 +174,6 @@ class Simulation:
         self.death_times: dict[str, float] = {}
         self.sessions: set[tuple[str, str]] = set()
         self.committed_recent: deque[Transaction] = deque(maxlen=1000)
-        # (edge, tx_id) -> transactions.csv row index, for status updates
-        self.pending_rows: dict[tuple[str, bytes], int] = {}
         self.edge_weights: dict[str, float] = {}
         self.committee: list[str] = []
         self._window_update(0)
@@ -247,6 +248,8 @@ class Simulation:
             self.death_times[uav] = self.now
             self.alive_uavs.remove(uav)
             self.graph.set_alive(uav, False)
+            if not self.alive_uavs:
+                log.warning("every UAV is out of energy at t=%.1f s", self.now)
         return ok
 
     def _ensure_session(self, uav: str, edge: str) -> bool:
@@ -258,8 +261,8 @@ class Simulation:
             return False
         self._kem_counter += 1
         ciphertext, _ = self.provider.encaps(self.registry[edge],
-                                             self._kem_counter, (uav, edge))
-        self.provider.decaps(self.keys[edge].private_key, ciphertext, (uav, edge))
+                                             self._kem_counter)
+        self.provider.decaps(self.keys[edge].private_key, ciphertext)
         self.metrics.infra_energy_j += costs.decaps_j
         self.sessions.add((uav, edge))
         return True
@@ -334,37 +337,34 @@ class Simulation:
 
         self.metrics.infra_energy_j += cfg.crypto.verify_j
         reason = consensus.admit_transaction(
-            self.pools[edge], tx, self.registry, self.provider,
+            self.pools[edge], tx, seq, self.registry, self.provider,
             self.segments[edge].committed_ids,
             (cfg.workload.payload_min_bytes, cfg.workload.payload_max_bytes))
         if reason is None:
             record.energy_j += cfg.crypto.verify_j
             stats.accepted += 1
-            self.pending_rows[(edge, tx.id)] = seq
         else:
             record.status = "rejected"
             record.reject_reason = reason.value
 
     def _expire_pool_txs(self) -> None:
         tau = self.config.consensus.tau_max_s
-        for edge in self.edge_ids:
-            pool = self.pools[edge]
-            stale = [tx_id for tx_id, tx in pool.admitted.items()
+        for pool in self.pools.values():
+            stale = [tx_id for tx_id, (tx, _) in pool.admitted.items()
                      if self.now - tx.submit_time > tau]
             for tx_id in stale:
-                del pool.admitted[tx_id]
-                seq = self.pending_rows.pop((edge, tx_id))
+                _, seq = pool.admitted.pop(tx_id)
                 self.metrics.transactions[seq].status = "expired"
 
     def _handle_round(self, round_index: int) -> None:
         cfg = self.config
         self._expire_pool_txs()
-        window_id = int(self.now // cfg.consensus.window_s)
         committee = list(self.committee)
         proposer = consensus.sample_proposer(committee, self.edge_weights,
                                              self.rng_committee)
-        record = RoundRecord(window_id=window_id, time=self.now,
-                             committee="|".join(committee), proposer=proposer)
+        record = RoundRecord(window_id=int(self.now // cfg.consensus.window_s),
+                             time=self.now, committee="|".join(committee),
+                             proposer=proposer)
         self.metrics.rounds.append(record)
 
         costs = cfg.crypto
@@ -388,20 +388,17 @@ class Simulation:
         record.omega = ledger.compression_ratio(block.raw_size,
                                                 block.compressed_size)
 
-        rnd = consensus.CommitteeRound(window_id=window_id, committee=committee,
-                                       proposer=proposer, proposal=block,
-                                       t_propose=self.now)
         # Honest members all check the same block against the same head, so
         # one check stands for each of their votes; vote-reject edges say no.
         valid = not ledger.check_block(block, segment.head(), self.registry,
                                        self.provider, cfg.consensus.max_block_bytes,
                                        segment.committed_ids)
-        outcome = consensus.run_round(rnd, {
-            m: valid and (m == proposer or m not in self.malicious_edges)
-            for m in committee})
-        record.approvals = sum(rnd.votes.values())
+        votes = {m: valid and (m == proposer or m not in self.malicious_edges)
+                 for m in committee}
+        outcome = consensus.run_round(committee, proposer, votes)
+        record.approvals = sum(votes.values())
 
-        rnd.confirm_times[proposer] = self.now
+        confirm_times = {proposer: self.now}
         for member in members:
             down = netsim.deliver(block.compressed_size, proposer, member,
                                   self.graph, self.rng_network)
@@ -412,9 +409,8 @@ class Simulation:
                 raise SimulationInvariantError(
                     f"committee message between proposer {proposer} and "
                     f"member {member} was dropped")
-            rnd.confirm_times[member] = self.now + down + verify_time + up
-        record.delta_cons = consensus.consensus_delay(rnd.t_propose,
-                                                      rnd.confirm_times)
+            confirm_times[member] = self.now + down + verify_time + up
+        record.delta_cons = consensus.consensus_delay(self.now, confirm_times)
         # The mains-powered infrastructure tier pays the round energy.
         self.metrics.infra_energy_j += sum(cfg.energy.tx_energy(d)
                                            for d in distances)
@@ -425,11 +421,11 @@ class Simulation:
         if outcome is not consensus.RoundOutcome.COMMITTED:
             return
 
-        segment.append_block(block, cfg.consensus.max_block_bytes)
+        segment.append_block(block)
         share = score.energy_cost / score.valid_count if score.valid_count else 0.0
         for tx in block.transactions:
-            del pool.admitted[tx.id]
-            row = self.metrics.transactions[self.pending_rows.pop((proposer, tx.id))]
+            _, seq = pool.admitted.pop(tx.id)
+            row = self.metrics.transactions[seq]
             row.status = "committed"
             row.energy_j += share
             self.committed_recent.append(tx)
@@ -505,10 +501,18 @@ class Simulation:
         # A row still in flight is pending too, but has no recv time.
         waiting = sum(1 for r in arrived if r.status == "pending")
         pooled = sum(len(pool) for pool in self.pools.values())
-        if not waiting == len(self.pending_rows) == pooled:
+        if waiting != pooled:
             raise SimulationInvariantError(
                 f"transaction accounting mismatch: {waiting} pending rows "
-                f"arrived, {len(self.pending_rows)} tracked, {pooled} pooled")
+                f"arrived, {pooled} pooled")
+        for pool in self.pools.values():
+            for tx_id, (_, seq) in pool.admitted.items():
+                row = rows[seq]
+                if (row.status != "pending" or row.recv_time is None
+                        or row.edge != pool.owner or row.tx_id != tx_id.hex()):
+                    raise SimulationInvariantError(
+                        f"{pool.owner} pools tx {tx_id.hex()[:16]} against "
+                        f"row {seq}, a {row.status} row of edge {row.edge}")
         budget = self.config.energy.uav_budget_j
         alive = set(self.alive_uavs)
         for uav, account in self.accounts.items():

@@ -17,7 +17,9 @@ root sha256(tx.id).
 Signatures are opaque bytes of the provider named by ``crypto.scheme``; a
 dump names that scheme once, at the top. ``check_block`` is the one block
 validity rule: committee members vote its result and the audit
-(``verify_segment``) applies it along a chain.
+(``verify_segment``) applies it along a chain. ``LedgerSegment.append_block``
+does not validate: the engine appends only a block that ``check_block``
+passed in the same round, and a loaded dump is for the audit to check.
 """
 
 from __future__ import annotations
@@ -33,23 +35,7 @@ CODECS = ("zlib", "none")
 
 
 class LedgerError(Exception):
-    """Base class for ledger rule violations."""
-
-
-class LinkageError(LedgerError):
-    """hash_prev does not match the segment head."""
-
-
-class DuplicateTransactionError(LedgerError):
-    """Transaction id already committed in this segment or block."""
-
-
-class BlockSizeError(LedgerError):
-    """Block exceeds the configured size limit."""
-
-
-class MerkleError(LedgerError):
-    """Merkle root mismatch or empty transaction list."""
+    """A ledger rule violation or a malformed ledger dump."""
 
 
 def u32(value: int) -> bytes:
@@ -123,9 +109,9 @@ class Block:
 
 
 def merkle_root(tx_ids: list[bytes]) -> bytes:
-    """Merkle root over transaction ids; raises MerkleError on an empty list."""
+    """Merkle root over transaction ids; raises LedgerError on an empty list."""
     if not tx_ids:
-        raise MerkleError("merkle root of an empty transaction list")
+        raise LedgerError("merkle root of an empty transaction list")
     level = [hash_bytes(tx_id) for tx_id in tx_ids]
     while len(level) > 1:
         if len(level) % 2:
@@ -181,36 +167,16 @@ def compression_ratio(raw_size: int, compressed_size: int) -> float:
     return (raw_size - compressed_size) / raw_size
 
 
-def compress_payload(data: bytes, codec: str) -> tuple[bytes, bool]:
-    """Compress block bytes; falls back to stored form when not smaller.
-
-    Returns (stored bytes, fallback flag). Fallback means compressed == raw
-    and the block's ratio is exactly 0.
-    """
-    if codec == "none":
-        return data, True
-    if codec != "zlib":
+def compress_block(block: Block, codec: str) -> None:
+    """Record the block's raw and stored sizes under `codec`. Stored form
+    falls back to the raw bytes when zlib does not make them smaller, so the
+    block's compression ratio is then exactly 0."""
+    if codec not in CODECS:
         raise LedgerError(f"unknown codec {codec!r}")
-    packed = zlib.compress(data, 6)
-    if len(packed) >= len(data):
-        return data, True
-    return packed, False
-
-
-def decompress_payload(data: bytes, codec: str, fallback: bool) -> bytes:
-    if codec == "none" or fallback:
-        return data
-    return zlib.decompress(data)
-
-
-def compress_block(block: Block, codec: str) -> tuple[int, float]:
-    """Record raw/compressed sizes on the block; returns (compressed, ratio)."""
     raw = block_wire(block)
-    packed, _ = compress_payload(raw, codec)
-    block.raw_size = len(raw)
-    block.compressed_size = len(packed)
-    return block.compressed_size, compression_ratio(block.raw_size,
-                                                    block.compressed_size)
+    block.raw_size = block.compressed_size = len(raw)
+    if codec == "zlib":
+        block.compressed_size = min(len(raw), len(zlib.compress(raw, 6)))
 
 
 def genesis_metadata(seed: int) -> BlockMetadata:
@@ -232,36 +198,10 @@ class LedgerSegment:
     def head(self) -> BlockMetadata:
         return self.chain[-1].metadata if self.chain else self.genesis
 
-    def append_block(self, block: Block, max_block_bytes: int = 0) -> None:
-        """Append after re-checking linkage, Merkle, duplicates and size.
-
-        The size limit applies to the compressed (transmitted/stored) form;
-        raw form may exceed it as long as compression brings it under.
-        """
-        head = self.head()
-        if block.metadata.hash_prev != head.block_id:
-            raise LinkageError(
-                f"segment {self.owner}: hash_prev does not match head block")
-        if not block.transactions:
-            raise MerkleError("block has no transactions")
-        if block.metadata.timestamp <= head.timestamp:
-            raise LinkageError(
-                f"segment {self.owner}: timestamp must increase along the chain")
-        if merkle_root(block.tx_ids()) != block.metadata.merkle_root:
-            raise MerkleError(f"segment {self.owner}: merkle root mismatch")
-        ids = block.tx_ids()
-        if len(set(ids)) != len(ids):
-            raise DuplicateTransactionError("duplicate transaction id inside block")
-        dup = self.committed_ids.intersection(ids)
-        if dup:
-            raise DuplicateTransactionError(
-                f"transaction {sorted(dup)[0].hex()} already committed in segment")
-        if max_block_bytes and block.compressed_size > max_block_bytes:
-            raise BlockSizeError(
-                f"compressed block {block.compressed_size} B exceeds "
-                f"limit {max_block_bytes} B")
+    def append_block(self, block: Block) -> None:
+        """Append `block` as it is; nothing is checked here."""
         self.chain.append(block)
-        self.committed_ids.update(ids)
+        self.committed_ids.update(block.tx_ids())
 
 
 # --- dump / load / audit -------------------------------------------------
@@ -316,8 +256,7 @@ def segment_from_dict(data: dict) -> LedgerSegment:
                       raw_size=entry["raw_size"],
                       compressed_size=entry["compressed_size"],
                       utility=entry["utility"])
-        segment.chain.append(block)
-        segment.committed_ids.update(block.tx_ids())
+        segment.append_block(block)
     return segment
 
 

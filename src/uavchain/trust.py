@@ -7,14 +7,11 @@ which is convex, so scores stay inside [0, 1] for behavior scores in [0, 1].
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .config import TrustSection
-
-log = logging.getLogger(__name__)
 
 NEUTRAL_BEHAVIOR = 0.5
 
@@ -85,7 +82,6 @@ def trust_rank(scores: dict[str, float]) -> dict[str, float]:
             raise TrustError(f"negative trust score for {node}")
     total = sum(scores[node] for node in sorted(scores))
     if total == 0.0:
-        log.warning("all trust scores are zero; returning uniform ranks")
         uniform = 1.0 / len(scores)
         return {node: uniform for node in scores}
     return {node: score / total for node, score in scores.items()}

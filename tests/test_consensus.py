@@ -8,7 +8,7 @@ import pytest
 
 from uavchain import consensus, ledger
 from uavchain.config import ConsensusSection, LedgerSection
-from uavchain.consensus import (CommitteeRound, ConsensusError, RejectReason,
+from uavchain.consensus import (ConsensusError, RejectReason,
                                 RoundOutcome, ValidationPool, admit_transaction,
                                 assemble_block, freshness, quorum_threshold,
                                 run_round, sample_committee, sample_proposer,
@@ -40,40 +40,41 @@ def make_tx(payload: bytes, t: float = 0.0, sender: str = "u000",
 def test_admit_accepts_valid_transaction():
     pool = ValidationPool(owner="e00")
     tx = make_tx(b"data")
-    assert admit_transaction(pool, tx, REGISTRY, provider, set(), BOUNDS) is None
-    assert tx.id in pool.admitted
+    assert admit_transaction(pool, tx, 7, REGISTRY, provider, set(),
+                             BOUNDS) is None
+    assert pool.admitted[tx.id] == (tx, 7)
 
 
 def test_admit_rejects_unknown_sender():
     pool = ValidationPool(owner="e00")
     tx = make_tx(b"data", sender="ghost")
-    reason = admit_transaction(pool, tx, REGISTRY, provider, set(), BOUNDS)
+    reason = admit_transaction(pool, tx, 0, REGISTRY, provider, set(), BOUNDS)
     assert reason is RejectReason.UNKNOWN_SENDER
-    assert pool.rejected_counts["unknown-sender"] == 1
 
 
 def test_admit_rejects_oversize_payload():
     pool = ValidationPool(owner="e00")
     tx = make_tx(b"x" * 5000)
-    reason = admit_transaction(pool, tx, REGISTRY, provider, set(), BOUNDS)
+    reason = admit_transaction(pool, tx, 0, REGISTRY, provider, set(), BOUNDS)
     assert reason is RejectReason.OVERSIZE
 
 
 def test_admit_rejects_duplicate_in_pool_and_committed():
     pool = ValidationPool(owner="e00")
     tx = make_tx(b"data")
-    admit_transaction(pool, tx, REGISTRY, provider, set(), BOUNDS)
-    assert admit_transaction(pool, tx, REGISTRY, provider, set(),
+    admit_transaction(pool, tx, 0, REGISTRY, provider, set(), BOUNDS)
+    assert admit_transaction(pool, tx, 1, REGISTRY, provider, set(),
                              BOUNDS) is RejectReason.DUPLICATE
+    assert pool.admitted[tx.id] == (tx, 0)
     fresh_pool = ValidationPool(owner="e01")
-    assert admit_transaction(fresh_pool, tx, REGISTRY, provider, {tx.id},
+    assert admit_transaction(fresh_pool, tx, 2, REGISTRY, provider, {tx.id},
                              BOUNDS) is RejectReason.DUPLICATE
 
 
 def test_admit_rejects_forged_signature():
     pool = ValidationPool(owner="e00")
     tx = make_tx(b"data", signed=False)
-    reason = admit_transaction(pool, tx, REGISTRY, provider, set(), BOUNDS)
+    reason = admit_transaction(pool, tx, 0, REGISTRY, provider, set(), BOUNDS)
     assert reason is RejectReason.BAD_SIGNATURE
     assert not pool.admitted
 
@@ -185,7 +186,7 @@ def _filled_pool(n: int, now: float) -> ValidationPool:
     pool = ValidationPool(owner="e00")
     for i in range(n):
         tx = make_tx(f"payload-{i:04d}".encode() * 20, t=now - i)
-        pool.admitted[tx.id] = tx
+        pool.admitted[tx.id] = (tx, i)
     return pool
 
 
@@ -226,7 +227,7 @@ def test_assemble_block_respects_compressed_size_limit():
     rng = Random(2)
     for i in range(40):
         tx = make_tx(rng.randbytes(512), t=now)  # incompressible payloads
-        pool.admitted[tx.id] = tx
+        pool.admitted[tx.id] = (tx, i)
     rules = ConsensusSection(tau_max_s=60.0, max_block_bytes=4096)
     block, _ = assemble_block(pool, rules,
                               LedgerSection(compression_headroom=0.30), now,
@@ -247,42 +248,22 @@ def test_assemble_block_charges_energy_model():
 
 # --- round execution ----------------------------------------------------------
 
-def _proposal(now: float = 10.0):
-    pool = _filled_pool(3, now)
-    block, _ = assemble_block(pool, RULES, LedgerSection(), now,
-                              genesis_metadata(1), "e00")
-    return block
-
-
 def test_run_round_commits_at_quorum():
     committee = ["e00", "e01", "e02", "e03", "e04"]
-    rnd = CommitteeRound(window_id=1, committee=committee, proposer="e00",
-                         proposal=_proposal())
     votes = {m: True for m in committee}
     votes["e04"] = False
-    assert run_round(rnd, votes) is RoundOutcome.COMMITTED
-    assert sum(rnd.votes.values()) == 4
+    assert run_round(committee, "e00", votes) is RoundOutcome.COMMITTED
 
 
 def test_run_round_aborts_below_quorum():
     committee = ["e00", "e01", "e02", "e03", "e04"]
-    rnd = CommitteeRound(window_id=1, committee=committee, proposer="e00",
-                         proposal=_proposal())
     votes = {m: m in ("e00", "e01", "e02") for m in committee}
-    assert run_round(rnd, votes) is RoundOutcome.ABORTED
-
-
-def test_run_round_skips_without_proposal():
-    rnd = CommitteeRound(window_id=1, committee=["e00"], proposer="e00",
-                         proposal=None)
-    assert run_round(rnd, {}) is RoundOutcome.SKIPPED
+    assert run_round(committee, "e00", votes) is RoundOutcome.ABORTED
 
 
 def test_run_round_requires_member_proposer():
-    rnd = CommitteeRound(window_id=1, committee=["e01"], proposer="e99",
-                         proposal=_proposal())
     with pytest.raises(ConsensusError):
-        run_round(rnd, {"e01": True})
+        run_round(["e01"], "e99", {"e01": True})
 
 
 def test_consensus_delay_is_slowest_member():

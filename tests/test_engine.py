@@ -1,6 +1,7 @@
 """Simulation loop: determinism, stream isolation, invariants, adversaries."""
 
 import filecmp
+import logging
 
 import pytest
 
@@ -172,14 +173,20 @@ def test_dead_uavs_stop_everything():
         assert account.remaining == 0.0
 
 
-def test_alive_list_drops_uavs_as_they_run_out_of_energy():
+def test_alive_list_drops_uavs_as_they_run_out_of_energy(caplog):
     sim = engine.Simulation(small_config(energy__uav_budget_j=2.0,
                                          sim__duration_s=300.0))
     assert sim.alive_uavs == sim.uav_ids
-    sim.run()
-    assert len(sim.alive_uavs) < len(sim.uav_ids)
+    with caplog.at_level(logging.WARNING):
+        sim.run()
     assert sim.alive_uavs == [u for u in sim.uav_ids
                               if not sim.accounts[u].depleted]
+    # Every UAV is dead long before the end; that is logged once, not on
+    # every later trust window.
+    assert not sim.alive_uavs
+    last = max(sim.death_times.values())
+    assert [r.getMessage() for r in caplog.records] == [
+        f"every UAV is out of energy at t={last:.1f} s"]
 
 
 def test_dropped_committee_message_raises_invariant_error(monkeypatch):
@@ -217,15 +224,33 @@ def test_unattributed_infra_energy_raises(monkeypatch):
         engine.run(small_config(sim__duration_s=60.0))
 
 
-def test_pool_entry_without_a_pending_row_raises(monkeypatch):
-    def stray_pool_entry(sim):
-        tx = sim.committed_recent[0]
-        sim.pools[sim.edge_ids[0]].admitted[tx.id] = tx
+def _swap_pool_entry(sim, tx, seq, edge):
+    """Pool (tx, seq) at `edge` in place of some pooled entry, so the pooled
+    and pending counts still agree."""
+    pool = next(p for p in sim.pools.values() if p.admitted)
+    del pool.admitted[next(iter(pool.admitted))]
+    sim.pools[edge].admitted[tx.id] = (tx, seq)
 
-    _finalize_after(monkeypatch, stray_pool_entry)
-    with pytest.raises(engine.SimulationInvariantError,
-                       match="transaction accounting mismatch"):
-        engine.run(small_config(sim__duration_s=60.0))
+
+def test_pool_entry_without_a_pending_row_raises(monkeypatch):
+    def pool_committed_row(sim):
+        tx = sim.committed_recent[0]
+        seq = next(r.seq for r in sim.metrics.transactions
+                   if r.tx_id == tx.id.hex() and r.status == "committed")
+        _swap_pool_entry(sim, tx, seq, sim.metrics.transactions[seq].edge)
+
+    def pool_under_wrong_edge(sim):
+        edge, pool = next((e, p) for e, p in sim.pools.items() if p.admitted)
+        tx, seq = pool.admitted[next(iter(pool.admitted))]
+        _swap_pool_entry(sim, tx, seq,
+                         next(e for e in sim.edge_ids if e != edge))
+
+    for corrupt in (pool_committed_row, pool_under_wrong_edge):
+        with monkeypatch.context() as patch:
+            _finalize_after(patch, corrupt)
+            with pytest.raises(engine.SimulationInvariantError,
+                               match=r"e\d+ pools tx \w+ against row \d+"):
+                engine.run(small_config(sim__duration_s=60.0))
 
 
 def test_uav_marked_dead_without_depletion_raises(monkeypatch):
