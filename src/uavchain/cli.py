@@ -90,7 +90,7 @@ def _write_manifest(outdir: Path, config: ScenarioConfig,
         handle.write("\n")
 
 
-def write_run_outputs(result: engine.SimulationResult, outdir,
+def write_run_outputs(result: engine.Simulation, outdir,
                       dump_ledger: bool = False) -> list[str]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -155,7 +155,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def trust_leadership_table(result: engine.SimulationResult) -> list[dict]:
+def trust_leadership_table(result: engine.Simulation) -> list[dict]:
     """Committed-transaction share per trust decile (decile 1 = highest)."""
     scores = result.trust_scores
     return [{
@@ -259,8 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CryptoError, FileNotFoundError,
-            ledger.LedgerError) as exc:
+    except (ConfigError, CryptoError, OSError, ledger.LedgerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

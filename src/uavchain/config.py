@@ -8,6 +8,7 @@ cannot silently corrupt an experiment.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -140,6 +141,9 @@ class ScenarioConfig:
             if not cond:
                 raise ConfigError(f"{key}: {message}")
 
+        for key, value in config_to_flat_dict(self).items():
+            check(not isinstance(value, float) or math.isfinite(value), key,
+                  "must be finite")
         check(self.sim.duration_s >= 0, "sim.duration_s", "must be non-negative")
         check(self.sim.mobility_step_s > 0, "sim.mobility_step_s", "must be positive")
         check(self.network.uav_count > 0, "network.uav_count", "must be positive")
@@ -229,21 +233,19 @@ class ScenarioConfig:
 
 # trust.lambda is the documented key; "lambda" is reserved in Python.
 _KEY_ALIASES = {"trust.lambda": ("trust", "smoothing")}
-_FIELD_TO_KEY = {("trust", "smoothing"): "trust.lambda"}
+_FIELD_TO_KEY = {target: key for key, target in _KEY_ALIASES.items()}
 
 
-def _iter_fields():
-    for section_field in dataclasses.fields(ScenarioConfig):
-        section_type = section_field.default_factory  # type: ignore[union-attr]
-        for leaf in dataclasses.fields(section_type()):
-            yield section_field.name, leaf.name, leaf.type
+# (dotted key, section, field name) of every scenario parameter.
+_FIELDS = tuple(
+    (_FIELD_TO_KEY.get((sec.name, leaf.name), f"{sec.name}.{leaf.name}"),
+     sec.name, leaf.name)
+    for sec in dataclasses.fields(ScenarioConfig)
+    for leaf in dataclasses.fields(sec.default_factory))  # type: ignore[arg-type]
 
 
 def known_keys() -> list[str]:
-    keys = []
-    for section, name, _ in _iter_fields():
-        keys.append(_FIELD_TO_KEY.get((section, name), f"{section}.{name}"))
-    return keys
+    return [key for key, _, _ in _FIELDS]
 
 
 def _resolve_key(key: str) -> tuple[str, str]:
@@ -287,7 +289,10 @@ def apply_override(config: ScenarioConfig, key: str, value: Any) -> None:
 
 def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
     config = ScenarioConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -303,11 +308,8 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
 
 
 def config_to_flat_dict(config: ScenarioConfig) -> dict[str, Any]:
-    flat = {}
-    for section, name, _ in _iter_fields():
-        key = _FIELD_TO_KEY.get((section, name), f"{section}.{name}")
-        flat[key] = getattr(getattr(config, section), name)
-    return flat
+    return {key: getattr(getattr(config, section), name)
+            for key, section, name in _FIELDS}
 
 
 def default_scenario_path() -> Path:

@@ -3,7 +3,7 @@
 Transaction admission re-verifies the lattice signature and filters
 duplicates/unknown senders; timeliness is recorded as a metric but never
 rejects. Block assembly is greedy by freshness under a compressed-size
-budget, scored by
+budget; the engine scores each proposal by
 
     utility = alpha * valid_count + beta * freshness - gamma * energy_cost
 
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import ledger
 from .ledger import Block, BlockMetadata, Transaction
@@ -49,14 +49,6 @@ def utility_score(params: ConsensusSection, valid_count: int, freshness: float,
             - params.gamma * energy_cost)
 
 
-@dataclass(frozen=True)
-class BlockScore:
-    valid_count: int
-    freshness: float
-    energy_cost: float
-    utility: float
-
-
 @dataclass
 class ValidationPool:
     """Signature-verified transactions held at one edge node, each keyed by
@@ -64,9 +56,6 @@ class ValidationPool:
 
     owner: str
     admitted: dict[bytes, tuple[Transaction, int]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.admitted)
 
 
 def admit_transaction(pool: ValidationPool, tx: Transaction, row: int,
@@ -102,9 +91,7 @@ def freshness(transactions: list[Transaction], now: float, tau_max: float) -> fl
 
 def assemble_block(pool: ValidationPool, params: ConsensusSection,
                    ledger_params: LedgerSection, now: float,
-                   prev: BlockMetadata, proposer: str,
-                   energy_cost_fn: Callable[[Block], float] = lambda b: 0.0,
-                   ) -> Optional[tuple[Block, BlockScore]]:
+                   prev: BlockMetadata, proposer: str) -> Optional[Block]:
     """Greedy freshest-first packing under the block size limit.
 
     Returns None when the pool is empty (no-proposal signal; the window is
@@ -142,13 +129,7 @@ def assemble_block(pool: ValidationPool, params: ConsensusSection,
         picked = picked[:-shed]
         block = ledger.make_block(picked, prev.block_id, now, proposer)
         ledger.compress_block(block, ledger_params.codec)
-    eta = len(picked)
-    zeta = freshness(picked, now, tau_max)
-    theta = energy_cost_fn(block)
-    score = BlockScore(valid_count=eta, freshness=zeta, energy_cost=theta,
-                       utility=utility_score(params, eta, zeta, theta))
-    block.utility = score.utility
-    return block, score
+    return block
 
 
 def sample_committee(weights: dict[str, float], size: int, rng: Random) -> list[str]:
@@ -208,15 +189,14 @@ def sample_proposer(committee: list[str], weights: dict[str, float],
     return members[-1]
 
 
-def run_round(committee: list[str], proposer: str, votes: dict[str, bool],
-              quorum: Optional[int] = None) -> RoundOutcome:
+def run_round(committee: list[str], proposer: str,
+              votes: dict[str, bool]) -> RoundOutcome:
     """Settle a proposal's round from every committee member's vote."""
     if proposer not in committee:
         raise ConsensusError("proposer must be a committee member")
-    if quorum is None:
-        quorum = quorum_threshold(len(committee))
     approvals = sum(bool(votes[member]) for member in committee)
-    return (RoundOutcome.COMMITTED if approvals >= quorum
+    return (RoundOutcome.COMMITTED
+            if approvals >= quorum_threshold(len(committee))
             else RoundOutcome.ABORTED)
 
 

@@ -21,7 +21,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from statistics import mean, stdev
 from typing import Optional
@@ -65,20 +65,6 @@ class _WindowStats:
     timely: int = 0
 
 
-@dataclass
-class SimulationResult:
-    config: ScenarioConfig
-    metrics: MetricsCollector
-    summary: dict
-    segments: dict[str, LedgerSegment]
-    registry: dict[str, bytes]
-    accounts: dict[str, EnergyAccount]
-    trust_scores: dict[str, float]
-    uav_behaviors: dict[str, workload.Behavior]
-    malicious_edges: set[str]
-    final_states: dict[str, UavState] = field(default_factory=dict)
-
-
 class Simulation:
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -97,7 +83,6 @@ class Simulation:
         self.now = 0.0
         self._event_seq = 0
         self._events: list = []
-        self._kem_counter = 0
 
         self._setup_nodes()
         self._setup_protocol_state()
@@ -180,54 +165,49 @@ class Simulation:
 
     # --- event plumbing -----------------------------------------------------
 
-    def _schedule(self, time: float, prio: int, kind: str, payload=None) -> None:
+    def _schedule(self, time: float, prio: int, handler, *args) -> None:
+        """Queue `handler(*args)` at `time`; `prio` breaks timestamp ties."""
         if time < self.now:
             raise SimulationInvariantError("event scheduled in the past")
         self._event_seq += 1
-        heapq.heappush(self._events, (time, prio, self._event_seq, kind, payload))
+        heapq.heappush(self._events, (time, prio, self._event_seq, handler, args))
 
-    def run(self) -> SimulationResult:
+    def run(self) -> Simulation:
+        """Run to `sim.duration_s`, check the invariants and return self."""
         cfg = self.config
         duration = cfg.sim.duration_s
         step = cfg.sim.mobility_step_s
         t = step
         while t <= duration + 1e-9:
-            self._schedule(t, _PRIO_MOBILITY, "mobility")
+            self._schedule(t, _PRIO_MOBILITY, self._handle_mobility)
             t += step
         k = 1
         while k * cfg.consensus.window_s <= duration + 1e-9:
-            self._schedule(k * cfg.consensus.window_s, _PRIO_WINDOW, "window", k)
+            self._schedule(k * cfg.consensus.window_s, _PRIO_WINDOW,
+                           self._window_update, k)
             k += 1
         k = 1
         while k * cfg.consensus.block_interval_s <= duration + 1e-9:
             self._schedule(k * cfg.consensus.block_interval_s, _PRIO_ROUND,
-                           "round", k)
+                           self._handle_round, k)
             k += 1
         if duration > 0:
             self._schedule(workload.next_arrival(
                 cfg.workload.arrival_rate_tps, self.rng_workload),
-                _PRIO_SUBMIT, "submit")
+                _PRIO_SUBMIT, self._handle_submit)
 
         while self._events:
-            time, prio, _, kind, payload = heapq.heappop(self._events)
+            time, _, _, handler, args = heapq.heappop(self._events)
             if time > duration + 1e-9:
                 break
             if time < self.now - 1e-9:
                 raise SimulationInvariantError("clock went backwards")
             self.now = max(self.now, time)
-            if kind == "mobility":
-                self._handle_mobility()
-            elif kind == "window":
-                self._window_update(payload)
-            elif kind == "round":
-                self._handle_round(payload)
-            elif kind == "submit":
-                self._handle_submit()
-            elif kind == "recv":
-                self._handle_recv(*payload)
+            handler(*args)
 
         self.now = duration
-        return self._finalize()
+        self._finalize()
+        return self
 
     # --- handlers -----------------------------------------------------------
 
@@ -259,9 +239,9 @@ class Simulation:
         costs = self.config.crypto
         if not self._charge_uav(uav, costs.encaps_j):
             return False
-        self._kem_counter += 1
+        # Each session's encapsulation seed is its 1-based ordinal.
         ciphertext, _ = self.provider.encaps(self.registry[edge],
-                                             self._kem_counter)
+                                             len(self.sessions) + 1)
         self.provider.decaps(self.keys[edge].private_key, ciphertext)
         self.metrics.infra_energy_j += costs.decaps_j
         self.sessions.add((uav, edge))
@@ -271,7 +251,7 @@ class Simulation:
         cfg = self.config
         self._schedule(self.now + workload.next_arrival(
             cfg.workload.arrival_rate_tps, self.rng_workload),
-            _PRIO_SUBMIT, "submit")
+            _PRIO_SUBMIT, self._handle_submit)
         if not self.alive_uavs:
             return
         uav = self.rng_workload.choice(self.alive_uavs)
@@ -315,8 +295,8 @@ class Simulation:
                 delay = netsim.deliver(tx.wire_size(), uav, edge, self.graph,
                                        self.rng_network)
                 if delay is not None:
-                    self._schedule(self.now + delay, _PRIO_RECV, "recv",
-                                   (tx, edge, seq, uav))
+                    self._schedule(self.now + delay, _PRIO_RECV,
+                                   self._handle_recv, tx, edge, seq, uav)
                     return
                 reason = "no-link"
         record.status = "dropped"
@@ -359,7 +339,7 @@ class Simulation:
     def _handle_round(self, round_index: int) -> None:
         cfg = self.config
         self._expire_pool_txs()
-        committee = list(self.committee)
+        committee = self.committee
         proposer = consensus.sample_proposer(committee, self.edge_weights,
                                              self.rng_committee)
         record = RoundRecord(window_id=int(self.now // cfg.consensus.window_s),
@@ -367,22 +347,21 @@ class Simulation:
                              proposer=proposer)
         self.metrics.rounds.append(record)
 
+        pool, segment = self.pools[proposer], self.segments[proposer]
+        block = consensus.assemble_block(pool, cfg.consensus, cfg.ledger,
+                                         self.now, segment.head(), proposer)
+        if block is None:
+            return
         costs = cfg.crypto
         members = [m for m in committee if m != proposer]
         distances = [self.graph.distance(proposer, m) for m in members]
-        pool, segment = self.pools[proposer], self.segments[proposer]
-        assembled = consensus.assemble_block(
-            pool, cfg.consensus, cfg.ledger, self.now, segment.head(), proposer,
-            lambda b: netsim.round_energy(
-                cfg.energy, distances,
-                [len(b.transactions) * costs.verify_j for _ in members]))
-        if assembled is None:
-            return
-        block, score = assembled
-        record.eta = score.valid_count
-        record.zeta = score.freshness
-        record.theta_j = score.energy_cost
-        record.utility = score.utility
+        eta = record.eta = len(block.transactions)
+        record.zeta = consensus.freshness(block.transactions, self.now,
+                                          cfg.consensus.tau_max_s)
+        record.theta_j = netsim.round_energy(
+            cfg.energy, distances, [eta * costs.verify_j] * len(members))
+        block.utility = record.utility = consensus.utility_score(
+            cfg.consensus, eta, record.zeta, record.theta_j)
         record.raw_size = block.raw_size
         record.compressed_size = block.compressed_size
         record.omega = ledger.compression_ratio(block.raw_size,
@@ -404,7 +383,7 @@ class Simulation:
                                   self.graph, self.rng_network)
             up = netsim.deliver(cfg.network.vote_size_bytes, member, proposer,
                                 self.graph, self.rng_network)
-            verify_time = len(block.transactions) * costs.verify_s
+            verify_time = eta * costs.verify_s
             if down is None or up is None:
                 raise SimulationInvariantError(
                     f"committee message between proposer {proposer} and "
@@ -415,14 +394,14 @@ class Simulation:
         self.metrics.infra_energy_j += sum(cfg.energy.tx_energy(d)
                                            for d in distances)
         for _ in members:
-            self.metrics.infra_energy_j += len(block.transactions) * costs.verify_j
+            self.metrics.infra_energy_j += eta * costs.verify_j
 
         record.outcome = outcome.value
         if outcome is not consensus.RoundOutcome.COMMITTED:
             return
 
         segment.append_block(block)
-        share = score.energy_cost / score.valid_count if score.valid_count else 0.0
+        share = record.theta_j / eta
         for tx in block.transactions:
             _, seq = pool.admitted.pop(tx.id)
             row = self.metrics.transactions[seq]
@@ -478,29 +457,23 @@ class Simulation:
 
     # --- completion ---------------------------------------------------------
 
-    def _finalize(self) -> SimulationResult:
+    def _finalize(self) -> None:
         self._check_invariants()
-        scores = {u: self.trust_states[u].score for u in self.uav_ids}
-        _, top_share = trust_deciles(scores, self.metrics.transactions)[0]
-        summary = self.metrics.summary(
+        self.trust_scores = {u: self.trust_states[u].score for u in self.uav_ids}
+        _, top_share = trust_deciles(self.trust_scores,
+                                     self.metrics.transactions)[0]
+        self.summary = self.metrics.summary(
             duration_s=self.config.sim.duration_s,
             uav_energy_spent_j=sum(a.initial - a.remaining
                                    for a in self.accounts.values()),
             top_decile_share=top_share)
-        return SimulationResult(
-            config=self.config, metrics=self.metrics, summary=summary,
-            segments=self.segments, registry=self.registry,
-            accounts=self.accounts, trust_scores=scores,
-            uav_behaviors=self.uav_behaviors,
-            malicious_edges=self.malicious_edges,
-            final_states=self.uav_states)
 
     def _check_invariants(self) -> None:
         rows = self.metrics.transactions
         arrived = [r for r in rows if r.recv_time is not None]
         # A row still in flight is pending too, but has no recv time.
         waiting = sum(1 for r in arrived if r.status == "pending")
-        pooled = sum(len(pool) for pool in self.pools.values())
+        pooled = sum(len(pool.admitted) for pool in self.pools.values())
         if waiting != pooled:
             raise SimulationInvariantError(
                 f"transaction accounting mismatch: {waiting} pending rows "
@@ -545,8 +518,9 @@ class Simulation:
                     f"ledger audit failed: {findings[0]}")
 
 
-def run(config: ScenarioConfig, seed: Optional[int] = None) -> SimulationResult:
-    """Run one scenario; `seed` overrides the config's master seed."""
+def run(config: ScenarioConfig, seed: Optional[int] = None) -> Simulation:
+    """Run one scenario and return the finished simulation; `seed`
+    overrides the config's master seed."""
     config = copy.deepcopy(config)
     if seed is not None:
         config.sim.master_seed = seed

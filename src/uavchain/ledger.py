@@ -215,11 +215,27 @@ def _meta_to_dict(meta: BlockMetadata) -> dict:
     }
 
 
+def _field(data: dict, key: str, kind):
+    """`data[key]` if it is a `kind`; a bool is never a number."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} {value!r} has the wrong type")
+    return value
+
+
+def _time(data: dict, key: str) -> float:
+    """`data[key]` if it is a time in seconds that the wire's i64
+    microseconds can hold."""
+    value = _field(data, key, (int, float))
+    u64(time_to_us(value))  # OverflowError or ValueError when it cannot
+    return value
+
+
 def _meta_from_dict(data: dict) -> BlockMetadata:
     return BlockMetadata(block_id=bytes.fromhex(data["block_id"]),
                          hash_prev=bytes.fromhex(data["hash_prev"]),
                          merkle_root=bytes.fromhex(data["merkle_root"]),
-                         timestamp=data["timestamp"])
+                         timestamp=_time(data, "timestamp"))
 
 
 def segment_to_dict(segment: LedgerSegment) -> dict:
@@ -243,19 +259,20 @@ def segment_to_dict(segment: LedgerSegment) -> dict:
 
 
 def segment_from_dict(data: dict) -> LedgerSegment:
-    segment = LedgerSegment(owner=data["owner"],
+    segment = LedgerSegment(owner=_field(data, "owner", str),
                             genesis=_meta_from_dict(data["genesis"]))
     for entry in data["blocks"]:
         txs = [Transaction(sender=t["sender"],
                            payload=bytes.fromhex(t["payload"]),
-                           submit_time=t["submit_time"],
+                           submit_time=_time(t, "submit_time"),
                            signature=bytes.fromhex(t["signature"]))
                for t in entry["transactions"]]
         meta = _meta_from_dict(entry["metadata"])
-        block = Block(metadata=meta, transactions=txs, proposer=entry["proposer"],
-                      raw_size=entry["raw_size"],
-                      compressed_size=entry["compressed_size"],
-                      utility=entry["utility"])
+        block = Block(metadata=meta, transactions=txs,
+                      proposer=_field(entry, "proposer", str),
+                      raw_size=_field(entry, "raw_size", int),
+                      compressed_size=_field(entry, "compressed_size", int),
+                      utility=_field(entry, "utility", (int, float)))
         segment.append_block(block)
     return segment
 
@@ -279,7 +296,8 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
 def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, int]:
     """Read a dump as (segments, registry, scheme, seed, max_block_bytes); a
     dump without a size limit gets 0 (none). Any malformed content (truncated
-    JSON, a missing key, bad hex, a bad limit) raises LedgerError."""
+    JSON, a missing key, bad hex, a field of the wrong type, a time outside
+    the wire's i64 microseconds, a bad limit) raises LedgerError."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -289,10 +307,12 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, 
                     for node, key in data["registry"].items()}
         segments = [segment_from_dict(s) for s in data["segments"]]
         limit = data.get("max_block_bytes", 0)
-        if not isinstance(limit, int) or limit < 0:
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
             raise ValueError(f"max_block_bytes {limit!r} is not a size in bytes")
-        return segments, registry, data["scheme"], data["seed"], limit
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return (segments, registry, _field(data, "scheme", str),
+                _field(data, "seed", int), limit)
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise LedgerError(f"malformed ledger dump {path}: "
                           f"{type(exc).__name__}: {exc}") from None
 

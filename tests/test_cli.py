@@ -61,6 +61,31 @@ def test_run_rejects_unregistered_crypto_scheme(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_rejects_a_config_directory(tmp_path, capsys):
+    code = cli.main(["run", "--config", str(tmp_path), "--out",
+                     str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes("# d\xe9faut\nsim.duration_s = 90\n".encode("latin-1"))
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_audit_rejects_a_ledger_directory(tmp_path, capsys):
+    code = cli.main(["audit", "--ledger", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_audit_passes_on_untouched_ledger(tmp_path, capsys):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"
@@ -203,8 +228,32 @@ def _bad_size_limit(text: str) -> str:
     return json.dumps(data)
 
 
-@pytest.mark.parametrize("mutate", [_unregistered_scheme, _missing_key,
-                                    _bad_hex, _truncated, _bad_size_limit])
+def _first_meta(data: dict) -> dict:
+    return _first_block(data)["metadata"]
+
+
+def _top(data: dict) -> dict:
+    return data
+
+
+def _setter(where, key: str, value):
+    """A mutation that sets `key` of the dump entry `where` picks to `value`."""
+    def mutate(text: str) -> str:
+        data = json.loads(text)
+        where(data)[key] = value
+        return json.dumps(data)
+    mutate.__name__ = f"{where.__name__}_{key}_{value}"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _unregistered_scheme, _missing_key, _bad_hex, _truncated, _bad_size_limit,
+    _setter(_first_meta, "timestamp", "x"),
+    _setter(_first_block, "compressed_size", "9"),
+    _setter(_first_block, "proposer", 5),
+    _setter(_first_tx, "submit_time", 1e300),
+    _setter(_first_meta, "timestamp", 1e300),
+    _setter(_top, "max_block_bytes", True)])
 def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"
@@ -218,6 +267,7 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     expected = ("no provider registered for 'foo'"
                 if mutate is _unregistered_scheme else "malformed ledger dump")
     assert err.startswith("error:") and expected in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Scenario config parsing, validation, overrides, bundled defaults."""
 
+import math
 import re
 
 import pytest
@@ -112,6 +113,11 @@ def test_load_config_applies_overrides(tmp_path):
     ("workload.payload_min_bytes", 4096),
     ("workload.payload_random_fraction", 1.5),
     ("workload.malicious_edge_fraction", 1.0),
+    ("sim.duration_s", math.inf),
+    ("sim.duration_s", "1e999"),
+    ("workload.arrival_rate_tps", math.inf),
+    ("network.area_km2", math.inf),
+    ("mobility.speed_sigma", math.nan),
 ])
 def test_validate_rejects_bad_values(key, value):
     cfg = ScenarioConfig()

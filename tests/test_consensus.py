@@ -197,16 +197,13 @@ def test_assemble_block_empty_pool_returns_none():
     assert got is None
 
 
-def test_assemble_block_packs_pool_and_scores():
+def test_assemble_block_packs_pool():
     now = 100.0
     pool = _filled_pool(20, now)
-    block, score = assemble_block(pool, RULES, LedgerSection(), now,
-                                  genesis_metadata(1), "e00")
-    assert score.valid_count == 20
+    block = assemble_block(pool, RULES, LedgerSection(), now,
+                           genesis_metadata(1), "e00")
     assert len(block.transactions) == 20
-    assert 0.0 < score.freshness <= 1.0
-    assert block.utility == pytest.approx(
-        utility_score(RULES, 20, score.freshness, score.energy_cost))
+    assert 0 < block.compressed_size < block.raw_size
     # Selection must not consume the pool; removal happens after commit.
     assert len(pool.admitted) == 20
 
@@ -215,8 +212,8 @@ def test_assemble_block_prefers_fresh_transactions():
     now = 100.0
     pool = _filled_pool(50, now)
     rules = ConsensusSection(tau_max_s=60.0, max_block_txs=10)
-    block, _ = assemble_block(pool, rules, LedgerSection(), now,
-                              genesis_metadata(1), "e00")
+    block = assemble_block(pool, rules, LedgerSection(), now,
+                           genesis_metadata(1), "e00")
     picked_ages = sorted(now - tx.submit_time for tx in block.transactions)
     assert picked_ages == list(range(10))
 
@@ -229,21 +226,10 @@ def test_assemble_block_respects_compressed_size_limit():
         tx = make_tx(rng.randbytes(512), t=now)  # incompressible payloads
         pool.admitted[tx.id] = (tx, i)
     rules = ConsensusSection(tau_max_s=60.0, max_block_bytes=4096)
-    block, _ = assemble_block(pool, rules,
-                              LedgerSection(compression_headroom=0.30), now,
-                              genesis_metadata(1), "e00")
+    block = assemble_block(pool, rules,
+                           LedgerSection(compression_headroom=0.30), now,
+                           genesis_metadata(1), "e00")
     assert block.compressed_size <= 4096
-
-
-def test_assemble_block_charges_energy_model():
-    now = 5.0
-    pool = _filled_pool(4, now)
-    block, score = assemble_block(pool, RULES, LedgerSection(), now,
-                                  genesis_metadata(1), "e00",
-                                  energy_cost_fn=lambda b: 2.0)
-    assert score.energy_cost == 2.0
-    assert score.utility == pytest.approx(
-        utility_score(RULES, 4, score.freshness, 2.0))
 
 
 # --- round execution ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulation loop: determinism, stream isolation, invariants, adversaries."""
 
+import csv
 import filecmp
 import logging
 
@@ -7,6 +8,7 @@ import pytest
 
 from uavchain import engine, ledger, netsim
 from uavchain.config import ScenarioConfig
+from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
 from uavchain.workload import Behavior
 
@@ -77,8 +79,8 @@ def test_workload_stream_does_not_perturb_mobility():
     # Changing only the arrival rate must leave trajectories untouched.
     slow = engine.run(small_config(workload__arrival_rate_tps=2.0))
     fast = engine.run(small_config(workload__arrival_rate_tps=10.0))
-    for uav, state in slow.final_states.items():
-        other = fast.final_states[uav]
+    for uav, state in slow.uav_states.items():
+        other = fast.uav_states[uav]
         assert state.x == other.x and state.y == other.y
 
 
@@ -163,11 +165,33 @@ def test_each_proposal_is_checked_once_and_sets_the_honest_votes(monkeypatch):
         assert row.approvals == len(honest)
 
 
+def test_committed_round_rows_match_their_blocks(tmp_path):
+    sim = engine.run(small_config())
+    sim.metrics.write_csvs(tmp_path)
+    with open(tmp_path / "rounds.csv", newline="", encoding="utf-8") as handle:
+        committed = [row for row in csv.DictReader(handle)
+                     if row["outcome"] == "committed"]
+    # Each committed round appends one block to its proposer's segment.
+    heights = dict.fromkeys(sim.edge_ids, 0)
+    for row in committed:
+        block = sim.segments[row["proposer"]].chain[heights[row["proposer"]]]
+        heights[row["proposer"]] += 1
+        eta = int(row["eta"])
+        assert block.metadata.timestamp == float(row["time_s"])
+        assert len(block.transactions) == eta
+        assert block.raw_size == int(row["raw_size"])
+        assert block.compressed_size == int(row["compressed_size"])
+        assert block.utility == float(row["utility"]) == utility_score(
+            sim.config.consensus, eta, float(row["zeta"]), float(row["theta_j"]))
+    assert committed
+    assert heights == {edge: len(s.chain) for edge, s in sim.segments.items()}
+
+
 def test_dead_uavs_stop_everything():
     cfg = small_config(energy__uav_budget_j=2.0,
                        sim__duration_s=300.0)
     result = engine.run(cfg)
-    dead = [u for u in result.final_states if result.accounts[u].depleted]
+    dead = [u for u in result.uav_states if result.accounts[u].depleted]
     assert dead
     for account in (result.accounts[u] for u in dead):
         assert account.remaining == 0.0
