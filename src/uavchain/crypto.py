@@ -19,6 +19,10 @@ through ``register_provider``; the registered names are exactly the values
 ``crypto.scheme`` accepts, and nothing in the simulator depends on a real
 backend being present.
 
+Every mock MAC is HMAC-SHA256 (RFC 2104) with the bytes of ``hmac.new``.
+Each key's inner and outer padded SHA-256 states are computed once and kept
+in a bounded cache, so a MAC costs two state copies, not a full HMAC set-up.
+
 Mock byte layouts (length-prefixed encodings use little-endian u32 lengths):
   private key   32 bytes   sha256("uav-mock-sk" || seed_le64)
   public key    35 bytes   b"MK1" || private_key
@@ -29,6 +33,7 @@ Mock byte layouts (length-prefixed encodings use little-endian u32 lengths):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -73,6 +78,34 @@ def _le64(value: int) -> bytes:
     return int(value).to_bytes(8, "little", signed=False)
 
 
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@functools.lru_cache(maxsize=4096)
+def _hmac_pads(key: bytes):
+    """SHA-256 states after absorbing `key` XOR ipad and `key` XOR opad.
+
+    `key` is at most one SHA-256 block long (every mock key is 32 bytes).
+    The returned hash objects are shared by every caller: copy them, never
+    update them.
+    """
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
+
+
+def _hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256(key, message), equal to ``hmac.new(key, message, sha256)``."""
+    inner_pad, outer_pad = _hmac_pads(key)
+    inner = inner_pad.copy()
+    inner.update(message)
+    outer = outer_pad.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 class MockProvider:
     """Deterministic keyed-hash signature + KEM stand-in.
 
@@ -110,16 +143,15 @@ class MockProvider:
     @staticmethod
     def _mac(private_key: bytes, message_hash: bytes) -> bytes:
         # Shared by sign and verify, so a subclass may wrap sign (say, in a tag).
-        t1 = hmac.new(private_key, b"sig1" + message_hash, hashlib.sha256).digest()
-        t2 = hmac.new(private_key, b"sig2" + message_hash, hashlib.sha256).digest()
-        return t1 + t2
+        return (_hmac_sha256(private_key, b"sig1" + message_hash)
+                + _hmac_sha256(private_key, b"sig2" + message_hash))
 
     def encaps(self, public_key: bytes, randomness_seed: int) -> tuple[bytes, bytes]:
         if len(public_key) != MOCK_PUBLIC_LEN or not public_key.startswith(_MOCK_PK_TAG):
             raise MalformedKeyError("not a mock public key")
         sk = public_key[len(_MOCK_PK_TAG):]
         eph = hashlib.sha256(b"uav-mock-eph" + _le64(randomness_seed)).digest()
-        tag = hmac.new(sk, b"kem" + eph, hashlib.sha256).digest()[:16]
+        tag = _hmac_sha256(sk, b"kem" + eph)[:16]
         return eph + tag, hashlib.sha256(b"uav-mock-ss" + sk + eph).digest()
 
     def decaps(self, private_key: bytes, ciphertext: bytes) -> bytes:
@@ -128,7 +160,7 @@ class MockProvider:
         if len(ciphertext) != MOCK_CIPHERTEXT_LEN:
             raise DecapsulationError("ciphertext length mismatch")
         eph, tag = ciphertext[:32], ciphertext[32:]
-        expected = hmac.new(private_key, b"kem" + eph, hashlib.sha256).digest()[:16]
+        expected = _hmac_sha256(private_key, b"kem" + eph)[:16]
         if not hmac.compare_digest(expected, tag):
             raise DecapsulationError("ciphertext integrity check failed")
         return hashlib.sha256(b"uav-mock-ss" + private_key + eph).digest()

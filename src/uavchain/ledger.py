@@ -25,6 +25,7 @@ passed in the same round, and a loaded dump is for the audit to check.
 from __future__ import annotations
 
 import json
+import struct
 import zlib
 from dataclasses import dataclass, field
 
@@ -55,10 +56,19 @@ def time_to_us(seconds: float) -> int:
     return round(seconds * 1_000_000)
 
 
+_U32 = struct.Struct("<I")
+_I64_U32 = struct.Struct("<qI")
+
+
 def encode_tx_core(sender: str, submit_time: float, payload: bytes) -> bytes:
-    return (encode_bytes(sender.encode("utf-8"))
-            + u64(time_to_us(submit_time))
-            + encode_bytes(payload))
+    """The tx core layout; OverflowError, as from `u32` and `u64`, when a
+    length or the time does not fit its field."""
+    sender_bytes = sender.encode("utf-8")
+    try:
+        return (_U32.pack(len(sender_bytes)) + sender_bytes
+                + _I64_U32.pack(time_to_us(submit_time), len(payload)) + payload)
+    except struct.error as exc:
+        raise OverflowError(str(exc)) from None
 
 
 @dataclass

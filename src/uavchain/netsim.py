@@ -105,6 +105,13 @@ class CommGraph:
     Kind index: besides the `kinds` map, the graph keeps the edge ids and the
     UAV ids in two lists, each in insertion order, so `nearest_edge` scans
     only edges and `uav_neighbors` only UAVs instead of every node.
+
+    Nearest-edge memo: `nearest_edge` keeps, per queried node, its answer,
+    its distance and the position tuple they were computed from. An entry
+    is valid while `positions[node]` is that same tuple object, so moving a
+    UAV retires only its own entry; moving an edge, `set_alive` and
+    `add_node` clear the memo. Positions and liveness must therefore change
+    only through those three methods, never by writing the dicts.
     """
 
     def __init__(self, network: NetworkSection):
@@ -115,6 +122,7 @@ class CommGraph:
         self.edge_ids: list[str] = []
         self.uav_ids: list[str] = []
         self._contention_cache: dict[str, int] = {}
+        self._nearest_memo: dict[str, tuple] = {}
 
     def add_node(self, node_id: str, kind: str,
                  position: tuple[float, float, float], alive: bool = True) -> None:
@@ -123,6 +131,7 @@ class CommGraph:
         self.kinds[node_id] = kind
         self.alive[node_id] = alive
         self._contention_cache.clear()
+        self._nearest_memo.clear()
         if previous is None:
             if kind == "edge":
                 self.edge_ids.append(node_id)
@@ -136,10 +145,13 @@ class CommGraph:
     def move(self, node_id: str, position: tuple[float, float, float]) -> None:
         self.positions[node_id] = position
         self._contention_cache.clear()
+        if self.kinds[node_id] == "edge":
+            self._nearest_memo.clear()
 
     def set_alive(self, node_id: str, alive: bool) -> None:
         self.alive[node_id] = alive
         self._contention_cache.clear()
+        self._nearest_memo.clear()
 
     def distance(self, a: str, b: str) -> float:
         return math.dist(self.positions[a], self.positions[b])
@@ -177,16 +189,22 @@ class CommGraph:
                      ) -> Optional[str]:
         """Closest alive edge (first-added wins a tie), or None if there is none
         or, with `require_range`, if it lies beyond the transmission range."""
-        positions, alive = self.positions, self.alive
+        positions = self.positions
         pos = positions[node_id]
-        best = None
-        best_d = math.inf
-        for other in self.edge_ids:
-            if not alive[other]:
-                continue
-            d = math.dist(pos, positions[other])
-            if d < best_d:
-                best, best_d = other, d
+        memo = self._nearest_memo.get(node_id)
+        if memo is not None and memo[2] is pos:
+            best, best_d, _ = memo
+        else:
+            alive = self.alive
+            best = None
+            best_d = math.inf
+            for other in self.edge_ids:
+                if not alive[other]:
+                    continue
+                d = math.dist(pos, positions[other])
+                if d < best_d:
+                    best, best_d = other, d
+            self._nearest_memo[node_id] = (best, best_d, pos)
         if best is not None and require_range and best_d > self.params.range_m:
             return None
         return best

@@ -1,9 +1,11 @@
 """Provider contract tests: determinism, totality of verify, KEM failure."""
 
 import hashlib
+import hmac
 
 import pytest
 
+from uavchain import crypto
 from uavchain.crypto import (DIGEST_LEN, MOCK_CIPHERTEXT_LEN, MOCK_PUBLIC_LEN,
                              MOCK_SIGNATURE_LEN, CryptoError,
                              DecapsulationError, MalformedKeyError,
@@ -12,6 +14,18 @@ from uavchain.crypto import (DIGEST_LEN, MOCK_CIPHERTEXT_LEN, MOCK_PUBLIC_LEN,
                              register_provider)
 
 provider = MockProvider()
+
+
+def reference_sign(private_key: bytes, digest: bytes) -> bytes:
+    """The mock signature layout, built with `hmac.new` alone."""
+    return (hmac.new(private_key, b"sig1" + digest, hashlib.sha256).digest()
+            + hmac.new(private_key, b"sig2" + digest, hashlib.sha256).digest())
+
+
+def reference_encaps(private_key: bytes, seed: int) -> tuple[bytes, bytes]:
+    eph = hashlib.sha256(b"uav-mock-eph" + seed.to_bytes(8, "little")).digest()
+    tag = hmac.new(private_key, b"kem" + eph, hashlib.sha256).digest()[:16]
+    return eph + tag, hashlib.sha256(b"uav-mock-ss" + private_key + eph).digest()
 
 
 def test_hash_bytes_is_sha256():
@@ -93,6 +107,45 @@ def test_subclass_that_wraps_sign_verifies_its_own_signatures():
     assert sig.startswith(TaggedProvider.TAG)
     assert tagged.verify(digest, sig, pair.public_key)
     assert not tagged.verify(hash_bytes(b"other"), sig, pair.public_key)
+
+
+def test_mock_bytes_match_an_hmac_reference():
+    for seed in range(51):
+        pair = provider.keygen(seed)
+        digest = hash_bytes(b"msg" + bytes([seed]))
+        sig = provider.sign(pair.private_key, digest)
+        assert sig == reference_sign(pair.private_key, digest)
+        assert provider.verify(digest, sig, pair.public_key)
+        ct, secret = provider.encaps(pair.public_key, seed + 1)
+        assert (ct, secret) == reference_encaps(pair.private_key, seed + 1)
+        assert provider.decaps(pair.private_key, ct) == secret
+
+
+def test_signatures_stay_exact_past_the_pad_cache_bound():
+    bound = crypto._hmac_pads.cache_info().maxsize
+    digest = hash_bytes(b"msg")
+    pairs = [provider.keygen(seed) for seed in range(bound + 10)]
+    # The second pass signs with keys the first pass evicted.
+    for pair in pairs + pairs[:10]:
+        sig = provider.sign(pair.private_key, digest)
+        assert sig == reference_sign(pair.private_key, digest)
+        assert provider.verify(digest, sig, pair.public_key)
+    assert crypto._hmac_pads.cache_info().currsize <= bound
+
+
+def test_sign_matches_hmac_for_random_keys_and_digests():
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = hypothesis.strategies
+    thirty_two = strategies.binary(min_size=32, max_size=32)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, database=None)
+    @hypothesis.given(key=thirty_two, digest=thirty_two)
+    def check(key, digest):
+        sig = provider.sign(key, digest)
+        assert sig == reference_sign(key, digest)
+        assert provider.verify(digest, sig, b"MK1" + key)
+
+    check()
 
 
 def test_sign_rejects_malformed_inputs():

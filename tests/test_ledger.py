@@ -43,6 +43,25 @@ def test_tx_id_is_hash_of_core_encoding():
     assert tx.id == hashlib.sha256(core).digest()
 
 
+def test_encode_tx_core_overflows_on_a_field_the_wire_cannot_hold():
+    ledger.encode_tx_core("u000", 9.2e12, b"x")  # inside i64 microseconds
+    for t in (9.3e12, -9.3e12, 1e300):
+        with pytest.raises(OverflowError):
+            ledger.encode_tx_core("u000", t, b"x")
+    with pytest.raises(OverflowError):
+        Transaction(sender="u000", payload=b"x", submit_time=1e300,
+                    signature=b"")
+
+    class Huge(bytes):
+        """A payload that reports more bytes than a u32 length can count."""
+
+        def __len__(self):
+            return 2 ** 32
+
+    with pytest.raises(OverflowError):
+        ledger.encode_tx_core("u000", 1.0, Huge(b"x"))
+
+
 def test_tx_wire_size_matches_wire():
     tx = make_tx(b"x" * 100)
     assert tx.wire_size() == len(tx.wire())

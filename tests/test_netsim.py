@@ -128,6 +128,9 @@ def test_dead_nodes_have_no_links():
 def test_nearest_edge_and_range_gate():
     graph = _graph()
     assert graph.nearest_edge("u0") == "e0"
+    # The gate applies after the memo lookup, so the order of the queries
+    # does not matter.
+    assert graph.nearest_edge("u2", require_range=True) is None
     assert graph.nearest_edge("u2") == "e1"
     assert graph.nearest_edge("u2", require_range=True) is None
 
@@ -180,6 +183,69 @@ def test_kind_index_follows_a_re_added_node():
     assert graph.edge_ids == ["u1", "e0", "e1"]
     assert graph.uav_ids == ["u0", "u2"]
     assert graph.nearest_edge("u0") == "u1"
+
+
+def scan_nearest_edge(graph: CommGraph, node: str,
+                      require_range: bool = False):
+    """Uncached linear scan: the reference for `CommGraph.nearest_edge`."""
+    best, best_d = None, math.inf
+    for edge in graph.edge_ids:
+        if graph.alive[edge] and graph.distance(node, edge) < best_d:
+            best, best_d = edge, graph.distance(node, edge)
+    if best is not None and require_range and best_d > graph.params.range_m:
+        return None
+    return best
+
+
+def test_nearest_edge_memo_follows_every_change():
+    graph = _graph()
+
+    def check(expected):
+        assert graph.nearest_edge("u1") == expected
+        assert scan_nearest_edge(graph, "u1") == expected
+
+    check("e0")
+    graph.move("u1", (8000.0, 0.0, 100.0))
+    check("e1")
+    graph.move("e0", (8500.0, 0.0, 0.0))
+    check("e0")
+    graph.set_alive("e0", False)
+    check("e1")
+    graph.set_alive("e0", True)
+    check("e0")
+    graph.add_node("e2", "edge", (8000.0, 0.0, 50.0))
+    check("e2")
+
+
+def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
+    rng = Random(11)
+    graph = CommGraph(NetworkSection(range_m=1500.0))
+    uavs = [f"u{i}" for i in range(12)]
+    edges = [f"e{i}" for i in range(5)]
+
+    def spot(z):
+        return (rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0), z)
+
+    for edge in edges:
+        graph.add_node(edge, "edge", spot(0.0))
+    for uav in uavs:
+        graph.add_node(uav, "uav", spot(100.0))
+    for _ in range(500):
+        roll = rng.random()
+        if roll < 0.5:
+            graph.move(rng.choice(uavs), spot(100.0))
+        elif roll < 0.6:
+            uav = rng.choice(uavs)
+            graph.move(uav, graph.positions[uav])
+        elif roll < 0.7:
+            graph.move(rng.choice(edges), spot(0.0))
+        else:
+            node = rng.choice(edges if roll < 0.85 else uavs)
+            graph.set_alive(node, not graph.alive[node])
+        for uav in uavs:
+            for gate in (False, True):
+                assert (graph.nearest_edge(uav, require_range=gate)
+                        == scan_nearest_edge(graph, uav, gate))
 
 
 def test_deliver_none_when_out_of_range():
