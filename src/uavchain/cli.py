@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -65,29 +63,14 @@ FIGURES = {
 
 
 def _load(config_path: str | None, seed: int | None) -> ScenarioConfig:
-    if config_path is None:
-        config = ScenarioConfig()
-        config.validate()
-    else:
-        config = load_config(config_path)
-    if seed is not None:
-        config.sim.master_seed = seed
+    overrides = {} if seed is None else {"sim.master_seed": seed}
+    if config_path is not None:
+        return load_config(config_path, overrides)
+    config = ScenarioConfig()
+    for key, value in overrides.items():
+        apply_override(config, key, value)
+    config.validate()
     return config
-
-
-def _write_manifest(outdir: Path, config: ScenarioConfig,
-                    outputs: list[str]) -> None:
-    manifest = {
-        "tool": "uavchain",
-        "version": __version__,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "master_seed": config.sim.master_seed,
-        "config": config_to_flat_dict(config),
-        "outputs": sorted(outputs),
-    }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-        handle.write("\n")
 
 
 def write_run_outputs(result: engine.Simulation, outdir,
@@ -104,7 +87,14 @@ def write_run_outputs(result: engine.Simulation, outdir,
                            result.config.sim.master_seed,
                            result.config.consensus.max_block_bytes)
         outputs.append("ledger.json")
-    _write_manifest(outdir, result.config, outputs)
+    metrics.write_json(outdir / "manifest.json", {
+        "tool": "uavchain",
+        "version": __version__,
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "master_seed": result.config.sim.master_seed,
+        "config": config_to_flat_dict(result.config),
+        "outputs": sorted(outputs),
+    })
     return outputs
 
 
@@ -124,13 +114,8 @@ def cmd_run(args) -> int:
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in (row[k] for k in header)])
+    header = list(rows[0])
+    metrics.write_csv(path, header, ([row[k] for k in header] for row in rows))
 
 
 def cmd_sweep(args) -> int:

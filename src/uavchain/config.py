@@ -145,6 +145,8 @@ class ScenarioConfig:
             check(not isinstance(value, float) or math.isfinite(value), key,
                   "must be finite")
         check(self.sim.duration_s >= 0, "sim.duration_s", "must be non-negative")
+        check(-2**63 <= self.sim.master_seed < 2**63, "sim.master_seed",
+              "must fit a signed 64-bit integer")
         check(self.sim.mobility_step_s > 0, "sim.mobility_step_s", "must be positive")
         check(self.network.uav_count > 0, "network.uav_count", "must be positive")
         check(self.network.edge_count > 0, "network.edge_count", "must be positive")
@@ -232,29 +234,20 @@ class ScenarioConfig:
 
 
 # trust.lambda is the documented key; "lambda" is reserved in Python.
-_KEY_ALIASES = {"trust.lambda": ("trust", "smoothing")}
-_FIELD_TO_KEY = {target: key for key, target in _KEY_ALIASES.items()}
+_RENAMED = {("trust", "smoothing"): "trust.lambda"}
 
-
-# (dotted key, section, field name) of every scenario parameter.
-_FIELDS = tuple(
-    (_FIELD_TO_KEY.get((sec.name, leaf.name), f"{sec.name}.{leaf.name}"),
-     sec.name, leaf.name)
+# Every scenario key, in declaration order, mapped to its (section, field).
+# No other name is a key: not a section's methods or attributes, and not
+# the field name behind a renamed key.
+_FIELDS = {
+    _RENAMED.get((sec.name, leaf.name), f"{sec.name}.{leaf.name}"):
+        (sec.name, leaf.name)
     for sec in dataclasses.fields(ScenarioConfig)
-    for leaf in dataclasses.fields(sec.default_factory))  # type: ignore[arg-type]
+    for leaf in dataclasses.fields(sec.default_factory)}  # type: ignore[arg-type]
 
 
 def known_keys() -> list[str]:
-    return [key for key, _, _ in _FIELDS]
-
-
-def _resolve_key(key: str) -> tuple[str, str]:
-    if key in _KEY_ALIASES:
-        return _KEY_ALIASES[key]
-    if "." not in key:
-        raise ConfigError(f"malformed key {key!r} (expected section.field)")
-    section, name = key.split(".", 1)
-    return section, name
+    return list(_FIELDS)
 
 
 def _coerce(key: str, current: Any, raw: str) -> Any:
@@ -272,10 +265,11 @@ def _coerce(key: str, current: Any, raw: str) -> Any:
 
 def apply_override(config: ScenarioConfig, key: str, value: Any) -> None:
     """Set one dotted key; value may be a string (parsed) or already typed."""
-    section_name, field_name = _resolve_key(key)
-    section = getattr(config, section_name, None)
-    if section is None or not hasattr(section, field_name):
-        raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        section_name, field_name = _FIELDS[key]
+    except KeyError:
+        raise ConfigError(f"unknown configuration key {key!r}") from None
+    section = getattr(config, section_name)
     current = getattr(section, field_name)
     if isinstance(value, str):
         value = _coerce(key, current, value)
@@ -309,7 +303,7 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
 
 def config_to_flat_dict(config: ScenarioConfig) -> dict[str, Any]:
     return {key: getattr(getattr(config, section), name)
-            for key, section, name in _FIELDS}
+            for key, (section, name) in _FIELDS.items()}
 
 
 def default_scenario_path() -> Path:

@@ -132,6 +132,19 @@ def assemble_block(pool: ValidationPool, params: ConsensusSection,
     return block
 
 
+def _weighted_draw(weights: dict[str, float], total: float, rng: Random) -> str:
+    """The node whose cumulative-weight interval, in `weights` order, holds
+    one `rng.random()` draw scaled to `total` (a positive weight sum)."""
+    point = rng.random() * total
+    acc = 0.0
+    for node, weight in weights.items():
+        acc += weight
+        if point < acc:
+            return node
+    # Float accumulation can fall short of `total` at the edge.
+    return next(reversed(weights))
+
+
 def sample_committee(weights: dict[str, float], size: int, rng: Random) -> list[str]:
     """Weighted sampling without replacement with renormalized draws.
 
@@ -149,16 +162,7 @@ def sample_committee(weights: dict[str, float], size: int, rng: Random) -> list[
             # Degenerate residual mass: fill uniformly from what is left.
             node = sorted(remaining)[rng.randrange(len(remaining))]
         else:
-            point = rng.random() * total
-            acc = 0.0
-            node = None
-            for cand, weight in remaining.items():
-                acc += weight
-                if point < acc:
-                    node = cand
-                    break
-            if node is None:  # guard against float accumulation at the edge
-                node = next(reversed(remaining))
+            node = _weighted_draw(remaining, total, rng)
         chosen.append(node)
         del remaining[node]
     return sorted(chosen)
@@ -176,17 +180,11 @@ def sample_proposer(committee: list[str], weights: dict[str, float],
     edge's pool live while still favoring trusted edges. Zero total weight
     falls back to the lowest node id.
     """
-    members = sorted(committee)
-    total = sum(weights[m] for m in members)
+    members = {m: weights[m] for m in sorted(committee)}
+    total = sum(members.values())
     if total <= 0.0:
-        return members[0]
-    point = rng.random() * total
-    acc = 0.0
-    for member in members:
-        acc += weights[member]
-        if point < acc:
-            return member
-    return members[-1]
+        return next(iter(members))
+    return _weighted_draw(members, total, rng)
 
 
 def run_round(committee: list[str], proposer: str,

@@ -281,7 +281,7 @@ class Simulation:
 
         seq = len(self.metrics.transactions)
         record = TxRecord(seq=seq, tx_id=tx.id.hex(), sender=tx.sender,
-                          submit_time=tx.submit_time)
+                          submit_time_s=tx.submit_time)
         self.metrics.transactions.append(record)
 
         edge = self.graph.nearest_edge(uav, require_range=True)
@@ -308,9 +308,9 @@ class Simulation:
     def _handle_recv(self, tx: Transaction, edge: str, seq: int, emitter: str) -> None:
         cfg = self.config
         record = self.metrics.transactions[seq]
-        record.recv_time = self.now
-        record.latency = self.now - tx.submit_time
-        record.timely = record.latency < cfg.consensus.tau_max_s
+        record.recv_time_s = self.now
+        record.latency_s = self.now - tx.submit_time
+        record.timely = int(record.latency_s < cfg.consensus.tau_max_s)
         stats = self.window_stats[emitter]
         stats.submitted += 1
         stats.timely += record.timely
@@ -343,7 +343,7 @@ class Simulation:
         proposer = consensus.sample_proposer(committee, self.edge_weights,
                                              self.rng_committee)
         record = RoundRecord(window_id=int(self.now // cfg.consensus.window_s),
-                             time=self.now, committee="|".join(committee),
+                             time_s=self.now, committee="|".join(committee),
                              proposer=proposer)
         self.metrics.rounds.append(record)
 
@@ -389,7 +389,7 @@ class Simulation:
                     f"committee message between proposer {proposer} and "
                     f"member {member} was dropped")
             confirm_times[member] = self.now + down + verify_time + up
-        record.delta_cons = consensus.consensus_delay(self.now, confirm_times)
+        record.delta_cons_s = consensus.consensus_delay(self.now, confirm_times)
         # The mains-powered infrastructure tier pays the round energy.
         self.metrics.infra_energy_j += sum(cfg.energy.tx_energy(d)
                                            for d in distances)
@@ -470,7 +470,7 @@ class Simulation:
 
     def _check_invariants(self) -> None:
         rows = self.metrics.transactions
-        arrived = [r for r in rows if r.recv_time is not None]
+        arrived = [r for r in rows if r.recv_time_s is not None]
         # A row still in flight is pending too, but has no recv time.
         waiting = sum(1 for r in arrived if r.status == "pending")
         pooled = sum(len(pool.admitted) for pool in self.pools.values())
@@ -481,7 +481,7 @@ class Simulation:
         for pool in self.pools.values():
             for tx_id, (_, seq) in pool.admitted.items():
                 row = rows[seq]
-                if (row.status != "pending" or row.recv_time is None
+                if (row.status != "pending" or row.recv_time_s is None
                         or row.edge != pool.owner or row.tx_id != tx_id.hex()):
                     raise SimulationInvariantError(
                         f"{pool.owner} pools tx {tx_id.hex()[:16]} against "

@@ -1,25 +1,21 @@
-"""Observation records, CSV emission and run-level summary statistics.
+"""Observation records, CSV and JSON emission, run-level summary statistics.
 
-CSV schemas (documented for external plotting tools):
+Each CSV's columns are its record's fields, in order: `TxRecord` is
+transactions.csv, `RoundRecord` rounds.csv and `TrustRecord` trust.csv, so
+renaming a field renames its column. `write_csv` is the one CSV writer and
+`write_json` the one JSON writer of the reporting layer.
 
-transactions.csv:
-  seq, tx_id, sender, edge, submit_time_s, recv_time_s, latency_s, timely,
-  status, reject_reason, energy_j
-rounds.csv:
-  window_id, time_s, committee, proposer, eta, zeta, theta_j, utility,
-  outcome, approvals, delta_cons_s, raw_size, compressed_size, omega
-trust.csv:
-  window_id, node, chi, xi, rho
-
-Floats are written with repr() (shortest round-trip form) so identical runs
-produce byte-identical files.
+The csv module writes None as an empty cell and a float with repr()
+(shortest round-trip form), so identical runs produce byte-identical files.
+It would write a bool as True/False, so records keep flags as 0/1 ints.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import mean
 from typing import Optional
@@ -27,16 +23,16 @@ from typing import Optional
 TX_STATUSES = ("committed", "pending", "expired", "rejected", "dropped")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TxRecord:
     seq: int
     tx_id: str
     sender: str
-    submit_time: float
     edge: str = ""
-    recv_time: Optional[float] = None
-    latency: Optional[float] = None
-    timely: Optional[bool] = None
+    submit_time_s: float
+    recv_time_s: Optional[float] = None
+    latency_s: Optional[float] = None
+    timely: Optional[int] = None   # 1 if latency_s < tau_max_s, else 0
     status: str = "pending"
     reject_reason: str = ""
     energy_j: float = 0.0
@@ -45,7 +41,7 @@ class TxRecord:
 @dataclass
 class RoundRecord:
     window_id: int
-    time: float
+    time_s: float
     committee: str
     proposer: str
     eta: int = 0
@@ -54,7 +50,7 @@ class RoundRecord:
     utility: float = 0.0
     outcome: str = "skipped"
     approvals: int = 0
-    delta_cons: float = 0.0
+    delta_cons_s: float = 0.0
     raw_size: int = 0
     compressed_size: int = 0
     omega: float = 0.0
@@ -69,14 +65,17 @@ class TrustRecord:
     rho: float
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, data) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, sort_keys=True, indent=1)
+        handle.write("\n")
 
 
 @dataclass
@@ -92,13 +91,14 @@ class MetricsCollector:
         counts = dict.fromkeys(TX_STATUSES, 0)
         for record in self.transactions:
             counts[record.status] += 1
-        latencies = [r.latency for r in self.transactions if r.latency is not None]
+        latencies = [r.latency_s for r in self.transactions
+                     if r.latency_s is not None]
         timely = [r.timely for r in self.transactions if r.timely is not None]
         committed_energy = [r.energy_j for r in self.transactions
                             if r.status == "committed"]
         decided = [r for r in self.rounds if r.outcome in ("committed", "aborted")]
         committed_rounds = [r for r in decided if r.outcome == "committed"]
-        deltas = [r.delta_cons for r in committed_rounds]
+        deltas = [r.delta_cons_s for r in committed_rounds]
         omegas = [r.omega for r in committed_rounds]
         return {
             "duration_s": duration_s,
@@ -133,35 +133,14 @@ class MetricsCollector:
     def write_csvs(self, outdir) -> list[str]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-
-        def emit(name: str, header: list[str], rows) -> None:
-            path = outdir / name
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_cell(v) for v in row])
-            written.append(name)
-
-        emit("transactions.csv",
-             ["seq", "tx_id", "sender", "edge", "submit_time_s", "recv_time_s",
-              "latency_s", "timely", "status", "reject_reason", "energy_j"],
-             ([r.seq, r.tx_id, r.sender, r.edge, r.submit_time, r.recv_time,
-               r.latency, r.timely, r.status, r.reject_reason, r.energy_j]
-              for r in self.transactions))
-        emit("rounds.csv",
-             ["window_id", "time_s", "committee", "proposer", "eta", "zeta",
-              "theta_j", "utility", "outcome", "approvals", "delta_cons_s",
-              "raw_size", "compressed_size", "omega"],
-             ([r.window_id, r.time, r.committee, r.proposer, r.eta, r.zeta,
-               r.theta_j, r.utility, r.outcome, r.approvals, r.delta_cons,
-               r.raw_size, r.compressed_size, r.omega]
-              for r in self.rounds))
-        emit("trust.csv",
-             ["window_id", "node", "chi", "xi", "rho"],
-             ([r.window_id, r.node, r.chi, r.xi, r.rho] for r in self.trust))
-        return written
+        tables = {"transactions.csv": (TxRecord, self.transactions),
+                  "rounds.csv": (RoundRecord, self.rounds),
+                  "trust.csv": (TrustRecord, self.trust)}
+        for name, (record_type, records) in tables.items():
+            columns = [f.name for f in fields(record_type)]
+            write_csv(outdir / name, columns,
+                      map(operator.attrgetter(*columns), records))
+        return list(tables)
 
 
 def trust_deciles(scores: dict[str, float], transactions: list[TxRecord],
@@ -189,6 +168,4 @@ def trust_deciles(scores: dict[str, float], transactions: list[TxRecord],
 
 
 def write_summary(outdir, summary: dict) -> None:
-    with open(Path(outdir) / "summary.json", "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(Path(outdir) / "summary.json", summary)

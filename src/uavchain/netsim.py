@@ -100,7 +100,8 @@ class CommGraph:
 
     Link rule: (i, j) is up iff both endpoints are alive and either their
     distance is within transmission range or both are infrastructure nodes
-    (edges / base station, which share a wired backhaul).
+    (edges / base station, which share a wired backhaul). `deliver` applies
+    it, once per message.
 
     Kind index: besides the `kinds` map, the graph keeps the edge ids and the
     UAV ids in two lists, each in insertion order, so `nearest_edge` scans
@@ -159,13 +160,6 @@ class CommGraph:
     def is_infra_pair(self, a: str, b: str) -> bool:
         return self.kinds[a] in INFRA_KINDS and self.kinds[b] in INFRA_KINDS
 
-    def in_range(self, a: str, b: str) -> bool:
-        if not (self.alive[a] and self.alive[b]):
-            return False
-        if self.is_infra_pair(a, b):
-            return True
-        return self.distance(a, b) <= self.params.range_m
-
     def uav_neighbors(self, node_id: str) -> int:
         """Alive UAVs inside the node's radio range (channel contention)."""
         cached = self._contention_cache.get(node_id)
@@ -223,16 +217,21 @@ def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
             rng: Random) -> Optional[float]:
     """Delay for one message, or None when the link is down (drop).
 
-    Delay = propagation + serialization + exponential queueing jitter whose
-    mean scales with the number of UAVs contending for the receiver's channel.
+    The link is down unless it passes `CommGraph`'s link rule. Delay =
+    propagation + serialization + exponential queueing jitter whose mean
+    scales with the number of UAVs contending for the receiver's channel.
     """
-    if not graph.in_range(src, dst):
+    if not (graph.alive[src] and graph.alive[dst]):
         return None
     p = graph.params
-    bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
+    distance = graph.distance(src, dst)
+    infra = graph.is_infra_pair(src, dst)
+    if not infra and distance > p.range_m:
+        return None
+    bandwidth = p.backhaul_bps if infra else p.bandwidth_bps
     jitter_mean = p.jitter_mean_s * (1.0 + p.contention_per_uav
                                      * graph.uav_neighbors(dst))
-    return (graph.distance(src, dst) / p.prop_speed_mps
+    return (distance / p.prop_speed_mps
             + size_bytes * 8 / bandwidth
             + rng.expovariate(1.0 / jitter_mean))
 

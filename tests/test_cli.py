@@ -51,6 +51,34 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [
+    "energy.tx_energy", "sim.__class__", "workload.__doc__",
+    "trust.smoothing", "nodot"])
+def test_run_rejects_a_name_that_is_not_a_scenario_key(tmp_path, capsys, key):
+    scenario = write_small_scenario(tmp_path, **{key: 5})
+    code = cli.main(["run", "--config", scenario, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown configuration key") and key in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", str(2**63)],
+    ["run", "--seed", str(-2**63 - 1)],
+    ["sweep", "--seed", str(2**63 - 1), "--replications", "2",
+     "--axis", "network.uav_count", "--values", "10"],
+], ids=["run-above", "run-below", "sweep-second-replication"])
+def test_seed_outside_i64_is_rejected(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--config", write_small_scenario(tmp_path),
+                            "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.master_seed") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_unregistered_crypto_scheme(tmp_path, capsys):
     scenario = write_small_scenario(
         tmp_path, **{"crypto.scheme": "dilithium3-class"})

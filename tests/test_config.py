@@ -10,6 +10,7 @@ from uavchain.config import (ConfigError, ScenarioConfig, apply_override,
                              config_to_flat_dict, default_scenario_path,
                              known_keys, load_config)
 from uavchain.crypto import MockProvider, register_provider
+from uavchain.ledger import CODECS
 
 
 def test_defaults_validate():
@@ -34,10 +35,16 @@ def test_apply_override_parses_strings():
 
 def test_apply_override_unknown_key_is_hard_error():
     cfg = ScenarioConfig()
-    with pytest.raises(ConfigError):
-        apply_override(cfg, "network.uav_cout", "40")
-    with pytest.raises(ConfigError):
-        apply_override(cfg, "nonsense", "1")
+    for key in ("network.uav_cout",
+                "nonsense",           # no dot
+                "energy.tx_energy",   # a section method
+                "sim.__class__",      # a dunder
+                "workload.__doc__",
+                "trust.smoothing",    # the field behind the trust.lambda key
+                "nosuchsection.field"):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            apply_override(cfg, key, "1")
+    assert config_to_flat_dict(cfg) == config_to_flat_dict(ScenarioConfig())
 
 
 def test_apply_override_type_mismatch():
@@ -118,6 +125,8 @@ def test_load_config_applies_overrides(tmp_path):
     ("workload.arrival_rate_tps", math.inf),
     ("network.area_km2", math.inf),
     ("mobility.speed_sigma", math.nan),
+    ("sim.master_seed", 2**63),
+    ("sim.master_seed", -2**63 - 1),
 ])
 def test_validate_rejects_bad_values(key, value):
     cfg = ScenarioConfig()
@@ -168,3 +177,39 @@ def test_flat_dict_round_trips_through_overrides():
     for key, value in flat.items():
         apply_override(rebuilt, key, value)
     assert config_to_flat_dict(rebuilt) == flat
+
+
+def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    defaults = config_to_flat_dict(ScenarioConfig())
+
+    def between_half_and_default(value):
+        # Every check of validate() admits any value in this band around
+        # the default, except the behavior weights, whose sum is fixed.
+        if isinstance(value, str):
+            return st.just(value)
+        if isinstance(value, int):
+            return st.integers(value // 2 + value % 2, value)
+        return st.floats(value / 2, value)
+
+    values = {key: between_half_and_default(value)
+              for key, value in defaults.items()}
+    values["sim.master_seed"] = st.integers(-2**63, 2**63 - 1)
+    values["ledger.codec"] = st.sampled_from(CODECS)
+    values["workload.behaviors"] = st.lists(
+        st.sampled_from(["forge-signature", "replay", "delay-injection"]),
+        min_size=1, unique=True).map(",".join)
+
+    @hypothesis.settings(derandomize=True, max_examples=100, database=None,
+                         deadline=None)
+    @hypothesis.given(flat=st.fixed_dictionaries(values))
+    def check(flat):
+        flat["trust.weight_uptime"] = (1.0 - flat["trust.weight_valid"]
+                                       - flat["trust.weight_timely"])
+        path = tmp_path / "drawn.scenario"
+        path.write_text("".join(f"{key} = {flat[key]}\n"
+                                for key in known_keys()))
+        assert config_to_flat_dict(load_config(path)) == flat
+
+    check()

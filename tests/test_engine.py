@@ -10,6 +10,7 @@ from uavchain import engine, ledger, netsim
 from uavchain.config import ScenarioConfig
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
+from uavchain.metrics import MetricsCollector
 from uavchain.workload import Behavior
 
 
@@ -163,6 +164,20 @@ def test_each_proposal_is_checked_once_and_sets_the_honest_votes(monkeypatch):
         honest = [m for m in row.committee.split("|")
                   if m == row.proposer or m not in result.malicious_edges]
         assert row.approvals == len(honest)
+
+
+def test_csv_headers_are_the_record_fields(tmp_path):
+    # Each column is a record field: renaming a field renames its column.
+    assert MetricsCollector().write_csvs(tmp_path) == [
+        "transactions.csv", "rounds.csv", "trust.csv"]
+    assert (tmp_path / "transactions.csv").read_bytes() == (
+        b"seq,tx_id,sender,edge,submit_time_s,recv_time_s,latency_s,timely,"
+        b"status,reject_reason,energy_j\r\n")
+    assert (tmp_path / "rounds.csv").read_bytes() == (
+        b"window_id,time_s,committee,proposer,eta,zeta,theta_j,utility,"
+        b"outcome,approvals,delta_cons_s,raw_size,compressed_size,omega\r\n")
+    assert (tmp_path / "trust.csv").read_bytes() == (
+        b"window_id,node,chi,xi,rho\r\n")
 
 
 def test_committed_round_rows_match_their_blocks(tmp_path):

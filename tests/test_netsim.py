@@ -104,25 +104,29 @@ def _graph() -> CommGraph:
     return graph
 
 
-def test_in_range_uses_distance_for_radio_links():
+def _link_up(graph: CommGraph, src: str, dst: str) -> bool:
+    return deliver(100, src, dst, graph, Random(1)) is not None
+
+
+def test_deliver_uses_distance_for_radio_links():
     graph = _graph()
-    assert graph.in_range("u0", "u1")
-    assert not graph.in_range("u0", "u2")
+    assert _link_up(graph, "u0", "u1")
+    assert not _link_up(graph, "u0", "u2")
 
 
 def test_infra_pairs_always_connected():
     graph = _graph()
-    assert graph.in_range("e0", "e1")
-    assert graph.in_range("e1", "base")
-    assert not graph.in_range("u0", "e1")
+    assert _link_up(graph, "e0", "e1")
+    assert _link_up(graph, "e1", "base")
+    assert not _link_up(graph, "u0", "e1")
 
 
 def test_dead_nodes_have_no_links():
     graph = _graph()
     graph.set_alive("u1", False)
-    assert not graph.in_range("u0", "u1")
+    assert not _link_up(graph, "u0", "u1")
     graph.set_alive("e0", False)
-    assert not graph.in_range("e0", "e1")
+    assert not _link_up(graph, "e0", "e1")
 
 
 def test_nearest_edge_and_range_gate():
