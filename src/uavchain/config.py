@@ -1,8 +1,9 @@
 """Scenario configuration: typed sections, flat dotted-key text format.
 
 The on-disk format is one ``section.field = value`` assignment per line,
-``#`` comments, blank lines allowed. Unknown keys are hard errors so a typo
-cannot silently corrupt an experiment.
+``#`` comments, blank lines allowed. Unknown keys and a key set twice are
+hard errors so a typo or a pasted-in duplicate cannot silently corrupt an
+experiment.
 """
 
 from __future__ import annotations
@@ -287,6 +288,7 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -294,7 +296,12 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        apply_override(config, key.strip(), raw.strip())
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on "
+                              f"line {set_on[key]}")
+        apply_override(config, key, raw.strip())
+        set_on[key] = lineno
     for key, value in (overrides or {}).items():
         apply_override(config, key, value)
     config.validate()

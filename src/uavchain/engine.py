@@ -215,11 +215,12 @@ class Simulation:
         dt = self.config.sim.mobility_step_s
         side = self.config.area_side_m()
         params, rng = self.config.mobility, self.rng_mobility
-        states, graph = self.uav_states, self.graph
+        states = self.uav_states
+        step, move = netsim.step_mobility, self.graph.move
         for uav in self.alive_uavs:
-            state = netsim.step_mobility(states[uav], dt, params, side, rng)
+            state = step(states[uav], dt, params, side, rng)
             states[uav] = state
-            graph.move(uav, state.position())
+            move(uav, (state.x, state.y, state.z))
 
     def _charge_uav(self, uav: str, amount: float) -> bool:
         account = self.accounts[uav]

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 INFRA_KINDS = ("edge", "base")
 
 
-@dataclass
+@dataclass(slots=True)
 class UavState:
     node_id: str
     x: float
@@ -44,17 +44,15 @@ class UavState:
         return (self.x, self.y, self.z)
 
 
-def _reflect(value: float, low: float, high: float) -> tuple[float, bool]:
-    """Fold a coordinate back into [low, high]; flag whether it bounced."""
-    bounced = False
+def _reflect(value: float, low: float, high: float) -> float:
+    """Fold an out-of-bounds coordinate back into [low, high]."""
     # Repeated folding handles steps longer than the interval.
     while value < low or value > high:
-        bounced = True
         if value < low:
             value = 2 * low - value
         else:
             value = 2 * high - value
-    return value, bounced
+    return value
 
 
 def step_mobility(state: UavState, dt: float, mobility: MobilitySection,
@@ -63,36 +61,39 @@ def step_mobility(state: UavState, dt: float, mobility: MobilitySection,
 
     Pure: `state` is left untouched and the step returns a new UavState.
     Draws speed, heading and vertical-speed noise from `rng` in that order.
+    A coordinate is folded back, and its heading or vertical speed turned,
+    only when the step leaves the area or the altitude band.
     """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
+    gauss = rng.gauss
     eta = mobility.memory
     root = math.sqrt(max(0.0, 1.0 - eta * eta))
     speed = (eta * state.speed + (1.0 - eta) * mobility.mean_speed_mps
-             + root * rng.gauss(0.0, mobility.speed_sigma))
-    heading = (eta * state.heading + (1.0 - eta) * state.mean_heading
-               + root * rng.gauss(0.0, mobility.heading_sigma))
-    vz = eta * state.vz + root * rng.gauss(0.0, mobility.vert_sigma)
+             + root * gauss(0.0, mobility.speed_sigma))
+    mean_heading = state.mean_heading
+    heading = (eta * state.heading + (1.0 - eta) * mean_heading
+               + root * gauss(0.0, mobility.heading_sigma))
+    vz = eta * state.vz + root * gauss(0.0, mobility.vert_sigma)
 
     x = state.x + speed * math.cos(heading) * dt
     y = state.y + speed * math.sin(heading) * dt
     z = state.z + vz * dt
 
-    mean_heading = state.mean_heading
-    x, bounced_x = _reflect(x, 0.0, area_side)
-    if bounced_x:
+    if x < 0.0 or x > area_side:
+        x = _reflect(x, 0.0, area_side)
         heading = math.pi - heading
         mean_heading = math.pi - mean_heading
-    y, bounced_y = _reflect(y, 0.0, area_side)
-    if bounced_y:
+    if y < 0.0 or y > area_side:
+        y = _reflect(y, 0.0, area_side)
         heading = -heading
         mean_heading = -mean_heading
-    z, bounced_z = _reflect(z, mobility.alt_min_m, mobility.alt_max_m)
-    if bounced_z:
+    low, high = mobility.alt_min_m, mobility.alt_max_m
+    if z < low or z > high:
+        z = _reflect(z, low, high)
         vz = -vz
 
-    return UavState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
-                    heading=heading, mean_heading=mean_heading, vz=vz)
+    return UavState(state.node_id, x, y, z, speed, heading, mean_heading, vz)
 
 
 class CommGraph:
@@ -107,12 +108,18 @@ class CommGraph:
     UAV ids in two lists, each in insertion order, so `nearest_edge` scans
     only edges and `uav_neighbors` only UAVs instead of every node.
 
-    Nearest-edge memo: `nearest_edge` keeps, per queried node, its answer,
-    its distance and the position tuple they were computed from. An entry
-    is valid while `positions[node]` is that same tuple object, so moving a
-    UAV retires only its own entry; moving an edge, `set_alive` and
-    `add_node` clear the memo. Positions and liveness must therefore change
-    only through those three methods, never by writing the dicts.
+    Nearest-edge memo: `nearest_edge` keeps, per queried node, its answer
+    and its distance. An entry holds until that node moves, which retires
+    it (a UAV's entry is retired by its own move); moving an edge,
+    `set_alive` and `add_node` clear the whole memo.
+
+    Contention: the first `uav_neighbors` query after any `move`,
+    `set_alive` or `add_node` builds the list of alive UAV positions (in
+    `uav_ids` order) that every query until the next change scans; each
+    node's count is also kept until then.
+
+    Positions and liveness must therefore change only through those three
+    methods, never by writing the dicts.
     """
 
     def __init__(self, network: NetworkSection):
@@ -123,7 +130,8 @@ class CommGraph:
         self.edge_ids: list[str] = []
         self.uav_ids: list[str] = []
         self._contention_cache: dict[str, int] = {}
-        self._nearest_memo: dict[str, tuple] = {}
+        self._alive_uav_points: Optional[list[tuple[float, float, float]]] = None
+        self._nearest_memo: dict[str, tuple[Optional[str], float]] = {}
 
     def add_node(self, node_id: str, kind: str,
                  position: tuple[float, float, float], alive: bool = True) -> None:
@@ -132,6 +140,7 @@ class CommGraph:
         self.kinds[node_id] = kind
         self.alive[node_id] = alive
         self._contention_cache.clear()
+        self._alive_uav_points = None
         self._nearest_memo.clear()
         if previous is None:
             if kind == "edge":
@@ -145,13 +154,18 @@ class CommGraph:
 
     def move(self, node_id: str, position: tuple[float, float, float]) -> None:
         self.positions[node_id] = position
-        self._contention_cache.clear()
+        if self._contention_cache:
+            self._contention_cache.clear()
+        self._alive_uav_points = None
         if self.kinds[node_id] == "edge":
             self._nearest_memo.clear()
+        else:
+            self._nearest_memo.pop(node_id, None)
 
     def set_alive(self, node_id: str, alive: bool) -> None:
         self.alive[node_id] = alive
         self._contention_cache.clear()
+        self._alive_uav_points = None
         self._nearest_memo.clear()
 
     def distance(self, a: str, b: str) -> float:
@@ -166,16 +180,19 @@ class CommGraph:
         if cached is not None:
             return cached
         positions, alive = self.positions, self.alive
-        pos = positions[node_id]
+        points = self._alive_uav_points
+        if points is None:
+            points = self._alive_uav_points = [
+                positions[u] for u in self.uav_ids if alive[u]]
+        px, py, pz = positions[node_id]
         rng2 = self.params.range_m ** 2
         count = 0
-        for other in self.uav_ids:
-            if other == node_id or not alive[other]:
-                continue
-            ox, oy, oz = positions[other]
-            dx, dy, dz = ox - pos[0], oy - pos[1], oz - pos[2]
+        for ox, oy, oz in points:
+            dx, dy, dz = ox - px, oy - py, oz - pz
             if dx * dx + dy * dy + dz * dz <= rng2:
                 count += 1
+        if alive[node_id] and self.kinds[node_id] == "uav":
+            count -= 1  # the node itself, at distance 0
         self._contention_cache[node_id] = count
         return count
 
@@ -183,13 +200,12 @@ class CommGraph:
                      ) -> Optional[str]:
         """Closest alive edge (first-added wins a tie), or None if there is none
         or, with `require_range`, if it lies beyond the transmission range."""
-        positions = self.positions
-        pos = positions[node_id]
         memo = self._nearest_memo.get(node_id)
-        if memo is not None and memo[2] is pos:
-            best, best_d, _ = memo
+        if memo is not None:
+            best, best_d = memo
         else:
-            alive = self.alive
+            positions, alive = self.positions, self.alive
+            pos = positions[node_id]
             best = None
             best_d = math.inf
             for other in self.edge_ids:
@@ -198,7 +214,7 @@ class CommGraph:
                 d = math.dist(pos, positions[other])
                 if d < best_d:
                     best, best_d = other, d
-            self._nearest_memo[node_id] = (best, best_d, pos)
+            self._nearest_memo[node_id] = (best, best_d)
         if best is not None and require_range and best_d > self.params.range_m:
             return None
         return best

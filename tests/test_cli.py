@@ -11,8 +11,8 @@ from uavchain.config import ScenarioConfig
 
 
 def write_small_scenario(tmp_path, **extra) -> str:
-    lines = ["sim.duration_s = 90", "network.uav_count = 30"]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    values = {"sim.duration_s": 90, "network.uav_count": 30, **extra}
+    lines = [f"{k} = {v}" for k, v in values.items()]
     path = tmp_path / "small.scenario"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -105,6 +105,17 @@ def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not UTF-8" in err
     assert err.count("\n") == 1
+
+
+def test_run_rejects_a_config_that_sets_a_key_twice(tmp_path, capsys):
+    path = tmp_path / "twice.scenario"
+    path.write_text("network.uav_count = 10\nnetwork.uav_count = 20\n")
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}:2: network.uav_count is already set "
+                   "on line 1\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_audit_rejects_a_ledger_directory(tmp_path, capsys):

@@ -83,6 +83,17 @@ def test_load_config_rejects_malformed_line(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.scenario"
+    path.write_text("network.uav_count = 10\n"
+                    "sim.duration_s = 90\n"
+                    "\n"
+                    "network.uav_count = 20  # pasted in\n")
+    message = f"{path}:4: network.uav_count is already set on line 1"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+
+
 def test_load_config_applies_overrides(tmp_path):
     path = tmp_path / "case.scenario"
     path.write_text("network.uav_count = 25\n")

@@ -6,8 +6,9 @@ from statistics import mean
 
 import pytest
 
+from uavchain import engine
 from uavchain.config import (CryptoSection, EnergySection, MobilitySection,
-                             NetworkSection)
+                             NetworkSection, ScenarioConfig)
 from uavchain.netsim import (CommGraph, EnergyAccount, UavState, deliver,
                              delivery_mean_delay, round_energy, step_mobility)
 
@@ -89,6 +90,98 @@ def test_step_mobility_is_pure_and_validates_dt():
     assert (state.x, state.y, state.speed) == before
     with pytest.raises(ValueError):
         step_mobility(state, 0.0, params, SIDE, Random(5))
+
+
+def _frozen_reflect(value, low, high, folds):
+    """`netsim._reflect` before the lean step, recording each fold.
+
+    `folds` gets one ("low" | "high", fold count) entry per bounce.
+    """
+    bounced = False
+    count = 0
+    side = "low" if value < low else "high"
+    # Repeated folding handles steps longer than the interval.
+    while value < low or value > high:
+        bounced = True
+        count += 1
+        if value < low:
+            value = 2 * low - value
+        else:
+            value = 2 * high - value
+    if bounced:
+        folds.append((side, count))
+    return value, bounced
+
+
+def _frozen_step(state, dt, mobility, area_side, rng, folds):
+    """`netsim.step_mobility` before the lean step: the output reference."""
+    if dt <= 0.0:
+        raise ValueError("mobility step must be positive")
+    eta = mobility.memory
+    root = math.sqrt(max(0.0, 1.0 - eta * eta))
+    speed = (eta * state.speed + (1.0 - eta) * mobility.mean_speed_mps
+             + root * rng.gauss(0.0, mobility.speed_sigma))
+    heading = (eta * state.heading + (1.0 - eta) * state.mean_heading
+               + root * rng.gauss(0.0, mobility.heading_sigma))
+    vz = eta * state.vz + root * rng.gauss(0.0, mobility.vert_sigma)
+
+    x = state.x + speed * math.cos(heading) * dt
+    y = state.y + speed * math.sin(heading) * dt
+    z = state.z + vz * dt
+
+    mean_heading = state.mean_heading
+    x, bounced_x = _frozen_reflect(x, 0.0, area_side, folds["x"])
+    if bounced_x:
+        heading = math.pi - heading
+        mean_heading = math.pi - mean_heading
+    y, bounced_y = _frozen_reflect(y, 0.0, area_side, folds["y"])
+    if bounced_y:
+        heading = -heading
+        mean_heading = -mean_heading
+    z, bounced_z = _frozen_reflect(z, mobility.alt_min_m, mobility.alt_max_m,
+                                   folds["z"])
+    if bounced_z:
+        vz = -vz
+
+    return UavState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
+                    heading=heading, mean_heading=mean_heading, vz=vz)
+
+
+def _kinematics(state):
+    return (state.x, state.y, state.z, state.speed, state.heading,
+            state.mean_heading, state.vz)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.85, 1.0])
+def test_step_matches_the_frozen_reference_bit_for_bit(eta):
+    side = 300.0
+    params = MobilitySection(memory=eta, mean_speed_mps=30.0, speed_sigma=20.0,
+                             heading_sigma=1.0, vert_sigma=15.0,
+                             alt_min_m=50.0, alt_max_m=150.0)
+    setup = Random(17)
+    folds = {"x": [], "y": [], "z": []}
+    for walk in range(20):
+        start = UavState("u0", setup.uniform(0.0, side),
+                         setup.uniform(0.0, side), setup.uniform(50.0, 150.0),
+                         setup.uniform(0.0, 60.0),
+                         setup.uniform(-math.pi, math.pi),
+                         setup.uniform(-math.pi, math.pi),
+                         setup.uniform(-20.0, 20.0))
+        ours, frozen = start, start
+        rng_ours, rng_frozen = Random(walk), Random(walk)
+        for _ in range(200):
+            # 40 s at ~30 m/s crosses the 300 m area several times over.
+            dt = setup.choice((0.5, 1.0, 7.3, 40.0))
+            ours = step_mobility(ours, dt, params, side, rng_ours)
+            frozen = _frozen_step(frozen, dt, params, side, rng_frozen, folds)
+            assert _kinematics(ours) == _kinematics(frozen)
+            assert ours.node_id == "u0"
+        assert rng_ours.getstate() == rng_frozen.getstate()
+    # The walks bounced off every wall, both ends of the altitude band, and
+    # folded more than once in a single step on each axis.
+    for axis in ("x", "y", "z"):
+        assert {wall for wall, _ in folds[axis]} == {"low", "high"}, axis
+        assert max(count for _, count in folds[axis]) > 1, axis
 
 
 # --- connectivity --------------------------------------------------------------
@@ -250,6 +343,80 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
             for gate in (False, True):
                 assert (graph.nearest_edge(uav, require_range=gate)
                         == scan_nearest_edge(graph, uav, gate))
+
+
+def scan_uav_neighbors(graph: CommGraph, node_id: str) -> int:
+    """Uncached scan of every UAV: the reference for `uav_neighbors`."""
+    positions, alive = graph.positions, graph.alive
+    pos = positions[node_id]
+    rng2 = graph.params.range_m ** 2
+    count = 0
+    for other in graph.uav_ids:
+        if other == node_id or not alive[other]:
+            continue
+        ox, oy, oz = positions[other]
+        dx, dy, dz = ox - pos[0], oy - pos[1], oz - pos[2]
+        if dx * dx + dy * dy + dz * dz <= rng2:
+            count += 1
+    return count
+
+
+def test_contention_and_memo_match_a_scan_along_a_random_walk():
+    rng = Random(23)
+    graph = CommGraph(NetworkSection(range_m=1500.0))
+    uavs = [f"u{i}" for i in range(10)]
+    edges = [f"e{i}" for i in range(4)]
+
+    def spot(z):
+        return (rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0), z)
+
+    for edge in edges:
+        graph.add_node(edge, "edge", spot(0.0))
+    graph.add_node("base", "base", (2500.0, 2500.0, 0.0))
+    for uav in uavs:
+        graph.add_node(uav, "uav", spot(100.0))
+    seen_dead_uav = False
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.45:
+            graph.move(rng.choice(uavs), spot(100.0))
+        elif roll < 0.55:
+            graph.move(rng.choice(edges), spot(0.0))
+        elif roll < 0.8:
+            node = rng.choice(uavs if roll < 0.7 else edges)
+            graph.set_alive(node, not graph.alive[node])
+        elif roll < 0.9:
+            uav = rng.choice(uavs)
+            graph.add_node(uav, "uav", spot(100.0), alive=rng.random() < 0.7)
+        elif roll < 0.95:
+            uavs.append(f"u{len(uavs)}")
+            graph.add_node(uavs[-1], "uav", spot(100.0))
+        else:
+            edges.append(f"e{len(edges)}")
+            graph.add_node(edges[-1], "edge", spot(0.0))
+        # Query a rotating subset so that some answers come from the cache
+        # and some are computed after a change.
+        for node in ["base"] + edges + uavs[step % 3::3]:
+            seen_dead_uav |= not graph.alive[node] and node in uavs
+            assert graph.uav_neighbors(node) == scan_uav_neighbors(graph, node)
+            for gate in (False, True):
+                assert (graph.nearest_edge(node, require_range=gate)
+                        == scan_nearest_edge(graph, node, gate))
+    assert seen_dead_uav
+
+
+def test_a_mobility_step_retires_the_memo_entries_of_moved_uavs():
+    cfg = ScenarioConfig()
+    cfg.network.uav_count = 30
+    sim = engine.Simulation(cfg)
+    graph = sim.graph
+    for node in sim.uav_ids + ["base"]:
+        graph.nearest_edge(node)
+    sim._handle_mobility()
+    assert sim.alive_uavs == sim.uav_ids
+    assert not set(graph._nearest_memo) & set(sim.alive_uavs)
+    # Entries of nodes that did not move stay.
+    assert "base" in graph._nearest_memo
 
 
 def test_deliver_none_when_out_of_range():
