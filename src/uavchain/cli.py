@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
+import platform
 import sys
 import time
+import zlib
 from pathlib import Path
 from statistics import mean
 
@@ -62,8 +63,11 @@ FIGURES = {
 }
 
 
-def _load(config_path: str | None, seed: int | None) -> ScenarioConfig:
-    overrides = {} if seed is None else {"sim.master_seed": seed}
+def _load(config_path: str | None, seed: int | None,
+          duration: float | None = None) -> ScenarioConfig:
+    overrides = {"sim.master_seed": seed, "sim.duration_s": duration}
+    overrides = {key: value for key, value in overrides.items()
+                 if value is not None}
     if config_path is not None:
         return load_config(config_path, overrides)
     config = ScenarioConfig()
@@ -90,6 +94,8 @@ def write_run_outputs(result: engine.Simulation, outdir,
     metrics.write_json(outdir / "manifest.json", {
         "tool": "uavchain",
         "version": __version__,
+        "python": platform.python_version(),
+        "zlib": zlib.ZLIB_RUNTIME_VERSION,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "master_seed": result.config.sim.master_seed,
         "config": config_to_flat_dict(result.config),
@@ -157,12 +163,10 @@ def cmd_figures(args) -> int:
         print(f"unknown figure {args.figure!r}; choose from "
               f"{sorted(FIGURES) + ['trustrank']}", file=sys.stderr)
         return 2
-    config = _load(args.config, args.seed)
+    config = _load(args.config, args.seed, args.duration)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"figure_{args.figure}.csv"
-    if args.duration is not None:
-        config.sim.duration_s = args.duration
     if args.figure == "trustrank":
         rows = trust_leadership_table(engine.run(config))
     else:

@@ -3,7 +3,8 @@
 The on-disk format is one ``section.field = value`` assignment per line,
 ``#`` comments, blank lines allowed. Unknown keys and a key set twice are
 hard errors so a typo or a pasted-in duplicate cannot silently corrupt an
-experiment.
+experiment. Each numeric key's legal values are one ``Interval``, stated in
+its field's metadata next to its default.
 """
 
 from __future__ import annotations
@@ -23,82 +24,115 @@ class ConfigError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Interval:
+    """The legal values of one numeric key; each infinite end is open, so
+    NaN and +-inf are outside every interval."""
+
+    low: float
+    high: float
+    low_open: bool = False
+    high_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = self.low < value if self.low_open else self.low <= value
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
+
+    def __str__(self) -> str:
+        left, right = "(" if self.low_open else "[", ")" if self.high_open else "]"
+        return f"{left}{self.low},{self.high}{right}"
+
+
+POSITIVE = Interval(0, math.inf, low_open=True, high_open=True)
+NON_NEGATIVE = Interval(0, math.inf, high_open=True)
+UNIT = Interval(0, 1)
+OPEN_UNIT = Interval(0, 1, low_open=True, high_open=True)
+FRACTION = Interval(0, 1, high_open=True)
+I64 = Interval(-2**63, 2**63, high_open=True)
+
+
+def bounded(default, bound: Interval):
+    """A numeric key's field: its default and the interval it must lie in."""
+    return field(default=default, metadata={"bound": bound})
+
+
 @dataclass
 class SimSection:
-    duration_s: float = 600.0
-    master_seed: int = 1
-    mobility_step_s: float = 1.0
+    duration_s: float = bounded(600.0, NON_NEGATIVE)
+    master_seed: int = bounded(1, I64)   # the genesis block stores an i64
+    mobility_step_s: float = bounded(1.0, POSITIVE)
 
 
 @dataclass
 class NetworkSection:
-    uav_count: int = 100
-    edge_count: int = 10
-    area_km2: float = 10.0
-    range_m: float = 1200.0
-    bandwidth_bps: float = 1e6         # UAV air links
-    backhaul_bps: float = 1e7          # edge/base infrastructure links
-    jitter_mean_s: float = 0.005
-    contention_per_uav: float = 0.08   # queueing growth per UAV in the cell
-    prop_speed_mps: float = 3e8
-    vote_size_bytes: int = 256
+    uav_count: int = bounded(100, POSITIVE)
+    edge_count: int = bounded(10, POSITIVE)
+    area_km2: float = bounded(10.0, POSITIVE)
+    range_m: float = bounded(1200.0, POSITIVE)
+    bandwidth_bps: float = bounded(1e6, POSITIVE)    # UAV air links
+    backhaul_bps: float = bounded(1e7, POSITIVE)     # edge/base infrastructure links
+    jitter_mean_s: float = bounded(0.005, POSITIVE)
+    contention_per_uav: float = bounded(0.08, NON_NEGATIVE)  # queueing per UAV in cell
+    prop_speed_mps: float = bounded(3e8, POSITIVE)
+    vote_size_bytes: int = bounded(256, POSITIVE)
 
 
 @dataclass
 class MobilitySection:
-    memory: float = 0.85         # autocorrelation of successive velocities
-    mean_speed_mps: float = 8.0
-    speed_sigma: float = 1.5
-    heading_sigma: float = 0.35  # radians
-    vert_sigma: float = 0.3
-    alt_min_m: float = 50.0
-    alt_max_m: float = 150.0
+    memory: float = bounded(0.85, UNIT)   # autocorrelation of successive velocities
+    mean_speed_mps: float = bounded(8.0, NON_NEGATIVE)
+    speed_sigma: float = bounded(1.5, NON_NEGATIVE)
+    heading_sigma: float = bounded(0.35, NON_NEGATIVE)  # radians
+    vert_sigma: float = bounded(0.3, NON_NEGATIVE)
+    alt_min_m: float = bounded(50.0, NON_NEGATIVE)
+    alt_max_m: float = bounded(150.0, NON_NEGATIVE)
 
 
 @dataclass
 class CryptoSection:
     scheme: str = "mock-sig"
-    sign_j: float = 0.02
-    verify_j: float = 0.01
-    encaps_j: float = 0.01
-    decaps_j: float = 0.01
-    verify_s: float = 0.001
+    sign_j: float = bounded(0.02, NON_NEGATIVE)
+    verify_j: float = bounded(0.01, NON_NEGATIVE)
+    encaps_j: float = bounded(0.01, NON_NEGATIVE)
+    decaps_j: float = bounded(0.01, NON_NEGATIVE)
+    verify_s: float = bounded(0.001, NON_NEGATIVE)
 
 
 @dataclass
 class TrustSection:
-    smoothing: float = 0.8     # dotted key: trust.lambda
-    initial_score: float = 0.5
-    weight_valid: float = 0.5
-    weight_timely: float = 0.3
-    weight_uptime: float = 0.2
+    smoothing: float = bounded(0.8, OPEN_UNIT)   # dotted key: trust.lambda
+    initial_score: float = bounded(0.5, UNIT)
+    weight_valid: float = bounded(0.5, UNIT)
+    weight_timely: float = bounded(0.3, UNIT)
+    weight_uptime: float = bounded(0.2, UNIT)
 
 
 @dataclass
 class ConsensusSection:
-    window_s: float = 10.0
-    block_interval_s: float = 15.0
-    committee_size: int = 5
-    alpha: float = 1.0
-    beta: float = 2.0
-    gamma: float = 0.1
-    tau_max_s: float = 120.0
-    max_block_bytes: int = 2 * 1024 * 1024   # applies to the compressed block
-    max_block_txs: int = 0                   # 0 = unlimited
+    window_s: float = bounded(10.0, POSITIVE)
+    block_interval_s: float = bounded(15.0, POSITIVE)
+    committee_size: int = bounded(5, POSITIVE)
+    alpha: float = bounded(1.0, NON_NEGATIVE)
+    beta: float = bounded(2.0, NON_NEGATIVE)
+    gamma: float = bounded(0.1, NON_NEGATIVE)
+    tau_max_s: float = bounded(120.0, POSITIVE)
+    max_block_bytes: int = bounded(2 * 1024 * 1024, POSITIVE)  # compressed block
+    max_block_txs: int = bounded(0, NON_NEGATIVE)   # 0 = unlimited
 
 
 @dataclass
 class LedgerSection:
     codec: str = "zlib"
-    replication: int = 2
-    compression_headroom: float = 0.30  # assumed ratio for the raw budget
+    replication: int = bounded(2, NON_NEGATIVE)
+    compression_headroom: float = bounded(0.30, FRACTION)  # assumed for the raw budget
 
 
 @dataclass
 class EnergySection:
-    eps0_j: float = 0.05        # fixed per-transmission cost
-    eps1_j_per_m2: float = 1e-7
-    uav_budget_j: float = 1000.0
+    eps0_j: float = bounded(0.05, NON_NEGATIVE)   # fixed per-transmission cost
+    eps1_j_per_m2: float = bounded(1e-7, NON_NEGATIVE)
+    uav_budget_j: float = bounded(1000.0, POSITIVE)
 
     def tx_energy(self, distance_m: float) -> float:
         """Transmission energy eps0 + eps1 * distance**2."""
@@ -109,12 +143,12 @@ class EnergySection:
 
 @dataclass
 class WorkloadSection:
-    arrival_rate_tps: float = 6.0      # network-wide, not per UAV
-    payload_min_bytes: int = 512
-    payload_max_bytes: int = 2048
-    payload_random_fraction: float = 0.56  # incompressible share
-    compromised_fraction: float = 0.15
-    malicious_edge_fraction: float = 0.0
+    arrival_rate_tps: float = bounded(6.0, POSITIVE)   # network-wide, not per UAV
+    payload_min_bytes: int = bounded(512, POSITIVE)
+    payload_max_bytes: int = bounded(2048, POSITIVE)
+    payload_random_fraction: float = bounded(0.56, UNIT)  # incompressible share
+    compromised_fraction: float = bounded(0.15, FRACTION)
+    malicious_edge_fraction: float = bounded(0.0, FRACTION)
     behaviors: str = "forge-signature,replay,delay-injection"
 
 
@@ -138,111 +172,55 @@ class ScenarioConfig:
                      if b.strip())
 
     def validate(self) -> None:
-        def check(cond: bool, key: str, message: str) -> None:
-            if not cond:
+        """Check each numeric key against its bound, then the rules that
+        span keys or are not numeric; every error starts with a dotted key."""
+        def check(ok: bool, key: str, message: str) -> None:
+            if not ok:
                 raise ConfigError(f"{key}: {message}")
 
-        for key, value in config_to_flat_dict(self).items():
-            check(not isinstance(value, float) or math.isfinite(value), key,
-                  "must be finite")
-        check(self.sim.duration_s >= 0, "sim.duration_s", "must be non-negative")
-        check(-2**63 <= self.sim.master_seed < 2**63, "sim.master_seed",
-              "must fit a signed 64-bit integer")
-        check(self.sim.mobility_step_s > 0, "sim.mobility_step_s", "must be positive")
-        check(self.network.uav_count > 0, "network.uav_count", "must be positive")
-        check(self.network.edge_count > 0, "network.edge_count", "must be positive")
-        check(self.network.area_km2 > 0, "network.area_km2", "must be positive")
-        check(self.network.range_m > 0, "network.range_m", "must be positive")
-        check(self.network.bandwidth_bps > 0, "network.bandwidth_bps",
-              "must be positive")
-        check(self.network.backhaul_bps > 0, "network.backhaul_bps",
-              "must be positive")
-        check(self.network.jitter_mean_s > 0, "network.jitter_mean_s",
-              "must be positive")
-        check(self.network.contention_per_uav >= 0, "network.contention_per_uav",
-              "must be non-negative")
-        check(self.network.prop_speed_mps > 0, "network.prop_speed_mps",
-              "must be positive")
-        check(0 <= self.mobility.memory <= 1, "mobility.memory", "must be in [0,1]")
-        check(self.mobility.alt_min_m <= self.mobility.alt_max_m,
-              "mobility.alt_min_m", "altitude band is inverted")
+        for key, (section, name, bound) in _FIELDS.items():
+            value = getattr(getattr(self, section), name)
+            if bound is not None and value not in bound:
+                raise ConfigError(f"{key}: {value!r} is outside {bound}")
+        net, mob, tr = self.network, self.mobility, self.trust
+        cons, led, work = self.consensus, self.ledger, self.workload
+        check(mob.alt_min_m <= mob.alt_max_m, "mobility.alt_min_m",
+              "altitude band is inverted")
+        check(cons.committee_size <= net.edge_count, "consensus.committee_size",
+              "must not exceed network.edge_count")
+        check(led.replication < net.edge_count, "ledger.replication",
+              "must be below network.edge_count")
+        check(abs(tr.weight_valid + tr.weight_timely + tr.weight_uptime - 1.0)
+              < 1e-9, "trust.weight_valid", "behavior weights must sum to 1")
+        check(bool(cons.alpha or cons.beta or cons.gamma), "consensus.alpha",
+              "utility weights must not all be zero")
+        check(work.payload_min_bytes <= work.payload_max_bytes,
+              "workload.payload_min_bytes", "must not exceed payload_max_bytes")
         try:
             get_provider(self.crypto.scheme)
-        except UnsupportedSchemeError:
-            raise ConfigError(f"crypto.scheme: no provider registered for "
-                              f"{self.crypto.scheme!r}") from None
-        for name, value in vars(self.crypto).items():
-            if name != "scheme":
-                check(value >= 0, f"crypto.{name}", "must be non-negative")
-        check(0 < self.trust.smoothing < 1, "trust.lambda",
-              "must be strictly inside (0,1)")
-        check(0 <= self.trust.initial_score <= 1, "trust.initial_score",
-              "must be in [0,1]")
-        weight_sum = (self.trust.weight_valid + self.trust.weight_timely
-                      + self.trust.weight_uptime)
-        check(abs(weight_sum - 1.0) < 1e-9, "trust.weight_valid",
-              "behavior weights must sum to 1")
-        check(self.consensus.window_s > 0, "consensus.window_s", "must be positive")
-        check(self.consensus.block_interval_s > 0, "consensus.block_interval_s",
-              "must be positive")
-        check(0 < self.consensus.committee_size <= self.network.edge_count,
-              "consensus.committee_size",
-              "must be in [1, network.edge_count]")
-        check(not (self.consensus.alpha == self.consensus.beta
-                   == self.consensus.gamma == 0), "consensus.alpha",
-              "utility weights must not all be zero")
-        check(min(self.consensus.alpha, self.consensus.beta,
-                  self.consensus.gamma) >= 0, "consensus.alpha",
-              "utility weights must be non-negative")
-        check(self.consensus.tau_max_s > 0, "consensus.tau_max_s",
-              "must be positive")
-        check(self.consensus.max_block_bytes > 0, "consensus.max_block_bytes",
-              "must be positive")
-        check(self.consensus.max_block_txs >= 0, "consensus.max_block_txs",
-              "must be non-negative (0 = unlimited)")
-        check(self.ledger.codec in CODECS, "ledger.codec",
-              f"must be one of {CODECS}")
-        check(0 <= self.ledger.replication < self.network.edge_count,
-              "ledger.replication", "must be in [0, edge_count)")
-        check(0 <= self.ledger.compression_headroom < 1,
-              "ledger.compression_headroom", "must be in [0,1)")
-        check(self.energy.eps0_j >= 0, "energy.eps0_j", "must be non-negative")
-        check(self.energy.eps1_j_per_m2 >= 0, "energy.eps1_j_per_m2",
-              "must be non-negative")
-        check(self.energy.uav_budget_j > 0, "energy.uav_budget_j",
-              "must be positive")
-        check(self.workload.arrival_rate_tps > 0, "workload.arrival_rate_tps",
-              "must be positive")
-        check(0 < self.workload.payload_min_bytes
-              <= self.workload.payload_max_bytes,
-              "workload.payload_min_bytes", "need 0 < min <= max")
-        check(0 <= self.workload.payload_random_fraction <= 1,
-              "workload.payload_random_fraction", "must be in [0,1]")
-        check(0 <= self.workload.compromised_fraction < 1,
-              "workload.compromised_fraction", "must be in [0,1)")
-        check(0 <= self.workload.malicious_edge_fraction < 1,
-              "workload.malicious_edge_fraction", "must be in [0,1)")
-        names = self.behavior_list()
-        for name in names:
-            try:
-                Behavior(name)
-            except ValueError:
-                raise ConfigError(
-                    f"workload.behaviors: unknown behavior {name!r}") from None
-        check(not names or set(names) != {Behavior.VOTE_REJECT.value}
-              or self.workload.compromised_fraction * self.network.uav_count < 1,
+        except UnsupportedSchemeError as exc:
+            raise ConfigError(f"crypto.scheme: {exc}") from None
+        if led.codec not in CODECS:
+            raise ConfigError(f"ledger.codec: must be one of {CODECS}")
+        names = set(self.behavior_list())
+        unknown = sorted(names - {b.value for b in Behavior})
+        if unknown:
+            raise ConfigError(f"workload.behaviors: unknown behavior {unknown[0]!r}")
+        check(names != {Behavior.VOTE_REJECT.value}
+              or work.compromised_fraction * net.uav_count < 1,
               "workload.behaviors", "compromised UAVs need a UAV-side behavior")
 
 
 # trust.lambda is the documented key; "lambda" is reserved in Python.
 _RENAMED = {("trust", "smoothing"): "trust.lambda"}
 
-# Every scenario key, in declaration order, mapped to its (section, field).
-# No other name is a key: not a section's methods or attributes, and not
-# the field name behind a renamed key.
+# Every scenario key, in declaration order, mapped to its (section, field,
+# bound); the bound is None for a string key. No other name is a key: not a
+# section's methods or attributes, and not the field name behind a renamed
+# key.
 _FIELDS = {
     _RENAMED.get((sec.name, leaf.name), f"{sec.name}.{leaf.name}"):
-        (sec.name, leaf.name)
+        (sec.name, leaf.name, leaf.metadata.get("bound"))
     for sec in dataclasses.fields(ScenarioConfig)
     for leaf in dataclasses.fields(sec.default_factory)}  # type: ignore[arg-type]
 
@@ -267,7 +245,7 @@ def _coerce(key: str, current: Any, raw: str) -> Any:
 def apply_override(config: ScenarioConfig, key: str, value: Any) -> None:
     """Set one dotted key; value may be a string (parsed) or already typed."""
     try:
-        section_name, field_name = _FIELDS[key]
+        section_name, field_name, _ = _FIELDS[key]
     except KeyError:
         raise ConfigError(f"unknown configuration key {key!r}") from None
     section = getattr(config, section_name)
@@ -310,7 +288,7 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
 
 def config_to_flat_dict(config: ScenarioConfig) -> dict[str, Any]:
     return {key: getattr(getattr(config, section), name)
-            for key, (section, name) in _FIELDS.items()}
+            for key, (section, name, _) in _FIELDS.items()}
 
 
 def default_scenario_path() -> Path:

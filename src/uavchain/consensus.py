@@ -19,7 +19,7 @@ from enum import Enum
 from random import Random
 from typing import TYPE_CHECKING, Optional
 
-from . import ledger
+from . import ledger, left_sum
 from .ledger import Block, BlockMetadata, Transaction
 
 if TYPE_CHECKING:
@@ -86,7 +86,7 @@ def freshness(transactions: list[Transaction], now: float, tau_max: float) -> fl
     """Mean per-transaction freshness, each clamped to [0, 1]."""
     if not transactions:
         raise ConsensusError("freshness of an empty candidate block")
-    return sum(tx_freshness(tx, now, tau_max) for tx in transactions) / len(transactions)
+    return left_sum(tx_freshness(tx, now, tau_max) for tx in transactions) / len(transactions)
 
 
 def assemble_block(pool: ValidationPool, params: ConsensusSection,
@@ -157,7 +157,7 @@ def sample_committee(weights: dict[str, float], size: int, rng: Random) -> list[
     remaining = {node: weights[node] for node in sorted(weights)}
     chosen: list[str] = []
     for _ in range(size):
-        total = sum(remaining.values())
+        total = left_sum(remaining.values())
         if total <= 0.0:
             # Degenerate residual mass: fill uniformly from what is left.
             node = sorted(remaining)[rng.randrange(len(remaining))]
@@ -181,7 +181,7 @@ def sample_proposer(committee: list[str], weights: dict[str, float],
     falls back to the lowest node id.
     """
     members = {m: weights[m] for m in sorted(committee)}
-    total = sum(members.values())
+    total = left_sum(members.values())
     if total <= 0.0:
         return next(iter(members))
     return _weighted_draw(members, total, rng)

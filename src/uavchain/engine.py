@@ -26,7 +26,7 @@ from random import Random
 from statistics import mean, stdev
 from typing import Optional
 
-from . import consensus, ledger, netsim, trust, workload
+from . import consensus, ledger, left_sum, netsim, trust, workload
 from .config import ConfigError, ScenarioConfig, apply_override
 from .crypto import get_provider
 from .ledger import LedgerSegment, Transaction, genesis_metadata
@@ -66,8 +66,10 @@ class _WindowStats:
 
 
 class Simulation:
+    """One run of a validated config: the loaders (``load_config``, the
+    CLI) and ``sweep`` validate, so the simulation does not check again."""
+
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         seed = config.sim.master_seed
         self.rng_mobility = make_stream(seed, "mobility")
@@ -392,8 +394,8 @@ class Simulation:
             confirm_times[member] = self.now + down + verify_time + up
         record.delta_cons_s = consensus.consensus_delay(self.now, confirm_times)
         # The mains-powered infrastructure tier pays the round energy.
-        self.metrics.infra_energy_j += sum(cfg.energy.tx_energy(d)
-                                           for d in distances)
+        self.metrics.infra_energy_j += left_sum(cfg.energy.tx_energy(d)
+                                                for d in distances)
         for _ in members:
             self.metrics.infra_energy_j += eta * costs.verify_j
 
@@ -465,8 +467,8 @@ class Simulation:
                                      self.metrics.transactions)[0]
         self.summary = self.metrics.summary(
             duration_s=self.config.sim.duration_s,
-            uav_energy_spent_j=sum(a.initial - a.remaining
-                                   for a in self.accounts.values()),
+            uav_energy_spent_j=left_sum(a.initial - a.remaining
+                                        for a in self.accounts.values()),
             top_decile_share=top_share)
 
     def _check_invariants(self) -> None:
@@ -499,7 +501,7 @@ class Simulation:
                     f"{account.remaining} J of {budget} J left, dead in "
                     f"{sum(dead)} of 3 liveness records")
         costs = self.config.crypto
-        attributed = (sum(r.theta_j for r in self.metrics.rounds)
+        attributed = (left_sum(r.theta_j for r in self.metrics.rounds)
                       + costs.verify_j * len(arrived)
                       + costs.decaps_j * len(self.sessions))
         if not math.isclose(self.metrics.infra_energy_j, attributed):
@@ -520,8 +522,8 @@ class Simulation:
 
 
 def run(config: ScenarioConfig, seed: Optional[int] = None) -> Simulation:
-    """Run one scenario and return the finished simulation; `seed`
-    overrides the config's master seed."""
+    """Run one validated scenario and return the finished simulation;
+    `seed` overrides the config's master seed."""
     config = copy.deepcopy(config)
     if seed is not None:
         config.sim.master_seed = seed

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Optional
 
+from . import left_sum
+
 if TYPE_CHECKING:
     from .config import EnergySection, MobilitySection, NetworkSection
 
@@ -255,8 +257,8 @@ def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
 def round_energy(energy: EnergySection, transmit_distances: list[float],
                  compute_joules: list[float]) -> float:
     """Total consensus-round energy: member transmissions plus compute."""
-    return (sum(energy.tx_energy(d) for d in transmit_distances)
-            + sum(compute_joules))
+    return (left_sum(energy.tx_energy(d) for d in transmit_distances)
+            + left_sum(compute_joules))
 
 
 @dataclass

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import left_sum
+
 if TYPE_CHECKING:
     from .config import TrustSection
 
@@ -80,7 +82,7 @@ def trust_rank(scores: dict[str, float]) -> dict[str, float]:
     for node, score in scores.items():
         if score < 0.0:
             raise TrustError(f"negative trust score for {node}")
-    total = sum(scores[node] for node in sorted(scores))
+    total = left_sum(scores[node] for node in sorted(scores))
     if total == 0.0:
         uniform = 1.0 / len(scores)
         return {node: uniform for node in scores}
@@ -92,6 +94,6 @@ def edge_committee_weights(assignment: dict[str, set[str]],
     """Per-edge selection weights: assigned-trust sums over the global sum."""
     if not assignment:
         raise TrustError("empty UAV-to-edge assignment")
-    sums = {edge: sum(scores[u] for u in sorted(uavs))
+    sums = {edge: left_sum(scores[u] for u in sorted(uavs))
             for edge, uavs in assignment.items()}
     return trust_rank(sums)

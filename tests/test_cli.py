@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import platform
+import zlib
 
 import pytest
 
@@ -32,6 +34,8 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["network.uav_count"] == 30
     assert "ledger.json" in manifest["outputs"]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["zlib"] == zlib.ZLIB_RUNTIME_VERSION
     assert "committed TPS" in capsys.readouterr().out
 
 
@@ -315,8 +319,9 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     ["sweep", "--axis", "network.uav_count", "--values", "10",
      "--replications", "0"],
     ["figures", "--figure", "latency", "--replications", "0"],
+    ["figures", "--figure", "trustrank", "--duration", "-5"],
 ], ids=["non-numeric-value", "empty-values", "sweep-zero-replications",
-        "figures-zero-replications"])
+        "figures-zero-replications", "figures-negative-duration"])
 def test_sweep_and_figures_reject_bad_input(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2

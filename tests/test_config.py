@@ -2,15 +2,17 @@
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from uavchain import crypto, engine
+from uavchain import cli, config, crypto, engine
 from uavchain.config import (ConfigError, ScenarioConfig, apply_override,
                              config_to_flat_dict, default_scenario_path,
                              known_keys, load_config)
 from uavchain.crypto import MockProvider, register_provider
 from uavchain.ledger import CODECS
+from uavchain.workload import Behavior
 
 
 def test_defaults_validate():
@@ -138,6 +140,12 @@ def test_load_config_applies_overrides(tmp_path):
     ("mobility.speed_sigma", math.nan),
     ("sim.master_seed", 2**63),
     ("sim.master_seed", -2**63 - 1),
+    ("network.vote_size_bytes", -5),
+    ("mobility.mean_speed_mps", -8.0),
+    ("mobility.speed_sigma", -1.0),
+    ("mobility.heading_sigma", -1.0),
+    ("mobility.vert_sigma", -1.0),
+    ("mobility.alt_min_m", -100.0),
 ])
 def test_validate_rejects_bad_values(key, value):
     cfg = ScenarioConfig()
@@ -190,37 +198,109 @@ def test_flat_dict_round_trips_through_overrides():
     assert config_to_flat_dict(rebuilt) == flat
 
 
+def _bounded_keys():
+    """(key, default, bound) of every key with a numeric bound."""
+    defaults = config_to_flat_dict(ScenarioConfig())
+    return [(key, defaults[key], bound)
+            for key, (_, _, bound) in config._FIELDS.items() if bound is not None]
+
+
+def test_every_numeric_key_has_a_bound():
+    numeric = [key for key, value in config_to_flat_dict(ScenarioConfig()).items()
+               if not isinstance(value, str)]
+    assert numeric == [key for key, _, _ in _bounded_keys()]
+
+
+def _just_outside():
+    """For each end of each bound, the nearest value of the key's type outside
+    it: an open end itself (an infinite one only for a float key), else the
+    next float or integer beyond a closed end."""
+    cases = []
+    for key, default, bound in _bounded_keys():
+        for end, is_open, step in ((bound.low, bound.low_open, -1),
+                                   (bound.high, bound.high_open, 1)):
+            if isinstance(default, float):
+                cases.append((key, float(end) if is_open
+                              else math.nextafter(end, step * math.inf)))
+            elif math.isfinite(end):
+                cases.append((key, end if is_open else end + step))
+    return cases
+
+
+@pytest.mark.parametrize("key,value", _just_outside())
+def test_a_value_just_outside_its_bound_is_rejected(tmp_path, capsys, key,
+                                                    value):
+    cfg = ScenarioConfig()
+    apply_override(cfg, key, value)
+    with pytest.raises(ConfigError, match="^" + re.escape(key + ":")):
+        cfg.validate()
+    path = tmp_path / "outside.scenario"
+    path.write_text(f"{key} = {value}\n")
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
+    # Any value inside every bound that keeps the rules spanning keys loads.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    defaults = config_to_flat_dict(ScenarioConfig())
 
-    def between_half_and_default(value):
-        # Every check of validate() admits any value in this band around
-        # the default, except the behavior weights, whose sum is fixed.
-        if isinstance(value, str):
-            return st.just(value)
-        if isinstance(value, int):
-            return st.integers(value // 2 + value % 2, value)
-        return st.floats(value / 2, value)
+    def inside(default, bound):
+        low = bound.low if math.isfinite(bound.low) else None
+        high = bound.high if math.isfinite(bound.high) else None
+        if isinstance(default, float):
+            return st.floats(low, high, allow_nan=False, allow_infinity=False,
+                             exclude_min=low is not None and bound.low_open,
+                             exclude_max=high is not None and bound.high_open)
+        return st.integers(None if low is None else low + bound.low_open,
+                           None if high is None else high - bound.high_open)
 
-    values = {key: between_half_and_default(value)
-              for key, value in defaults.items()}
-    values["sim.master_seed"] = st.integers(-2**63, 2**63 - 1)
+    values = {key: inside(default, bound)
+              for key, default, bound in _bounded_keys()}
+    values["crypto.scheme"] = st.just("mock-sig")
     values["ledger.codec"] = st.sampled_from(CODECS)
     values["workload.behaviors"] = st.lists(
-        st.sampled_from(["forge-signature", "replay", "delay-injection"]),
-        min_size=1, unique=True).map(",".join)
+        st.sampled_from([b.value for b in Behavior]), min_size=1,
+        unique=True).filter(lambda names: names != ["vote-reject"]).map(",".join)
 
-    @hypothesis.settings(derandomize=True, max_examples=100, database=None,
+    @hypothesis.settings(derandomize=True, max_examples=200, database=None,
                          deadline=None)
     @hypothesis.given(flat=st.fixed_dictionaries(values))
     def check(flat):
+        # Bring the draw inside the rules that span keys.
+        edges = flat["network.edge_count"]
+        flat["consensus.committee_size"] = min(flat["consensus.committee_size"],
+                                               edges)
+        flat["ledger.replication"] = min(flat["ledger.replication"], edges - 1)
+        for low, high in (("mobility.alt_min_m", "mobility.alt_max_m"),
+                          ("workload.payload_min_bytes",
+                           "workload.payload_max_bytes")):
+            flat[low], flat[high] = sorted((flat[low], flat[high]))
+        flat["trust.weight_timely"] *= 1.0 - flat["trust.weight_valid"]
         flat["trust.weight_uptime"] = (1.0 - flat["trust.weight_valid"]
                                        - flat["trust.weight_timely"])
+        if not (flat["consensus.alpha"] or flat["consensus.beta"]
+                or flat["consensus.gamma"]):
+            flat["consensus.gamma"] = 0.1
         path = tmp_path / "drawn.scenario"
         path.write_text("".join(f"{key} = {flat[key]}\n"
                                 for key in known_keys()))
         assert config_to_flat_dict(load_config(path)) == flat
 
     check()
+
+
+def test_readme_key_table_matches_the_scenario_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    defaults = config_to_flat_dict(ScenarioConfig())
+    assert [row[0] for row in rows] == [f"`{key}`" for key in known_keys()]
+    for (key, (_, _, bound)), row in zip(config._FIELDS.items(), rows):
+        assert row[1] == f"`{defaults[key]}`", key
+        if bound is not None:
+            assert row[2] == f"`{bound}`", key

@@ -6,6 +6,7 @@ any other silent output change fails here. An intentional output change must
 update these digests in the same change and say why.
 """
 
+import builtins
 import hashlib
 
 import pytest
@@ -39,13 +40,42 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN))
-def test_outputs_match_golden_digests(tmp_path, seed):
+def run_digests(outdir, seed: int) -> dict[str, str]:
     cfg = ScenarioConfig()
     cfg.sim.duration_s = 120.0
     result = engine.run(cfg, seed=seed)
-    result.metrics.write_csvs(tmp_path)
-    write_summary(tmp_path, result.summary)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in DIGESTED}
-    assert digests == GOLDEN[seed]
+    result.metrics.write_csvs(outdir)
+    write_summary(outdir, result.summary)
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in DIGESTED}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_outputs_match_golden_digests(tmp_path, seed):
+    assert run_digests(tmp_path, seed) == GOLDEN[seed]
+
+
+def neumaier_sum(values, start=0):
+    """``sum()`` as CPython 3.12 and later compute it: compensated over
+    floats, exact over everything else."""
+    total, compensation, floats = start, 0.0, False
+    for value in values:
+        if not isinstance(value, float):
+            total += value
+            continue
+        floats = True
+        partial = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - partial) + value
+        else:
+            compensation += (value - partial) + total
+        total = partial
+    return total + compensation if floats else total
+
+
+def test_outputs_do_not_depend_on_how_builtin_sum_adds_floats(tmp_path,
+                                                              monkeypatch):
+    # Outputs must match on every supported CPython: a float sum taken with
+    # the builtin sum() would follow 3.12's compensated summation there.
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert run_digests(tmp_path, 1) == GOLDEN[1]
