@@ -66,15 +66,8 @@ FIGURES = {
 def _load(config_path: str | None, seed: int | None,
           duration: float | None = None) -> ScenarioConfig:
     overrides = {"sim.master_seed": seed, "sim.duration_s": duration}
-    overrides = {key: value for key, value in overrides.items()
-                 if value is not None}
-    if config_path is not None:
-        return load_config(config_path, overrides)
-    config = ScenarioConfig()
-    for key, value in overrides.items():
-        apply_override(config, key, value)
-    config.validate()
-    return config
+    return load_config(config_path, {key: value for key, value
+                                     in overrides.items() if value is not None})
 
 
 def write_run_outputs(result: engine.Simulation, outdir,
@@ -112,7 +105,9 @@ def cmd_run(args) -> int:
     print(f"committed TPS      {s['tps_committed']:.2f}")
     print(f"mean latency       {s['mean_latency_s'] * 1000:.1f} ms")
     print(f"mean consensus dly {s['mean_delta_cons_s'] * 1000:.1f} ms")
-    print(f"validation success {s['validation_success_pct']:.1f} %")
+    success = s["validation_success_pct"]
+    print("validation success " + ("n/a (no decided round)" if success is None
+                                   else f"{success:.1f} %"))
     print(f"mean compression   {s['mean_omega']:.3f}")
     print(f"energy/committed   {s['energy_per_committed_tx_j']:.3f} J")
     print(f"outputs in         {args.out}")

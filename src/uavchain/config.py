@@ -261,11 +261,15 @@ def apply_override(config: ScenarioConfig, key: str, value: Any) -> None:
 
 
 def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
+    """Read a scenario file (the defaults when `path` is None), apply the
+    overrides, validate once."""
     config = ScenarioConfig()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    text = ""
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -150,8 +150,7 @@ class Simulation:
                          for edge in self.edge_ids}
         self.pools = {edge: consensus.ValidationPool(owner=edge)
                       for edge in self.edge_ids}
-        self.trust_states = {uav: trust.TrustState(cfg.trust.initial_score)
-                             for uav in self.uav_ids}
+        self.trust_scores = dict.fromkeys(self.uav_ids, cfg.trust.initial_score)
         self.uav_behaviors, self.malicious_edges = workload.assign_adversaries(
             self.uav_ids, self.edge_ids, cfg.workload,
             cfg.behavior_list() or (workload.Behavior.FORGE_SIGNATURE.value,),
@@ -428,24 +427,22 @@ class Simulation:
 
     def _window_update(self, window_index: int) -> None:
         cfg = self.config
+        scores = self.trust_scores
         if window_index > 0:
             window_start = self.now - cfg.consensus.window_s
+            chis = {}
             for uav in self.uav_ids:
                 stats = self.window_stats[uav]
-                chi = trust.behavior_score(stats.submitted, stats.accepted,
-                                           stats.timely,
-                                           self._uptime_fraction(uav, window_start),
-                                           cfg.trust)
-                self.trust_states[uav] = trust.update_trust(
-                    self.trust_states[uav], chi, cfg.trust)
+                chi = chis[uav] = trust.behavior_score(
+                    stats.submitted, stats.accepted, stats.timely,
+                    self._uptime_fraction(uav, window_start), cfg.trust)
+                scores[uav] = trust.update_trust(scores[uav], chi, cfg.trust)
                 self.window_stats[uav] = _WindowStats()
-                self.metrics.trust.append(TrustRecord(
-                    window_id=window_index, node=uav, chi=chi.value,
-                    xi=self.trust_states[uav].score, rho=0.0))
-            ranks = trust.trust_rank({u: self.trust_states[u].score
-                                      for u in self.uav_ids})
-            for row in self.metrics.trust[-len(self.uav_ids):]:
-                row.rho = ranks[row.node]
+            ranks = trust.trust_rank(scores)
+            self.metrics.trust.extend(
+                TrustRecord(window_id=window_index, node=uav, chi=chi,
+                            xi=scores[uav], rho=ranks[uav])
+                for uav, chi in chis.items())
 
         alive = self.alive_uavs
         assignment: dict[str, set[str]] = {edge: set() for edge in self.edge_ids}
@@ -453,7 +450,6 @@ class Simulation:
             edge = self.graph.nearest_edge(uav)
             if edge is not None:
                 assignment[edge].add(uav)
-        scores = {u: self.trust_states[u].score for u in alive}
         self.edge_weights = trust.edge_committee_weights(assignment, scores)
         self.committee = consensus.sample_committee(
             self.edge_weights, cfg.consensus.committee_size, self.rng_committee)
@@ -462,7 +458,6 @@ class Simulation:
 
     def _finalize(self) -> None:
         self._check_invariants()
-        self.trust_scores = {u: self.trust_states[u].score for u in self.uav_ids}
         _, top_share = trust_deciles(self.trust_scores,
                                      self.metrics.transactions)[0]
         self.summary = self.metrics.summary(
@@ -508,6 +503,11 @@ class Simulation:
             raise SimulationInvariantError(
                 f"infrastructure energy {self.metrics.infra_energy_j} J does "
                 f"not match its attribution {attributed} J")
+        for row in self.metrics.trust:
+            if not (0.0 <= row.chi <= 1.0 and 0.0 <= row.xi <= 1.0):
+                raise SimulationInvariantError(
+                    f"{row.node} trust row of window {row.window_id} has chi "
+                    f"{row.chi}, xi {row.xi} outside [0,1]")
         side = self.config.area_side_m()
         for uav, state in self.uav_states.items():
             if not (0.0 <= state.x <= side and 0.0 <= state.y <= side):
@@ -535,17 +535,23 @@ def _run_summary(config: ScenarioConfig) -> dict:
 
 
 def sweep(base_config: ScenarioConfig, axis: str, values: list,
-          replications: int = 1, workers: Optional[int] = None,
-          coupled: tuple[str, ...] = ()) -> list[dict]:
+          replications: int = 1, coupled: tuple[str, ...] = ()) -> list[dict]:
     """Replicated parameter sweep; replication i uses master_seed + i.
 
     Each `coupled` key is set to the swept value too. Returns one row per
-    axis value with mean/std aggregates of every numeric summary metric.
+    axis value with mean/std aggregates of every numeric summary metric,
+    taken over the replications that report a number (None when none does).
     Aggregation order is deterministic regardless of worker count, which
-    defaults to the UAVCHAIN_WORKERS environment variable (1 if unset).
+    is the integer in the UAVCHAIN_WORKERS environment variable (1 if unset).
     """
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    raw_workers = os.environ.get("UAVCHAIN_WORKERS", "1")
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        raise ConfigError(f"UAVCHAIN_WORKERS: {raw_workers!r} is not an "
+                          "integer") from None
     jobs: list[ScenarioConfig] = []
     for value in values:
         for rep in range(replications):
@@ -555,10 +561,9 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
             cfg.sim.master_seed = base_config.sim.master_seed + rep
             cfg.validate()
             jobs.append(cfg)
-    if workers is None:
-        workers = int(os.environ.get("UAVCHAIN_WORKERS", "1"))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # With fork, the pool starts all its workers at once; cap them.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             summaries = list(pool.map(_run_summary, jobs))
     else:
         summaries = [_run_summary(cfg) for cfg in jobs]
@@ -568,11 +573,12 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
         group = summaries[i * replications:(i + 1) * replications]
         row: dict = {"axis": axis, "value": value, "replications": replications}
         for key in group[0]:
-            samples = [s[key] for s in group]
+            samples = [s[key] for s in group if s[key] is not None]
             if not all(isinstance(x, (int, float)) for x in samples):
                 continue
-            row[f"{key}_mean"] = mean(samples)
-            row[f"{key}_std"] = stdev(samples) if len(samples) > 1 else 0.0
+            row[f"{key}_mean"] = mean(samples) if samples else None
+            row[f"{key}_std"] = (stdev(samples) if len(samples) > 1
+                                 else 0.0 if samples else None)
         rows.append(row)
     return rows
 

@@ -116,8 +116,9 @@ class MetricsCollector:
             "rounds_committed": len(committed_rounds),
             "rounds_aborted": len(decided) - len(committed_rounds),
             "rounds_skipped": len(self.rounds) - len(decided),
+            # None (JSON null) when no round was decided: there is no ratio.
             "validation_success_pct": (100.0 * len(committed_rounds) / len(decided)
-                                       if decided else 100.0),
+                                       if decided else None),
             "mean_delta_cons_s": mean(deltas) if deltas else 0.0,
             "mean_omega": mean(omegas) if omegas else 0.0,
             "energy_per_committed_tx_j": (mean(committed_energy)

@@ -7,7 +7,6 @@ which is convex, so scores stay inside [0, 1] for behavior scores in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import left_sum
@@ -22,57 +21,31 @@ class TrustError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TrustState:
-    score: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise TrustError(f"trust score {self.score} outside [0,1]")
-
-
-@dataclass(frozen=True)
-class BehaviorScore:
-    """Weighted mix of valid-fraction, timeliness and uptime, each in [0,1]."""
-
-    value: float
-    components: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise TrustError(f"behavior score {self.value} outside [0,1]")
-
-
 def behavior_score(submitted: int, accepted: int, timely: int,
-                   uptime_fraction: float, params: TrustSection) -> BehaviorScore:
-    """Fold one consensus window's counters into a behavior score.
+                   uptime_fraction: float, params: TrustSection) -> float:
+    """Fold one consensus window's counters into a behavior score in [0,1].
 
     A UAV with no submissions in the window gets the neutral score 0.5.
     Dropped/rejected transactions count against both the valid and timely
-    fractions (denominator is everything submitted).
+    fractions (denominator is everything submitted). The weighted mix is
+    clamped to 1.0 because validation lets the weights sum to 1 within 1e-9.
     """
     if submitted < 0 or accepted < 0 or timely < 0:
         raise TrustError("window counters must be non-negative")
     if not 0.0 <= uptime_fraction <= 1.0:
         raise TrustError("uptime fraction must be in [0,1]")
     if submitted == 0:
-        return BehaviorScore(value=NEUTRAL_BEHAVIOR,
-                             components=(NEUTRAL_BEHAVIOR, NEUTRAL_BEHAVIOR,
-                                         uptime_fraction))
+        return NEUTRAL_BEHAVIOR
     valid_frac = min(1.0, accepted / submitted)
     timely_frac = min(1.0, timely / submitted)
-    value = (params.weight_valid * valid_frac
-             + params.weight_timely * timely_frac
-             + params.weight_uptime * uptime_fraction)
-    return BehaviorScore(value=value,
-                         components=(valid_frac, timely_frac, uptime_fraction))
+    return min(1.0, params.weight_valid * valid_frac
+               + params.weight_timely * timely_frac
+               + params.weight_uptime * uptime_fraction)
 
 
-def update_trust(state: TrustState, behavior: BehaviorScore,
-                 params: TrustSection) -> TrustState:
+def update_trust(score: float, behavior: float, params: TrustSection) -> float:
     lam = params.smoothing
-    score = lam * state.score + (1.0 - lam) * behavior.value
-    return TrustState(score=score)
+    return lam * score + (1.0 - lam) * behavior
 
 
 def trust_rank(scores: dict[str, float]) -> dict[str, float]:

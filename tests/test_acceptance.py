@@ -15,14 +15,13 @@ from statistics import mean
 
 import pytest
 
-from uavchain import cli, engine, ledger, trust
+from uavchain import cli, engine, ledger
 from uavchain.config import (ConsensusSection, EnergySection, ScenarioConfig,
                              TrustSection, apply_override)
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider, hash_bytes
 from uavchain.netsim import round_energy
-from uavchain.trust import (TrustState, edge_committee_weights, trust_rank,
-                            update_trust)
+from uavchain.trust import edge_committee_weights, trust_rank, update_trust
 
 
 def _dyadic(rng: Random, scale: int = 8) -> Fraction:
@@ -44,9 +43,8 @@ def test_criterion_1_equation_oracles():
     for _ in range(cases):  # trust smoothing recurrence
         lam, xi, chi = _dyadic(rng), _dyadic(rng), _dyadic(rng)
         expected = lam * xi + (1 - lam) * chi
-        got = update_trust(TrustState(float(xi)),
-                           trust.BehaviorScore(float(chi), (0, 0, 0)),
-                           TrustSection(smoothing=float(lam))).score
+        got = update_trust(float(xi), float(chi),
+                           TrustSection(smoothing=float(lam)))
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     for _ in range(cases):  # trust rank normalization

@@ -342,6 +342,39 @@ def test_sweep_writes_csv(tmp_path):
     assert float(rows[0]["tps_committed_mean"]) >= 0.0
 
 
+
+def test_run_and_sweep_without_a_decided_round(tmp_path, capsys):
+    # 5 s ends before the first block interval, so no round is decided.
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": 5, "network.uav_count": 3})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", scenario, "--out", str(out)]) == 0
+    assert "validation success n/a (no decided round)\n" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["validation_success_pct"] is None
+    assert cli.main(["sweep", "--config", scenario, "--axis", "sim.duration_s",
+                     "--values", "5,60", "--replications", "1",
+                     "--out", str(out)]) == 0
+    with open(out / "sweep_sim_duration_s.csv") as handle:
+        short, longer = csv.DictReader(handle)
+    assert short["validation_success_pct_mean"] == ""
+    assert short["validation_success_pct_std"] == ""
+    assert 0.0 <= float(longer["validation_success_pct_mean"]) <= 100.0
+
+
+def test_sweep_rejects_a_worker_count_that_is_not_an_integer(
+        tmp_path, capsys, monkeypatch):
+    jobs = []
+    monkeypatch.setattr(engine, "_run_summary", jobs.append)
+    monkeypatch.setenv("UAVCHAIN_WORKERS", "abc")
+    code = cli.main(["sweep", "--axis", "network.uav_count", "--values", "10",
+                     "--replications", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UAVCHAIN_WORKERS") and err.count("\n") == 1
+    assert jobs == []
+
+
 # sha256 of figure_resilience.csv for the run below, pinned across versions.
 RESILIENCE_SHA256 = (
     "5e80e7450a5d506242927a28c43f9f40f94b9f1c0c870a958aee4e76be3c45a3")

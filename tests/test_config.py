@@ -103,6 +103,15 @@ def test_load_config_applies_overrides(tmp_path):
     assert cfg.network.uav_count == 30
 
 
+def test_load_config_without_a_file_starts_from_the_defaults():
+    cfg = load_config(None, {"sim.master_seed": 7})
+    expected = ScenarioConfig()
+    expected.sim.master_seed = 7
+    assert cfg == expected
+    with pytest.raises(ConfigError, match="sim.duration_s"):
+        load_config(None, {"sim.duration_s": -1.0})
+
+
 @pytest.mark.parametrize("key,value", [
     ("sim.duration_s", -1.0),
     ("network.uav_count", 0),

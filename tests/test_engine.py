@@ -313,3 +313,82 @@ def test_sweep_aggregates_replications():
     assert "tps_committed_std" in rows[0]
     with pytest.raises(ValueError):
         engine.sweep(cfg, "network.uav_count", [10], replications=0)
+
+
+@pytest.mark.parametrize("field", ["chi", "xi"])
+def test_trust_row_outside_the_unit_interval_raises(monkeypatch, field):
+    def inflate_first_row(sim):
+        setattr(sim.metrics.trust[0], field, 1.5)
+
+    _finalize_after(monkeypatch, inflate_first_row)
+    with pytest.raises(engine.SimulationInvariantError,
+                       match=r"u\d+ trust row of window \d+ .* outside \[0,1\]"):
+        engine.run(small_config(sim__duration_s=60.0))
+
+
+def test_behavior_weights_past_one_within_tolerance_run_to_completion():
+    # validate lets the weights sum to 1 within 1e-9, so a flawless UAV's mix
+    # is 1.0000000005 here; behavior_score clamps it to 1.0.
+    cfg = small_config(sim__duration_s=60.0, trust__weight_uptime=0.2000000005)
+    cfg.validate()
+    rows = engine.run(cfg).metrics.trust
+    assert max(r.chi for r in rows) == 1.0
+    assert all(0.0 <= r.chi <= 1.0 and 0.0 <= r.xi <= 1.0 for r in rows)
+
+
+def test_trust_scores_are_the_live_scores_of_the_last_window():
+    result = engine.run(small_config(sim__duration_s=60.0))
+    assert list(result.trust_scores) == result.uav_ids
+    last = {r.node: r.xi for r in result.metrics.trust if r.window_id == 6}
+    assert result.trust_scores == last
+
+
+def test_no_decided_round_reports_no_validation_success():
+    cfg = small_config(sim__duration_s=5.0, network__uav_count=3,
+                       workload__arrival_rate_tps=0.01)
+    summary = engine.run(cfg).summary
+    assert summary["rounds_committed"] + summary["rounds_aborted"] == 0
+    assert summary["validation_success_pct"] is None
+
+
+def test_sweep_averages_only_the_replications_that_report_a_number(monkeypatch):
+    # Odd seeds decide no round; seed 2 reports 40.0 and seed 4 reports 80.0.
+    def fake_summary(cfg):
+        seed = cfg.sim.master_seed
+        return {"validation_success_pct": None if seed % 2 else 20.0 * seed,
+                "submitted": seed}
+
+    monkeypatch.delenv("UAVCHAIN_WORKERS", raising=False)
+    monkeypatch.setattr(engine, "_run_summary", fake_summary)
+    cfg = small_config(sim__master_seed=1)
+    mixed, silent = (engine.sweep(cfg, "network.uav_count", [10], replications=n)
+                     for n in (4, 1))
+    assert mixed[0]["validation_success_pct_mean"] == 60.0
+    assert mixed[0]["validation_success_pct_std"] == pytest.approx(28.2842712)
+    assert mixed[0]["submitted_mean"] == 2.5
+    assert silent[0]["validation_success_pct_mean"] is None
+    assert silent[0]["validation_success_pct_std"] is None
+    assert list(silent[0]) == list(mixed[0])
+
+
+def test_sweep_starts_no_more_workers_than_jobs(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(engine, "_run_summary", lambda cfg: {"submitted": 1})
+    monkeypatch.setenv("UAVCHAIN_WORKERS", "64")
+    engine.sweep(small_config(), "network.uav_count", [10], replications=2)
+    assert started == [2]
