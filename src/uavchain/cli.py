@@ -155,9 +155,8 @@ def trust_leadership_table(result: engine.Simulation) -> list[dict]:
 
 def cmd_figures(args) -> int:
     if args.figure not in FIGURES and args.figure != "trustrank":
-        print(f"unknown figure {args.figure!r}; choose from "
-              f"{sorted(FIGURES) + ['trustrank']}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown figure {args.figure!r}; choose from "
+                          f"{sorted(FIGURES) + ['trustrank']}")
     config = _load(args.config, args.seed, args.duration)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

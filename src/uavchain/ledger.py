@@ -24,6 +24,7 @@ passed in the same round, and a loaded dump is for the audit to check.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -216,15 +217,6 @@ class LedgerSegment:
 
 # --- dump / load / audit -------------------------------------------------
 
-def _meta_to_dict(meta: BlockMetadata) -> dict:
-    return {
-        "block_id": meta.block_id.hex(),
-        "hash_prev": meta.hash_prev.hex(),
-        "merkle_root": meta.merkle_root.hex(),
-        "timestamp": meta.timestamp,
-    }
-
-
 def _field(data: dict, key: str, kind):
     """`data[key]` if it is a `kind`; a bool is never a number."""
     value = data[key]
@@ -248,26 +240,6 @@ def _meta_from_dict(data: dict) -> BlockMetadata:
                          timestamp=_time(data, "timestamp"))
 
 
-def segment_to_dict(segment: LedgerSegment) -> dict:
-    blocks = []
-    for block in segment.chain:
-        blocks.append({
-            "metadata": _meta_to_dict(block.metadata),
-            "proposer": block.proposer,
-            "raw_size": block.raw_size,
-            "compressed_size": block.compressed_size,
-            "utility": block.utility,
-            "transactions": [{
-                "sender": tx.sender,
-                "submit_time": tx.submit_time,
-                "payload": tx.payload.hex(),
-                "signature": tx.signature.hex(),
-            } for tx in block.transactions],
-        })
-    return {"owner": segment.owner, "genesis": _meta_to_dict(segment.genesis),
-            "blocks": blocks}
-
-
 def segment_from_dict(data: dict) -> LedgerSegment:
     segment = LedgerSegment(owner=_field(data, "owner", str),
                             genesis=_meta_from_dict(data["genesis"]))
@@ -287,30 +259,72 @@ def segment_from_dict(data: dict) -> LedgerSegment:
     return segment
 
 
+# One transaction of a dump, indented as `json.dump(indent=1)` nests it.
+_TX = ('      {\n       "payload": "%s",\n       "sender": %s,\n'
+       '       "signature": "%s",\n       "submit_time": %s\n      }')
+
+
 def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
                 scheme: str, seed: int, max_block_bytes: int = 0) -> None:
-    """Write the documented JSON ledger dump (key registry and size limit)."""
-    data = {
-        "format": "uavchain-ledger-v1",
-        "scheme": scheme,
-        "seed": seed,
-        "max_block_bytes": max_block_bytes,
-        "registry": {node: key.hex() for node, key in sorted(registry.items())},
-        "segments": [segment_to_dict(s) for s in segments],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    """Write the ledger dump block by block, byte for byte as `json.dump(data,
+    sort_keys=True, indent=1)` and a newline; LedgerError on NaN or inf."""
+    quote = functools.cache(json.dumps)  # each name's JSON string literal
+
+    def number(value) -> str:
+        text = repr(value)  # what json writes for a finite int or float
+        if text in ("nan", "inf", "-inf"):
+            raise LedgerError(f"cannot dump the non-finite number {text}")
+        return text
+
+    def nest(brackets: str, items: list[str], pad: str) -> str:
+        """The array or object of indented `items`, closed at `pad`."""
+        return (f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+                if items else brackets)
+
+    def meta_text(meta: BlockMetadata, pad: str) -> str:
+        return (f'{{\n{pad} "block_id": "{meta.block_id.hex()}",\n'
+                f'{pad} "hash_prev": "{meta.hash_prev.hex()}",\n'
+                f'{pad} "merkle_root": "{meta.merkle_root.hex()}",\n'
+                f'{pad} "timestamp": {number(meta.timestamp)}\n{pad}}}')
+
+    keys = [f'  {quote(node)}: "{key.hex()}"'
+            for node, key in sorted(registry.items())]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f'{{\n "format": "uavchain-ledger-v1",\n'
+                  f' "max_block_bytes": {number(max_block_bytes)},\n'
+                  f' "registry": {nest("{}", keys, " ")},\n'
+                  f' "scheme": {quote(scheme)},\n "seed": {number(seed)},\n'
+                  f' "segments": [')
+        for i, segment in enumerate(segments):
+            out.write((",\n" if i else "\n") + '  {\n   "blocks": [')
+            for j, block in enumerate(segment.chain):
+                txs = [_TX % (tx.payload.hex(), quote(tx.sender), tx.signature.hex(),
+                              number(tx.submit_time)) for tx in block.transactions]
+                out.write((",\n" if j else "\n") + f'    {{\n'
+                          f'     "compressed_size": {number(block.compressed_size)},\n'
+                          f'     "metadata": {meta_text(block.metadata, "     ")},\n'
+                          f'     "proposer": {quote(block.proposer)},\n'
+                          f'     "raw_size": {number(block.raw_size)},\n'
+                          f'     "transactions": {nest("[]", txs, "     ")},\n'
+                          f'     "utility": {number(block.utility)}\n    }}')
+            out.write(("\n   ]" if segment.chain else "]") + ',\n   "genesis": '
+                      f'{meta_text(segment.genesis, "   ")},\n'
+                      f'   "owner": {quote(segment.owner)}\n  }}')
+        out.write("\n ]\n}\n" if segments else "]\n}\n")
 
 
 def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, int]:
     """Read a dump as (segments, registry, scheme, seed, max_block_bytes); a
     dump without a size limit gets 0 (none). Any malformed content (truncated
-    JSON, a missing key, bad hex, a field of the wrong type, a time outside
-    the wire's i64 microseconds, a bad limit) raises LedgerError."""
+    JSON, `NaN` or `Infinity`, over-deep nesting, a missing key, bad hex, a
+    wrongly typed field, a time outside the wire's i64 microseconds, a bad
+    limit) raises LedgerError."""
+    def reject(constant: str):
+        raise ValueError(f"{constant} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=reject)
         if data.get("format") != "uavchain-ledger-v1":
             raise LedgerError("not a uavchain ledger dump")
         registry = {node: bytes.fromhex(key)
@@ -321,8 +335,8 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, 
             raise ValueError(f"max_block_bytes {limit!r} is not a size in bytes")
         return (segments, registry, _field(data, "scheme", str),
                 _field(data, "seed", int), limit)
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError,
+            TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger dump {path}: "
                           f"{type(exc).__name__}: {exc}") from None
 

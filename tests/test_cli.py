@@ -271,6 +271,10 @@ def _bad_size_limit(text: str) -> str:
     return json.dumps(data)
 
 
+def _deeply_nested(text: str) -> str:
+    return "[" * 200_000
+
+
 def _first_meta(data: dict) -> dict:
     return _first_block(data)["metadata"]
 
@@ -291,6 +295,9 @@ def _setter(where, key: str, value):
 
 @pytest.mark.parametrize("mutate", [
     _unregistered_scheme, _missing_key, _bad_hex, _truncated, _bad_size_limit,
+    _deeply_nested,
+    _setter(_first_block, "utility", float("nan")),
+    _setter(_first_block, "utility", float("inf")),
     _setter(_first_meta, "timestamp", "x"),
     _setter(_first_block, "compressed_size", "9"),
     _setter(_first_block, "proposer", 5),
@@ -320,8 +327,10 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
      "--replications", "0"],
     ["figures", "--figure", "latency", "--replications", "0"],
     ["figures", "--figure", "trustrank", "--duration", "-5"],
+    ["figures", "--figure", "nope"],
 ], ids=["non-numeric-value", "empty-values", "sweep-zero-replications",
-        "figures-zero-replications", "figures-negative-duration"])
+        "figures-zero-replications", "figures-negative-duration",
+        "figures-unknown-figure"])
 def test_sweep_and_figures_reject_bad_input(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2

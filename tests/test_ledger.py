@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from uavchain import ledger
+from uavchain import cli, engine, ledger
+from uavchain.config import ScenarioConfig
 from uavchain.crypto import MockProvider, hash_bytes
-from uavchain.ledger import (LedgerError, LedgerSegment, Transaction,
-                             genesis_metadata, merkle_root)
+from uavchain.ledger import (Block, BlockMetadata, LedgerError, LedgerSegment,
+                             Transaction, genesis_metadata, merkle_root)
 
 provider = MockProvider()
 PAIR = provider.keygen(1)
@@ -68,7 +69,7 @@ def test_tx_wire_size_matches_wire():
     assert tx.wire() == tx.canonical_encoding() + ledger.u32(64) + tx.signature
 
 
-def test_wire_size_matches_wire_for_adversarial_and_loaded_txs():
+def test_wire_size_matches_wire_for_adversarial_and_loaded_txs(tmp_path):
     honest = make_tx(b"reading" * 20, t=4.0)
     forged = Transaction(sender="u000", payload=b"f" * 70, submit_time=5.0,
                          signature=bytes(range(64)))
@@ -79,7 +80,9 @@ def test_wire_size_matches_wire_for_adversarial_and_loaded_txs():
     back_dated = make_tx(b"late", t=-3.0)
     seg, block = _segment_with_block([honest, forged, back_dated])
     seg.append_block(block)
-    loaded = ledger.segment_from_dict(ledger.segment_to_dict(seg))
+    path = tmp_path / "ledger.json"
+    ledger.dump_ledger(path, [seg], REGISTRY, "mock-sig", 1)
+    (loaded,), *_ = ledger.load_ledger(path)
     txs = [forged, replayed, copy.deepcopy(honest), back_dated]
     txs += loaded.chain[0].transactions
     for tx in txs:
@@ -180,6 +183,95 @@ def test_dump_load_roundtrip_and_audit(tmp_path):
     assert registry == REGISTRY
     assert len(segments) == 1 and len(segments[0].chain) == 1
     assert ledger.verify_segment(segments[0], registry, provider) == []
+
+
+def _reference_dump(segments, registry, scheme, seed, max_block_bytes) -> bytes:
+    """The documented dump layout, written by the json module."""
+    def meta(m):
+        return {"block_id": m.block_id.hex(), "hash_prev": m.hash_prev.hex(),
+                "merkle_root": m.merkle_root.hex(), "timestamp": m.timestamp}
+
+    def block(b):
+        return {"metadata": meta(b.metadata), "proposer": b.proposer,
+                "raw_size": b.raw_size, "compressed_size": b.compressed_size,
+                "utility": b.utility, "transactions": [{
+                    "sender": tx.sender, "submit_time": tx.submit_time,
+                    "payload": tx.payload.hex(),
+                    "signature": tx.signature.hex()} for tx in b.transactions]}
+
+    data = {"format": "uavchain-ledger-v1", "scheme": scheme, "seed": seed,
+            "max_block_bytes": max_block_bytes,
+            "registry": {node: key.hex() for node, key in registry.items()},
+            "segments": [{"owner": s.owner, "genesis": meta(s.genesis),
+                          "blocks": [block(b) for b in s.chain]}
+                         for s in segments]}
+    return (json.dumps(data, sort_keys=True, indent=1) + "\n").encode()
+
+
+def test_dump_ledger_writes_the_json_modules_bytes_and_round_trips(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Names that need escaping: quotes, backslashes, control characters and
+    # non-ASCII letters, mixed with anything else the text strategy draws.
+    names = st.text(st.sampled_from('"\\\x00\x1f\n\t/éЖ😀') | st.characters(),
+                    max_size=6)
+    # Times the wire's i64 microseconds can hold, as ints and floats.
+    times = (st.integers(-10**9, 10**9)
+             | st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False))
+    digests = st.binary(max_size=32)
+    metas = st.builds(BlockMetadata, block_id=digests, hash_prev=digests,
+                      merkle_root=digests, timestamp=times)
+    txs = st.builds(Transaction, sender=names, payload=st.binary(max_size=40),
+                    submit_time=times, signature=st.binary(max_size=16))
+    sizes = st.integers(0, 2**40)
+    blocks = st.builds(Block, metadata=metas,
+                       transactions=st.lists(txs, max_size=3), proposer=names,
+                       raw_size=sizes, compressed_size=sizes,
+                       utility=st.integers(-10**6, 10**6) | st.floats(
+                           allow_nan=False, allow_infinity=False))
+    segments = st.builds(LedgerSegment, owner=names, genesis=metas,
+                         chain=st.lists(blocks, max_size=3))
+    path = tmp_path / "ledger.json"
+
+    @hypothesis.settings(derandomize=True, max_examples=150, database=None,
+                         deadline=None)
+    @hypothesis.given(segments=st.lists(segments, max_size=3),
+                      registry=st.dictionaries(names, digests, max_size=4),
+                      scheme=names, seed=st.integers(-2**63, 2**63 - 1),
+                      limit=st.integers(0, 2**40))
+    def check(segments, registry, scheme, seed, limit):
+        ledger.dump_ledger(path, segments, registry, scheme, seed, limit)
+        dumped = path.read_bytes()
+        assert dumped == _reference_dump(segments, registry, scheme, seed, limit)
+        loaded = ledger.load_ledger(path)
+        assert loaded[1:] == (registry, scheme, seed, limit)
+        ledger.dump_ledger(path, *loaded)
+        assert path.read_bytes() == dumped
+
+    check()
+
+
+# sha256 of ledger.json for the default scenario at sim.duration_s = 120,
+# seed 1, pinned across versions of the dump writer.
+LEDGER_SHA256 = (
+    "d3510d1acd5761765567658cb93b1b73f0bbafbad944cb0857c00a8ffa9e5363")
+
+
+def test_ledger_dump_matches_pinned_digest(tmp_path):
+    cfg = ScenarioConfig()
+    cfg.sim.duration_s = 120.0
+    cli.write_run_outputs(engine.run(cfg, seed=1), tmp_path, dump_ledger=True)
+    digest = hashlib.sha256((tmp_path / "ledger.json").read_bytes()).hexdigest()
+    assert digest == LEDGER_SHA256
+
+
+def test_dump_ledger_refuses_a_non_finite_number(tmp_path):
+    seg, block = _segment_with_block([make_tx(b"a")])
+    seg.append_block(block)
+    block.utility = float("nan")
+    with pytest.raises(LedgerError, match="non-finite"):
+        ledger.dump_ledger(tmp_path / "ledger.json", [seg], REGISTRY,
+                           "mock-sig", 1)
 
 
 def test_load_ledger_rejects_foreign_format(tmp_path):
