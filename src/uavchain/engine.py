@@ -213,15 +213,12 @@ class Simulation:
     # --- handlers -----------------------------------------------------------
 
     def _handle_mobility(self) -> None:
-        dt = self.config.sim.mobility_step_s
-        side = self.config.area_side_m()
-        params, rng = self.config.mobility, self.rng_mobility
-        states = self.uav_states
-        step, move = netsim.step_mobility, self.graph.move
-        for uav in self.alive_uavs:
-            state = step(states[uav], dt, params, side, rng)
-            states[uav] = state
-            move(uav, (state.x, state.y, state.z))
+        states = [self.uav_states[uav] for uav in self.alive_uavs]
+        netsim.step_mobility(states, self.config.sim.mobility_step_s,
+                             self.config.mobility, self.config.area_side_m(),
+                             self.rng_mobility)
+        self.graph.move({state.node_id: (state.x, state.y, state.z)
+                         for state in states})
 
     def _charge_uav(self, uav: str, amount: float) -> bool:
         account = self.accounts[uav]

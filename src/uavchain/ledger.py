@@ -24,8 +24,10 @@ passed in the same round, and a loaded dump is for the audit to check.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -264,10 +266,27 @@ _TX = ('      {\n       "payload": "%s",\n       "sender": %s,\n'
        '       "signature": "%s",\n       "submit_time": %s\n      }')
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file beside `path` that replaces it once the block completes;
+    if the block raises, the file is removed and `path` is untouched."""
+    partial = os.path.join(os.path.dirname(os.path.abspath(path)),
+                           f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    out = open(partial, "w", encoding="utf-8")
+    try:
+        with out:
+            yield out
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
+
+
 def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
                 scheme: str, seed: int, max_block_bytes: int = 0) -> None:
     """Write the ledger dump block by block, byte for byte as `json.dump(data,
-    sort_keys=True, indent=1)` and a newline; LedgerError on NaN or inf."""
+    sort_keys=True, indent=1)` and a newline; LedgerError on NaN or inf, in
+    which case `path` is left as it was."""
     quote = functools.cache(json.dumps)  # each name's JSON string literal
 
     def number(value) -> str:
@@ -289,7 +308,7 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
 
     keys = [f'  {quote(node)}: "{key.hex()}"'
             for node, key in sorted(registry.items())]
-    with open(path, "w", encoding="utf-8") as out:
+    with _replacing(path) as out:
         out.write(f'{{\n "format": "uavchain-ledger-v1",\n'
                   f' "max_block_bytes": {number(max_block_bytes)},\n'
                   f' "registry": {nest("{}", keys, " ")},\n'

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from . import left_sum
 
@@ -47,7 +47,20 @@ class UavState:
 
 
 def _reflect(value: float, low: float, high: float) -> float:
-    """Fold an out-of-bounds coordinate back into [low, high]."""
+    """Fold an out-of-bounds coordinate back into [low, high].
+
+    A flat band folds to its one point. A step that needs up to 64 folds
+    folds one at a time; a farther excursion is first reduced by the fold
+    period, and an infinite one stops at the wall it crossed.
+    """
+    width = high - low
+    if width <= 0.0:
+        return low
+    reach = 64 * width
+    if not low - reach <= value <= high + reach:
+        if math.isinf(value):
+            return low if value < low else high
+        value = low + math.fmod(value - low, 2 * width)
     # Repeated folding handles steps longer than the interval.
     while value < low or value > high:
         if value < low:
@@ -57,45 +70,51 @@ def _reflect(value: float, low: float, high: float) -> float:
     return value
 
 
-def step_mobility(state: UavState, dt: float, mobility: MobilitySection,
-                  area_side: float, rng: Random) -> UavState:
-    """One Gauss-Markov step with boundary reflection.
+def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
+                  area_side: float, rng: Random) -> None:
+    """One Gauss-Markov step with boundary reflection for each of `states`.
 
-    Pure: `state` is left untouched and the step returns a new UavState.
-    Draws speed, heading and vertical-speed noise from `rng` in that order.
-    A coordinate is folded back, and its heading or vertical speed turned,
-    only when the step leaves the area or the altitude band.
+    In place: each listed state is overwritten, and no other. For each state
+    in list order, draws speed, heading and vertical-speed noise from `rng`
+    in that order. A coordinate is folded back, and its heading or vertical
+    speed turned, only when the step leaves the area or the altitude band.
     """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
-    gauss = rng.gauss
+    gauss, cos, sin, pi = rng.gauss, math.cos, math.sin, math.pi
     eta = mobility.memory
+    rest = 1.0 - eta
     root = math.sqrt(max(0.0, 1.0 - eta * eta))
-    speed = (eta * state.speed + (1.0 - eta) * mobility.mean_speed_mps
-             + root * gauss(0.0, mobility.speed_sigma))
-    mean_heading = state.mean_heading
-    heading = (eta * state.heading + (1.0 - eta) * mean_heading
-               + root * gauss(0.0, mobility.heading_sigma))
-    vz = eta * state.vz + root * gauss(0.0, mobility.vert_sigma)
-
-    x = state.x + speed * math.cos(heading) * dt
-    y = state.y + speed * math.sin(heading) * dt
-    z = state.z + vz * dt
-
-    if x < 0.0 or x > area_side:
-        x = _reflect(x, 0.0, area_side)
-        heading = math.pi - heading
-        mean_heading = math.pi - mean_heading
-    if y < 0.0 or y > area_side:
-        y = _reflect(y, 0.0, area_side)
-        heading = -heading
-        mean_heading = -mean_heading
+    drift = rest * mobility.mean_speed_mps
+    speed_sigma, heading_sigma = mobility.speed_sigma, mobility.heading_sigma
+    vert_sigma = mobility.vert_sigma
     low, high = mobility.alt_min_m, mobility.alt_max_m
-    if z < low or z > high:
-        z = _reflect(z, low, high)
-        vz = -vz
+    for state in states:
+        speed = eta * state.speed + drift + root * gauss(0.0, speed_sigma)
+        mean_heading = state.mean_heading
+        heading = (eta * state.heading + rest * mean_heading
+                   + root * gauss(0.0, heading_sigma))
+        vz = eta * state.vz + root * gauss(0.0, vert_sigma)
 
-    return UavState(state.node_id, x, y, z, speed, heading, mean_heading, vz)
+        x = state.x + speed * cos(heading) * dt
+        y = state.y + speed * sin(heading) * dt
+        z = state.z + vz * dt
+
+        if x < 0.0 or x > area_side:
+            x = _reflect(x, 0.0, area_side)
+            heading = pi - heading
+            mean_heading = pi - mean_heading
+        if y < 0.0 or y > area_side:
+            y = _reflect(y, 0.0, area_side)
+            heading = -heading
+            mean_heading = -mean_heading
+        if z < low or z > high:
+            z = _reflect(z, low, high)
+            vz = -vz
+
+        state.x, state.y, state.z = x, y, z
+        state.speed, state.heading, state.mean_heading = speed, heading, mean_heading
+        state.vz = vz
 
 
 class CommGraph:
@@ -110,10 +129,13 @@ class CommGraph:
     UAV ids in two lists, each in insertion order, so `nearest_edge` scans
     only edges and `uav_neighbors` only UAVs instead of every node.
 
+    Moves are batched: one `move` call sets the positions of every node in
+    its mapping (a mobility step moves all alive UAVs at once).
+
     Nearest-edge memo: `nearest_edge` keeps, per queried node, its answer
     and its distance. An entry holds until that node moves, which retires
-    it (a UAV's entry is retired by its own move); moving an edge,
-    `set_alive` and `add_node` clear the whole memo.
+    it (a UAV's entry is retired by a `move` that includes it); a `move`
+    that includes an edge, `set_alive` and `add_node` clear the whole memo.
 
     Contention: the first `uav_neighbors` query after any `move`,
     `set_alive` or `add_node` builds the list of alive UAV positions (in
@@ -154,15 +176,19 @@ class CommGraph:
             self.edge_ids = [n for n, k in self.kinds.items() if k == "edge"]
             self.uav_ids = [n for n, k in self.kinds.items() if k == "uav"]
 
-    def move(self, node_id: str, position: tuple[float, float, float]) -> None:
-        self.positions[node_id] = position
-        if self._contention_cache:
-            self._contention_cache.clear()
+    def move(self, positions: Mapping[str, tuple[float, float, float]]) -> None:
+        """Set the position of every node in `positions` (node -> point)."""
+        if not positions.keys() <= self.kinds.keys():
+            raise KeyError(sorted(positions.keys() - self.kinds.keys()))
+        self.positions.update(positions)
+        self._contention_cache.clear()
         self._alive_uav_points = None
-        if self.kinds[node_id] == "edge":
-            self._nearest_memo.clear()
+        memo = self._nearest_memo
+        if any(edge in positions for edge in self.edge_ids):
+            memo.clear()
         else:
-            self._nearest_memo.pop(node_id, None)
+            for node in [node for node in memo if node in positions]:
+                del memo[node]
 
     def set_alive(self, node_id: str, alive: bool) -> None:
         self.alive[node_id] = alive

@@ -3,8 +3,12 @@
 import csv
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +373,26 @@ def test_run_and_sweep_without_a_decided_round(tmp_path, capsys):
     assert short["validation_success_pct_mean"] == ""
     assert short["validation_success_pct_std"] == ""
     assert 0.0 <= float(longer["validation_success_pct_mean"]) <= 100.0
+
+
+@pytest.mark.parametrize("extra", [
+    {"mobility.alt_min_m": 100, "mobility.alt_max_m": 100},
+    {"mobility.mean_speed_mps": 1e15},
+], ids=["flat_altitude_band", "mean_speed_1e15"])
+def test_run_finishes_when_a_step_leaves_the_band_by_far_or_the_band_is_flat(
+        tmp_path, extra):
+    # A separate process, so that a fold loop that never ends fails the
+    # test at the timeout instead of hanging the suite.
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": 3, "network.uav_count": 5, **extra})
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "uavchain.cli", "run", "--config", scenario,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "summary.json").is_file()
 
 
 def test_sweep_rejects_a_worker_count_that_is_not_an_integer(

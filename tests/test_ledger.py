@@ -274,6 +274,29 @@ def test_dump_ledger_refuses_a_non_finite_number(tmp_path):
                            "mock-sig", 1)
 
 
+def test_a_refused_dump_leaves_the_path_as_it_was(tmp_path):
+    seg, first = _segment_with_block([make_tx(b"a")])
+    seg.append_block(first)
+    second = ledger.make_block([make_tx(b"b")], seg.head().block_id, 20.0, "e00")
+    ledger.compress_block(second, "zlib")
+    seg.append_block(second)
+    second.utility = float("nan")  # refused after the first block is written
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    fresh.mkdir()
+    kept.mkdir()
+    (kept / "ledger.json").write_bytes(b"the previous dump\n")
+    for folder in (fresh, kept):
+        before = {p.name: p.read_bytes() for p in folder.iterdir()}
+        with pytest.raises(LedgerError, match="non-finite"):
+            ledger.dump_ledger(folder / "ledger.json", [seg], REGISTRY,
+                               "mock-sig", 1)
+        assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+    second.utility = 0.5
+    ledger.dump_ledger(kept / "ledger.json", [seg], REGISTRY, "mock-sig", 1)
+    assert [p.name for p in kept.iterdir()] == ["ledger.json"]
+    assert ledger.load_ledger(kept / "ledger.json")[0][0].chain[-1].utility == 0.5
+
+
 def test_load_ledger_rejects_foreign_format(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"format": "something-else"}))

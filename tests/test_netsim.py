@@ -1,5 +1,6 @@
 """Mobility statistics, connectivity rules, delivery delay, energy model."""
 
+import copy
 import math
 from random import Random
 from statistics import mean
@@ -9,8 +10,9 @@ import pytest
 from uavchain import engine
 from uavchain.config import (CryptoSection, EnergySection, MobilitySection,
                              NetworkSection, ScenarioConfig)
-from uavchain.netsim import (CommGraph, EnergyAccount, UavState, deliver,
-                             delivery_mean_delay, round_energy, step_mobility)
+from uavchain.netsim import (CommGraph, EnergyAccount, UavState, _reflect,
+                             deliver, delivery_mean_delay, round_energy,
+                             step_mobility)
 
 SIDE = 1e7  # huge area so trajectory tests never hit the boundary
 
@@ -30,10 +32,9 @@ def test_memory_one_is_straight_line():
     state = make_state(speed=10.0, heading=0.5)
     rng = Random(1)
     for _ in range(50):
-        nxt = step_mobility(state, 1.0, params, SIDE, rng)
-        assert nxt.speed == pytest.approx(10.0)
-        assert nxt.heading == pytest.approx(0.5)
-        state = nxt
+        step_mobility([state], 1.0, params, SIDE, rng)
+        assert state.speed == pytest.approx(10.0)
+        assert state.heading == pytest.approx(0.5)
 
 
 def test_memory_zero_is_uncorrelated_around_mean():
@@ -43,7 +44,7 @@ def test_memory_zero_is_uncorrelated_around_mean():
     state = make_state()
     speeds = []
     for _ in range(5000):
-        state = step_mobility(state, 1.0, params, SIDE, rng)
+        step_mobility([state], 1.0, params, SIDE, rng)
         speeds.append(state.speed)
     assert mean(speeds) == pytest.approx(8.0, abs=0.1)
     assert _lag1_autocorr(speeds) == pytest.approx(0.0, abs=0.05)
@@ -64,7 +65,7 @@ def test_speed_lag1_autocorrelation_matches_memory(eta):
     state = make_state()
     speeds = []
     for _ in range(10_000):
-        state = step_mobility(state, 1.0, params, SIDE, rng)
+        step_mobility([state], 1.0, params, SIDE, rng)
         speeds.append(state.speed)
     assert _lag1_autocorr(speeds) == pytest.approx(eta, abs=0.05)
 
@@ -76,20 +77,24 @@ def test_reflection_keeps_uav_inside_area():
     rng = Random(4)
     state = make_state(x=10.0, y=490.0, z=60.0)
     for _ in range(2000):
-        state = step_mobility(state, 1.0, params, side, rng)
+        step_mobility([state], 1.0, params, side, rng)
         assert 0.0 <= state.x <= side
         assert 0.0 <= state.y <= side
         assert 50.0 <= state.z <= 150.0
 
 
-def test_step_mobility_is_pure_and_validates_dt():
-    state = make_state()
+def test_step_mobility_steps_exactly_the_listed_states_and_validates_dt():
+    states = [make_state(node_id=f"u{i}", heading=0.1 * i) for i in range(4)]
     params = MobilitySection()
-    before = (state.x, state.y, state.speed)
-    step_mobility(state, 1.0, params, SIDE, Random(5))
-    assert (state.x, state.y, state.speed) == before
-    with pytest.raises(ValueError):
-        step_mobility(state, 0.0, params, SIDE, Random(5))
+    before = [_kinematics(state) for state in states]
+    assert step_mobility(states[1:3], 1.0, params, SIDE, Random(5)) is None
+    after = [_kinematics(state) for state in states]
+    assert [a == b for a, b in zip(after, before)] == [True, False, False, True]
+    assert [state.node_id for state in states] == ["u0", "u1", "u2", "u3"]
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            step_mobility(states, dt, params, SIDE, Random(5))
+    assert [_kinematics(state) for state in states] == after
 
 
 def _frozen_reflect(value, low, high, folds):
@@ -154,34 +159,84 @@ def _kinematics(state):
 
 @pytest.mark.parametrize("eta", [0.0, 0.85, 1.0])
 def test_step_matches_the_frozen_reference_bit_for_bit(eta):
+    """A batch of states steps as the frozen per-state step applied to each
+    state in list order, drawing from a same-seeded `Random`."""
     side = 300.0
     params = MobilitySection(memory=eta, mean_speed_mps=30.0, speed_sigma=20.0,
                              heading_sigma=1.0, vert_sigma=15.0,
                              alt_min_m=50.0, alt_max_m=150.0)
-    setup = Random(17)
-    folds = {"x": [], "y": [], "z": []}
-    for walk in range(20):
-        start = UavState("u0", setup.uniform(0.0, side),
-                         setup.uniform(0.0, side), setup.uniform(50.0, 150.0),
-                         setup.uniform(0.0, 60.0),
-                         setup.uniform(-math.pi, math.pi),
-                         setup.uniform(-math.pi, math.pi),
-                         setup.uniform(-20.0, 20.0))
-        ours, frozen = start, start
-        rng_ours, rng_frozen = Random(walk), Random(walk)
-        for _ in range(200):
-            # 40 s at ~30 m/s crosses the 300 m area several times over.
-            dt = setup.choice((0.5, 1.0, 7.3, 40.0))
-            ours = step_mobility(ours, dt, params, side, rng_ours)
-            frozen = _frozen_step(frozen, dt, params, side, rng_frozen, folds)
-            assert _kinematics(ours) == _kinematics(frozen)
-            assert ours.node_id == "u0"
-        assert rng_ours.getstate() == rng_frozen.getstate()
-    # The walks bounced off every wall, both ends of the altitude band, and
-    # folded more than once in a single step on each axis.
-    for axis in ("x", "y", "z"):
-        assert {wall for wall, _ in folds[axis]} == {"low", "high"}, axis
-        assert max(count for _, count in folds[axis]) > 1, axis
+    for uavs in (1, 7):
+        setup = Random(17)
+        folds = {"x": [], "y": [], "z": []}
+        names = [f"u{i}" for i in range(uavs)]
+        for walk in range(20):
+            frozen = [UavState(name, setup.uniform(0.0, side),
+                               setup.uniform(0.0, side),
+                               setup.uniform(50.0, 150.0),
+                               setup.uniform(0.0, 60.0),
+                               setup.uniform(-math.pi, math.pi),
+                               setup.uniform(-math.pi, math.pi),
+                               setup.uniform(-20.0, 20.0)) for name in names]
+            ours = [copy.copy(state) for state in frozen]
+            rng_ours, rng_frozen = Random(walk), Random(walk)
+            for _ in range(200):
+                # 40 s at ~30 m/s crosses the 300 m area several times over.
+                dt = setup.choice((0.5, 1.0, 7.3, 40.0))
+                step_mobility(ours, dt, params, side, rng_ours)
+                frozen = [_frozen_step(state, dt, params, side, rng_frozen,
+                                       folds) for state in frozen]
+                assert ([_kinematics(state) for state in ours]
+                        == [_kinematics(state) for state in frozen])
+                assert [state.node_id for state in ours] == names
+            assert rng_ours.getstate() == rng_frozen.getstate()
+        # The walks bounced off every wall, both ends of the altitude band,
+        # and folded more than once in a single step on each axis.
+        for axis in ("x", "y", "z"):
+            assert {wall for wall, _ in folds[axis]} == {"low", "high"}, axis
+            assert max(count for _, count in folds[axis]) > 1, axis
+
+
+BANDS = [(0.0, 300.0), (50.0, 150.0), (0.0, 3162.2776601683795), (7.5, 7.75)]
+
+
+def test_reflect_folds_one_at_a_time_up_to_64_folds():
+    rng = Random(29)
+    counts = set()
+    for low, high in BANDS:
+        width = high - low
+        distances = [64 * width, width, 0.0] + [
+            rng.uniform(0.0, 64 * width) for _ in range(500)]
+        for distance in distances:
+            for value in (low - distance, high + distance):
+                folds = []
+                expected, _ = _frozen_reflect(value, low, high, folds)
+                assert _reflect(value, low, high) == expected
+                counts.update(count for _, count in folds)
+    assert max(counts) >= 64
+
+
+def test_reflect_reduces_a_far_excursion_by_the_fold_period():
+    for low, high in BANDS:
+        width = high - low
+        for distance in (64.5 * width, 1000.25 * width, 12345.678 * width):
+            for value in (low - distance, high + distance):
+                expected, _ = _frozen_reflect(value, low, high, [])
+                assert _reflect(value, low, high) == pytest.approx(
+                    expected, abs=1e-9 * width * distance)
+
+
+@pytest.mark.parametrize("value", [1e15, -1e15, 3e15 + 0.5, 1e300, -1e300,
+                                   7.2e17, -math.inf, math.inf])
+def test_reflect_ends_inside_the_band_for_any_excursion(value):
+    for low, high in BANDS:
+        assert low <= _reflect(value, low, high) <= high
+    assert _reflect(math.inf, 0.0, 300.0) == 300.0
+    assert _reflect(-math.inf, 0.0, 300.0) == 0.0
+
+
+@pytest.mark.parametrize("value", [99.0, 101.0, 100.0, 1e300, -math.inf])
+def test_reflect_folds_a_flat_band_to_its_one_point(value):
+    assert _reflect(value, 100.0, 100.0) == 100.0
 
 
 # --- connectivity --------------------------------------------------------------
@@ -237,7 +292,7 @@ def test_uav_neighbors_counts_alive_uavs_in_range():
     assert graph.uav_neighbors("u0") == 1
     graph.set_alive("u1", False)
     assert graph.uav_neighbors("u0") == 0
-    graph.move("u2", (600.0, 0.0, 100.0))
+    graph.move({"u2": (600.0, 0.0, 100.0)})
     assert graph.uav_neighbors("u0") == 1
 
 
@@ -302,9 +357,9 @@ def test_nearest_edge_memo_follows_every_change():
         assert scan_nearest_edge(graph, "u1") == expected
 
     check("e0")
-    graph.move("u1", (8000.0, 0.0, 100.0))
+    graph.move({"u1": (8000.0, 0.0, 100.0)})
     check("e1")
-    graph.move("e0", (8500.0, 0.0, 0.0))
+    graph.move({"e0": (8500.0, 0.0, 0.0)})
     check("e0")
     graph.set_alive("e0", False)
     check("e1")
@@ -312,6 +367,35 @@ def test_nearest_edge_memo_follows_every_change():
     check("e0")
     graph.add_node("e2", "edge", (8000.0, 0.0, 50.0))
     check("e2")
+
+
+def move_checked(graph: CommGraph, batch) -> None:
+    """`graph.move(batch)`, checking the memo entries it retires: every entry
+    when the batch holds an edge, else exactly those of the moved nodes."""
+    kept = {node: entry for node, entry in graph._nearest_memo.items()
+            if node not in batch}
+    graph.move(batch)
+    if any(graph.kinds[node] == "edge" for node in batch):
+        assert graph._nearest_memo == {}
+    else:
+        assert graph._nearest_memo == kept
+    assert all(graph.positions[node] == point for node, point in batch.items())
+
+
+def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
+    graph = _graph()
+    for node in graph.kinds:
+        graph.nearest_edge(node)
+    assert graph.uav_neighbors("u0") == 1
+    move_checked(graph, {"u0": (5000.0, 10.0, 100.0), "u1": (9000.0, 10.0, 100.0)})
+    assert graph.uav_neighbors("u0") == 1  # u2 is now the one in range
+    assert graph.nearest_edge("u1") == "e1"
+    move_checked(graph, {"u2": (0.0, 0.0, 100.0), "e1": (0.0, 100.0, 0.0)})
+    assert graph.nearest_edge("u2") == "e1"
+    before = dict(graph.positions)
+    with pytest.raises(KeyError):
+        graph.move({"u0": (1.0, 1.0, 1.0), "u9": (2.0, 2.0, 2.0)})
+    assert graph.positions == before
 
 
 def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
@@ -330,12 +414,15 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
     for _ in range(500):
         roll = rng.random()
         if roll < 0.5:
-            graph.move(rng.choice(uavs), spot(100.0))
+            move_checked(graph, {uav: spot(100.0) for uav in
+                                 rng.sample(uavs, rng.randint(1, len(uavs)))})
         elif roll < 0.6:
             uav = rng.choice(uavs)
-            graph.move(uav, graph.positions[uav])
+            move_checked(graph, {uav: graph.positions[uav]})
         elif roll < 0.7:
-            graph.move(rng.choice(edges), spot(0.0))
+            batch = {uav: spot(100.0) for uav in rng.sample(uavs, 3)}
+            batch[rng.choice(edges)] = spot(0.0)
+            move_checked(graph, batch)
         else:
             node = rng.choice(edges if roll < 0.85 else uavs)
             graph.set_alive(node, not graph.alive[node])
@@ -379,9 +466,10 @@ def test_contention_and_memo_match_a_scan_along_a_random_walk():
     for step in range(600):
         roll = rng.random()
         if roll < 0.45:
-            graph.move(rng.choice(uavs), spot(100.0))
+            move_checked(graph, {uav: spot(100.0) for uav in
+                                 rng.sample(uavs, rng.randint(1, len(uavs)))})
         elif roll < 0.55:
-            graph.move(rng.choice(edges), spot(0.0))
+            move_checked(graph, {rng.choice(edges): spot(0.0)})
         elif roll < 0.8:
             node = rng.choice(uavs if roll < 0.7 else edges)
             graph.set_alive(node, not graph.alive[node])
