@@ -97,21 +97,18 @@ class Simulation:
         self.uav_ids = [f"u{i:03d}" for i in range(cfg.network.uav_count)]
         self.edge_ids = [f"e{i:02d}" for i in range(cfg.network.edge_count)]
 
-        self.graph = CommGraph(cfg.network)
-
         # Edge stations sit on a jittered grid: planned deployments space
         # their sites roughly evenly, and near-equal cells keep coverage and
         # proposal opportunity from concentrating on a few stations.
         cols = math.ceil(math.sqrt(len(self.edge_ids)))
         rows = math.ceil(len(self.edge_ids) / cols)
         cell_w, cell_h = side / cols, side / rows
+        sites = {}
         for index, edge in enumerate(self.edge_ids):
             cx = (index % cols + 0.5) * cell_w
             cy = (index // cols + 0.5) * cell_h
-            pos = (cx + self.rng_placement.uniform(-0.2, 0.2) * cell_w,
-                   cy + self.rng_placement.uniform(-0.2, 0.2) * cell_h, 0.0)
-            self.graph.add_node(edge, "edge", pos)
-        self.graph.add_node("base", "base", (side / 2, side / 2, 0.0))
+            sites[edge] = (cx + self.rng_placement.uniform(-0.2, 0.2) * cell_w,
+                           cy + self.rng_placement.uniform(-0.2, 0.2) * cell_h, 0.0)
 
         self.uav_states: dict[str, UavState] = {}
         for uav in self.uav_ids:
@@ -126,7 +123,8 @@ class Simulation:
                 mean_heading=0.0)
             state.mean_heading = state.heading
             self.uav_states[uav] = state
-            self.graph.add_node(uav, "uav", state.position())
+        self.graph = CommGraph(cfg.network, sites, {
+            uav: state.position() for uav, state in self.uav_states.items()})
         # Alive UAVs in uav_ids order; _charge_uav removes a UAV as it dies.
         self.alive_uavs = list(self.uav_ids)
 
@@ -177,21 +175,13 @@ class Simulation:
         """Run to `sim.duration_s`, check the invariants and return self."""
         cfg = self.config
         duration = cfg.sim.duration_s
-        step = cfg.sim.mobility_step_s
-        t = step
-        while t <= duration + 1e-9:
-            self._schedule(t, _PRIO_MOBILITY, self._handle_mobility)
-            t += step
-        k = 1
-        while k * cfg.consensus.window_s <= duration + 1e-9:
-            self._schedule(k * cfg.consensus.window_s, _PRIO_WINDOW,
-                           self._window_update, k)
-            k += 1
-        k = 1
-        while k * cfg.consensus.block_interval_s <= duration + 1e-9:
-            self._schedule(k * cfg.consensus.block_interval_s, _PRIO_ROUND,
-                           self._handle_round, k)
-            k += 1
+        # Each periodic handler queues its own next run. Window 0 ran at setup.
+        self._schedule(cfg.sim.mobility_step_s, _PRIO_MOBILITY,
+                       self._handle_mobility)
+        self._schedule(cfg.consensus.window_s, _PRIO_WINDOW,
+                       self._window_update, 1)
+        self._schedule(cfg.consensus.block_interval_s, _PRIO_ROUND,
+                       self._handle_round, 1)
         if duration > 0:
             self._schedule(workload.next_arrival(
                 cfg.workload.arrival_rate_tps, self.rng_workload),
@@ -213,6 +203,8 @@ class Simulation:
     # --- handlers -----------------------------------------------------------
 
     def _handle_mobility(self) -> None:
+        self._schedule(self.now + self.config.sim.mobility_step_s,
+                       _PRIO_MOBILITY, self._handle_mobility)
         states = [self.uav_states[uav] for uav in self.alive_uavs]
         netsim.step_mobility(states, self.config.sim.mobility_step_s,
                              self.config.mobility, self.config.area_side_m(),
@@ -337,6 +329,8 @@ class Simulation:
 
     def _handle_round(self, round_index: int) -> None:
         cfg = self.config
+        self._schedule((round_index + 1) * cfg.consensus.block_interval_s,
+                       _PRIO_ROUND, self._handle_round, round_index + 1)
         self._expire_pool_txs()
         committee = self.committee
         proposer = consensus.sample_proposer(committee, self.edge_weights,
@@ -426,6 +420,8 @@ class Simulation:
         cfg = self.config
         scores = self.trust_scores
         if window_index > 0:
+            self._schedule((window_index + 1) * cfg.consensus.window_s,
+                           _PRIO_WINDOW, self._window_update, window_index + 1)
             window_start = self.now - cfg.consensus.window_s
             chis = {}
             for uav in self.uav_ids:

@@ -25,7 +25,6 @@ passed in the same round, and a loaded dump is for the audit to check.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import struct
@@ -287,7 +286,7 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
     """Write the ledger dump block by block, byte for byte as `json.dump(data,
     sort_keys=True, indent=1)` and a newline; LedgerError on NaN or inf, in
     which case `path` is left as it was."""
-    quote = functools.cache(json.dumps)  # each name's JSON string literal
+    quote = json.encoder.encode_basestring_ascii  # a name's JSON literal
 
     def number(value) -> str:
         text = repr(value)  # what json writes for a finite int or float

@@ -2,8 +2,8 @@
 
 UAVs follow a Gauss-Markov process on speed, heading and vertical speed with
 reflective area boundaries and a clamped altitude band. Links exist between
-any alive pair within transmission range; edge servers and the base station
-additionally share an always-on wired backhaul. Transmission energy follows
+any alive pair within transmission range; edge servers additionally share an
+always-on wired backhaul. Transmission energy follows
 
     eps_tx = eps0 + eps1 * distance**2
 
@@ -27,8 +27,6 @@ from . import left_sum
 
 if TYPE_CHECKING:
     from .config import EnergySection, MobilitySection, NetworkSection
-
-INFRA_KINDS = ("edge", "base")
 
 
 @dataclass(slots=True)
@@ -120,87 +118,61 @@ def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
 class CommGraph:
     """Positions + liveness snapshot answering range and latency queries.
 
+    Built once from the edge sites and the UAVs' starting positions, each
+    mapping's order kept in `edge_ids` and `uav_ids`. Edges never move or
+    die: `move` sets UAV positions (a mobility step moves every alive UAV
+    at once) and `set_alive` marks a UAV dead. The base station is no node.
+
     Link rule: (i, j) is up iff both endpoints are alive and either their
-    distance is within transmission range or both are infrastructure nodes
-    (edges / base station, which share a wired backhaul). `deliver` applies
-    it, once per message.
+    distance is within transmission range or both are edges (which share a
+    wired backhaul). `deliver` applies it, once per message.
 
-    Kind index: besides the `kinds` map, the graph keeps the edge ids and the
-    UAV ids in two lists, each in insertion order, so `nearest_edge` scans
-    only edges and `uav_neighbors` only UAVs instead of every node.
-
-    Moves are batched: one `move` call sets the positions of every node in
-    its mapping (a mobility step moves all alive UAVs at once).
-
-    Nearest-edge memo: `nearest_edge` keeps, per queried node, its answer
-    and its distance. An entry holds until that node moves, which retires
-    it (a UAV's entry is retired by a `move` that includes it); a `move`
-    that includes an edge, `set_alive` and `add_node` clear the whole memo.
-
-    Contention: the first `uav_neighbors` query after any `move`,
-    `set_alive` or `add_node` builds the list of alive UAV positions (in
-    `uav_ids` order) that every query until the next change scans; each
-    node's count is also kept until then.
-
-    Positions and liveness must therefore change only through those three
-    methods, never by writing the dicts.
+    Caches: `nearest_edge` keeps each queried node's answer and distance;
+    the first `uav_neighbors` query builds the list of alive UAV positions
+    (in `uav_ids` order) that every later query scans, and each node's
+    count is kept. Every `move` and `set_alive` clears all three, so
+    positions and liveness must change only through those two methods.
     """
 
-    def __init__(self, network: NetworkSection):
+    def __init__(self, network: NetworkSection,
+                 edge_sites: Mapping[str, tuple[float, float, float]],
+                 uav_positions: Mapping[str, tuple[float, float, float]]):
         self.params = network
-        self.positions: dict[str, tuple[float, float, float]] = {}
-        self.kinds: dict[str, str] = {}
-        self.alive: dict[str, bool] = {}
-        self.edge_ids: list[str] = []
-        self.uav_ids: list[str] = []
+        try:
+            self._range2 = network.range_m ** 2
+        except OverflowError:
+            self._range2 = math.inf
+        self.edge_ids = list(edge_sites)
+        self.uav_ids = list(uav_positions)
+        self.positions = {**edge_sites, **uav_positions}
+        self.alive = dict.fromkeys(self.uav_ids, True)  # UAVs only
         self._contention_cache: dict[str, int] = {}
         self._alive_uav_points: Optional[list[tuple[float, float, float]]] = None
         self._nearest_memo: dict[str, tuple[Optional[str], float]] = {}
 
-    def add_node(self, node_id: str, kind: str,
-                 position: tuple[float, float, float], alive: bool = True) -> None:
-        previous = self.kinds.get(node_id)
-        self.positions[node_id] = position
-        self.kinds[node_id] = kind
-        self.alive[node_id] = alive
+    def _changed(self) -> None:
         self._contention_cache.clear()
         self._alive_uav_points = None
         self._nearest_memo.clear()
-        if previous is None:
-            if kind == "edge":
-                self.edge_ids.append(node_id)
-            elif kind == "uav":
-                self.uav_ids.append(node_id)
-        elif previous != kind:
-            # A re-added node keeps its first position in `kinds`.
-            self.edge_ids = [n for n, k in self.kinds.items() if k == "edge"]
-            self.uav_ids = [n for n, k in self.kinds.items() if k == "uav"]
 
     def move(self, positions: Mapping[str, tuple[float, float, float]]) -> None:
-        """Set the position of every node in `positions` (node -> point)."""
-        if not positions.keys() <= self.kinds.keys():
-            raise KeyError(sorted(positions.keys() - self.kinds.keys()))
+        """Set the position of every UAV in `positions` (UAV -> point)."""
+        if not positions.keys() <= self.alive.keys():
+            raise KeyError(sorted(positions.keys() - self.alive.keys()))
         self.positions.update(positions)
-        self._contention_cache.clear()
-        self._alive_uav_points = None
-        memo = self._nearest_memo
-        if any(edge in positions for edge in self.edge_ids):
-            memo.clear()
-        else:
-            for node in [node for node in memo if node in positions]:
-                del memo[node]
+        self._changed()
 
-    def set_alive(self, node_id: str, alive: bool) -> None:
-        self.alive[node_id] = alive
-        self._contention_cache.clear()
-        self._alive_uav_points = None
-        self._nearest_memo.clear()
+    def set_alive(self, uav: str, alive: bool) -> None:
+        if uav not in self.alive:
+            raise KeyError(uav)
+        self.alive[uav] = alive
+        self._changed()
 
     def distance(self, a: str, b: str) -> float:
         return math.dist(self.positions[a], self.positions[b])
 
     def is_infra_pair(self, a: str, b: str) -> bool:
-        return self.kinds[a] in INFRA_KINDS and self.kinds[b] in INFRA_KINDS
+        return a not in self.alive and b not in self.alive
 
     def uav_neighbors(self, node_id: str) -> int:
         """Alive UAVs inside the node's radio range (channel contention)."""
@@ -213,32 +185,30 @@ class CommGraph:
             points = self._alive_uav_points = [
                 positions[u] for u in self.uav_ids if alive[u]]
         px, py, pz = positions[node_id]
-        rng2 = self.params.range_m ** 2
+        rng2 = self._range2
         count = 0
         for ox, oy, oz in points:
             dx, dy, dz = ox - px, oy - py, oz - pz
             if dx * dx + dy * dy + dz * dz <= rng2:
                 count += 1
-        if alive[node_id] and self.kinds[node_id] == "uav":
+        if alive.get(node_id):
             count -= 1  # the node itself, at distance 0
         self._contention_cache[node_id] = count
         return count
 
     def nearest_edge(self, node_id: str, require_range: bool = False,
                      ) -> Optional[str]:
-        """Closest alive edge (first-added wins a tie), or None if there is none
+        """Closest edge (first listed wins a tie), or None if there is none
         or, with `require_range`, if it lies beyond the transmission range."""
         memo = self._nearest_memo.get(node_id)
         if memo is not None:
             best, best_d = memo
         else:
-            positions, alive = self.positions, self.alive
+            positions = self.positions
             pos = positions[node_id]
             best = None
             best_d = math.inf
             for other in self.edge_ids:
-                if not alive[other]:
-                    continue
                 d = math.dist(pos, positions[other])
                 if d < best_d:
                     best, best_d = other, d
@@ -265,7 +235,7 @@ def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
     propagation + serialization + exponential queueing jitter whose mean
     scales with the number of UAVs contending for the receiver's channel.
     """
-    if not (graph.alive[src] and graph.alive[dst]):
+    if not (graph.alive.get(src, True) and graph.alive.get(dst, True)):
         return None
     p = graph.params
     distance = graph.distance(src, dst)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -393,6 +394,22 @@ def test_run_finishes_when_a_step_leaves_the_band_by_far_or_the_band_is_flat(
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def test_run_with_a_range_whose_square_overflows_writes_finite_outputs(tmp_path):
+    # 1e300 ** 2 overflows a float; the graph takes the squared range as inf.
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": 20, "network.uav_count": 15, "network.range_m": 1e300})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", scenario, "--out", str(out),
+                     "--dump-ledger"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["submitted"] > 0 and summary["dropped"] == 0
+    assert all(value is None or math.isfinite(value) for value in summary.values())
+    for name in ("transactions.csv", "rounds.csv", "trust.csv"):
+        with open(out / name) as handle:
+            cells = {cell.lower() for row in csv.reader(handle) for cell in row}
+        assert not cells & {"inf", "-inf", "nan"}, name
 
 
 def test_sweep_rejects_a_worker_count_that_is_not_an_integer(

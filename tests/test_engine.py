@@ -39,6 +39,28 @@ def test_zero_duration_run_is_empty_but_valid():
     assert all(not seg.chain for seg in result.segments.values())
 
 
+def test_periodic_events_queue_one_at_a_time(monkeypatch):
+    # Each periodic handler queues its own next run, so an hour keeps a short
+    # heap; queued up front, this run's heap held over 3,600 events.
+    lengths = []
+    schedule = engine.Simulation._schedule
+
+    def tracked(self, *args):
+        schedule(self, *args)
+        lengths.append(len(self._events))
+
+    monkeypatch.setattr(engine.Simulation, "_schedule", tracked)
+    sim = engine.run(small_config(sim__duration_s=3600.0, network__uav_count=5,
+                                  workload__arrival_rate_tps=0.1))
+    assert len(lengths) > 3600 + 360 + 240
+    assert max(lengths) <= 8
+    assert len(sim.metrics.rounds) == 240
+    assert len(sim.metrics.trust) == 360 * 5
+    # Set-up queues nothing: a queued bound handler would tie the unrun
+    # simulation in a reference cycle that only the cyclic GC frees.
+    assert engine.Simulation(small_config())._events == []
+
+
 def test_smoke_run_commits_transactions():
     result = engine.run(small_config())
     s = result.summary

@@ -242,14 +242,10 @@ def test_reflect_folds_a_flat_band_to_its_one_point(value):
 # --- connectivity --------------------------------------------------------------
 
 def _graph() -> CommGraph:
-    graph = CommGraph(NetworkSection(range_m=1000.0))
-    graph.add_node("u0", "uav", (0.0, 0.0, 100.0))
-    graph.add_node("u1", "uav", (500.0, 0.0, 100.0))
-    graph.add_node("u2", "uav", (5000.0, 0.0, 100.0))
-    graph.add_node("e0", "edge", (0.0, 400.0, 0.0))
-    graph.add_node("e1", "edge", (9000.0, 0.0, 0.0))
-    graph.add_node("base", "base", (4000.0, 4000.0, 0.0))
-    return graph
+    return CommGraph(NetworkSection(range_m=1000.0),
+                     {"e0": (0.0, 400.0, 0.0), "e1": (9000.0, 0.0, 0.0)},
+                     {"u0": (0.0, 0.0, 100.0), "u1": (500.0, 0.0, 100.0),
+                      "u2": (5000.0, 0.0, 100.0)})
 
 
 def _link_up(graph: CommGraph, src: str, dst: str) -> bool:
@@ -265,7 +261,7 @@ def test_deliver_uses_distance_for_radio_links():
 def test_infra_pairs_always_connected():
     graph = _graph()
     assert _link_up(graph, "e0", "e1")
-    assert _link_up(graph, "e1", "base")
+    assert _link_up(graph, "e1", "e0")
     assert not _link_up(graph, "u0", "e1")
 
 
@@ -273,8 +269,8 @@ def test_dead_nodes_have_no_links():
     graph = _graph()
     graph.set_alive("u1", False)
     assert not _link_up(graph, "u0", "u1")
-    graph.set_alive("e0", False)
-    assert not _link_up(graph, "e0", "e1")
+    assert not _link_up(graph, "u1", "e0")
+    assert _link_up(graph, "u0", "e0")
 
 
 def test_nearest_edge_and_range_gate():
@@ -296,45 +292,25 @@ def test_uav_neighbors_counts_alive_uavs_in_range():
     assert graph.uav_neighbors("u0") == 1
 
 
-def test_nearest_edge_skips_dead_edge():
-    graph = _graph()
-    graph.set_alive("e0", False)
-    assert graph.nearest_edge("u0") == "e1"
-    graph.set_alive("e1", False)
-    assert graph.nearest_edge("u0") is None
-
-
 def test_nearest_edge_tie_goes_to_first_added_edge():
-    graph = CommGraph(NetworkSection(range_m=1000.0))
-    graph.add_node("u0", "uav", (0.0, 0.0, 0.0))
-    graph.add_node("e9", "edge", (300.0, 0.0, 0.0))
-    graph.add_node("e1", "edge", (-300.0, 0.0, 0.0))
-    graph.add_node("e5", "edge", (0.0, 300.0, 0.0))
-    assert graph.nearest_edge("u0") == "e9"
-    graph.set_alive("e9", False)
-    assert graph.nearest_edge("u0") == "e1"
+    sites = {"e9": (300.0, 0.0, 0.0), "e1": (-300.0, 0.0, 0.0),
+             "e5": (0.0, 300.0, 0.0)}
+    origin = {"u0": (0.0, 0.0, 0.0)}
+    network = NetworkSection(range_m=1000.0)
+    assert CommGraph(network, sites, origin).nearest_edge("u0") == "e9"
+    reordered = dict(reversed(sites.items()))
+    assert CommGraph(network, reordered, origin).nearest_edge("u0") == "e5"
 
 
 def test_uav_neighbors_ignores_edges_and_base():
-    graph = CommGraph(NetworkSection(range_m=1000.0))
-    graph.add_node("u0", "uav", (0.0, 0.0, 100.0))
-    graph.add_node("e0", "edge", (10.0, 0.0, 0.0))
-    graph.add_node("base", "base", (0.0, 10.0, 0.0))
-    assert graph.uav_neighbors("u0") == 0
-    assert graph.uav_neighbors("e0") == 1
-    graph.add_node("u1", "uav", (20.0, 0.0, 100.0))
+    graph = CommGraph(NetworkSection(range_m=1000.0), {"e0": (10.0, 0.0, 0.0)},
+                      {"u0": (0.0, 0.0, 100.0), "u1": (20.0, 0.0, 100.0)})
     assert graph.uav_neighbors("u0") == 1
-    assert graph.uav_neighbors("base") == 2
-
-
-def test_kind_index_follows_a_re_added_node():
-    graph = _graph()
-    assert graph.edge_ids == ["e0", "e1"]
-    assert graph.uav_ids == ["u0", "u1", "u2"]
-    graph.add_node("u1", "edge", (0.0, 0.0, 0.0))
-    assert graph.edge_ids == ["u1", "e0", "e1"]
-    assert graph.uav_ids == ["u0", "u2"]
-    assert graph.nearest_edge("u0") == "u1"
+    assert graph.uav_neighbors("e0") == 2
+    # The base station holds a registry key but is no graph node.
+    with pytest.raises(KeyError):
+        graph.uav_neighbors("base")
+    assert graph.uav_ids == ["u0", "u1"] and graph.edge_ids == ["e0"]
 
 
 def scan_nearest_edge(graph: CommGraph, node: str,
@@ -342,7 +318,7 @@ def scan_nearest_edge(graph: CommGraph, node: str,
     """Uncached linear scan: the reference for `CommGraph.nearest_edge`."""
     best, best_d = None, math.inf
     for edge in graph.edge_ids:
-        if graph.alive[edge] and graph.distance(node, edge) < best_d:
+        if graph.distance(node, edge) < best_d:
             best, best_d = edge, graph.distance(node, edge)
     if best is not None and require_range and best_d > graph.params.range_m:
         return None
@@ -359,73 +335,73 @@ def test_nearest_edge_memo_follows_every_change():
     check("e0")
     graph.move({"u1": (8000.0, 0.0, 100.0)})
     check("e1")
-    graph.move({"e0": (8500.0, 0.0, 0.0)})
+    graph.move({"u0": (8500.0, 0.0, 100.0), "u1": (100.0, 400.0, 100.0)})
     check("e0")
-    graph.set_alive("e0", False)
-    check("e1")
-    graph.set_alive("e0", True)
+    graph.set_alive("u2", False)
     check("e0")
-    graph.add_node("e2", "edge", (8000.0, 0.0, 50.0))
-    check("e2")
 
 
 def move_checked(graph: CommGraph, batch) -> None:
-    """`graph.move(batch)`, checking the memo entries it retires: every entry
-    when the batch holds an edge, else exactly those of the moved nodes."""
-    kept = {node: entry for node, entry in graph._nearest_memo.items()
-            if node not in batch}
+    """`graph.move(batch)`, checking that it sets every listed position and
+    clears every cache."""
     graph.move(batch)
-    if any(graph.kinds[node] == "edge" for node in batch):
-        assert graph._nearest_memo == {}
-    else:
-        assert graph._nearest_memo == kept
+    assert graph._nearest_memo == {} and graph._contention_cache == {}
+    assert graph._alive_uav_points is None
     assert all(graph.positions[node] == point for node, point in batch.items())
 
 
 def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
     graph = _graph()
-    for node in graph.kinds:
+    for node in graph.positions:
         graph.nearest_edge(node)
     assert graph.uav_neighbors("u0") == 1
     move_checked(graph, {"u0": (5000.0, 10.0, 100.0), "u1": (9000.0, 10.0, 100.0)})
     assert graph.uav_neighbors("u0") == 1  # u2 is now the one in range
     assert graph.nearest_edge("u1") == "e1"
-    move_checked(graph, {"u2": (0.0, 0.0, 100.0), "e1": (0.0, 100.0, 0.0)})
-    assert graph.nearest_edge("u2") == "e1"
     before = dict(graph.positions)
     with pytest.raises(KeyError):
         graph.move({"u0": (1.0, 1.0, 1.0), "u9": (2.0, 2.0, 2.0)})
     assert graph.positions == before
 
 
-def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
-    rng = Random(11)
-    graph = CommGraph(NetworkSection(range_m=1500.0))
-    uavs = [f"u{i}" for i in range(12)]
-    edges = [f"e{i}" for i in range(5)]
+@pytest.mark.parametrize("node", ["e0", "base", "u9"])
+def test_move_rejects_an_edge_or_an_unknown_node_and_changes_nothing(node):
+    graph = _graph()
+    assert graph.nearest_edge("u0") == "e0"
+    before = dict(graph.positions)
+    with pytest.raises(KeyError):
+        graph.move({"u0": (9000.0, 1.0, 100.0), node: (1.0, 1.0, 0.0)})
+    assert graph.positions == before
+    assert graph.nearest_edge("u0") == "e0"
+    with pytest.raises(KeyError):
+        graph.set_alive(node, False)
+    assert _link_up(graph, "u0", "e0") and _link_up(graph, "e0", "e1")
 
+
+def _random_graph(rng: Random, uavs: list[str], edges: list[str]):
     def spot(z):
         return (rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0), z)
 
-    for edge in edges:
-        graph.add_node(edge, "edge", spot(0.0))
-    for uav in uavs:
-        graph.add_node(uav, "uav", spot(100.0))
+    graph = CommGraph(NetworkSection(range_m=1500.0),
+                      {edge: spot(0.0) for edge in edges},
+                      {uav: spot(100.0) for uav in uavs})
+    return graph, spot
+
+
+def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
+    rng = Random(11)
+    uavs = [f"u{i}" for i in range(12)]
+    graph, spot = _random_graph(rng, uavs, [f"e{i}" for i in range(5)])
     for _ in range(500):
         roll = rng.random()
-        if roll < 0.5:
+        if roll < 0.7:
             move_checked(graph, {uav: spot(100.0) for uav in
                                  rng.sample(uavs, rng.randint(1, len(uavs)))})
-        elif roll < 0.6:
+        elif roll < 0.8:
             uav = rng.choice(uavs)
             move_checked(graph, {uav: graph.positions[uav]})
-        elif roll < 0.7:
-            batch = {uav: spot(100.0) for uav in rng.sample(uavs, 3)}
-            batch[rng.choice(edges)] = spot(0.0)
-            move_checked(graph, batch)
         else:
-            node = rng.choice(edges if roll < 0.85 else uavs)
-            graph.set_alive(node, not graph.alive[node])
+            graph.set_alive(rng.choice(uavs), False)
         for uav in uavs:
             for gate in (False, True):
                 assert (graph.nearest_edge(uav, require_range=gate)
@@ -450,42 +426,24 @@ def scan_uav_neighbors(graph: CommGraph, node_id: str) -> int:
 
 def test_contention_and_memo_match_a_scan_along_a_random_walk():
     rng = Random(23)
-    graph = CommGraph(NetworkSection(range_m=1500.0))
     uavs = [f"u{i}" for i in range(10)]
     edges = [f"e{i}" for i in range(4)]
-
-    def spot(z):
-        return (rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0), z)
-
-    for edge in edges:
-        graph.add_node(edge, "edge", spot(0.0))
-    graph.add_node("base", "base", (2500.0, 2500.0, 0.0))
-    for uav in uavs:
-        graph.add_node(uav, "uav", spot(100.0))
+    graph, spot = _random_graph(rng, uavs, edges)
     seen_dead_uav = False
     for step in range(600):
         roll = rng.random()
-        if roll < 0.45:
-            move_checked(graph, {uav: spot(100.0) for uav in
-                                 rng.sample(uavs, rng.randint(1, len(uavs)))})
-        elif roll < 0.55:
-            move_checked(graph, {rng.choice(edges): spot(0.0)})
-        elif roll < 0.8:
-            node = rng.choice(uavs if roll < 0.7 else edges)
-            graph.set_alive(node, not graph.alive[node])
-        elif roll < 0.9:
-            uav = rng.choice(uavs)
-            graph.add_node(uav, "uav", spot(100.0), alive=rng.random() < 0.7)
-        elif roll < 0.95:
-            uavs.append(f"u{len(uavs)}")
-            graph.add_node(uavs[-1], "uav", spot(100.0))
+        if roll < 0.9:
+            # The alive UAVs, as a mobility step moves them, or any subset.
+            alive = [uav for uav in uavs if graph.alive[uav]]
+            moved = alive if roll < 0.45 else rng.sample(
+                uavs, rng.randint(1, len(uavs)))
+            move_checked(graph, {uav: spot(100.0) for uav in moved})
         else:
-            edges.append(f"e{len(edges)}")
-            graph.add_node(edges[-1], "edge", spot(0.0))
+            graph.set_alive(rng.choice(uavs), False)
         # Query a rotating subset so that some answers come from the cache
         # and some are computed after a change.
-        for node in ["base"] + edges + uavs[step % 3::3]:
-            seen_dead_uav |= not graph.alive[node] and node in uavs
+        for node in edges + uavs[step % 3::3]:
+            seen_dead_uav |= node in uavs and not graph.alive[node]
             assert graph.uav_neighbors(node) == scan_uav_neighbors(graph, node)
             for gate in (False, True):
                 assert (graph.nearest_edge(node, require_range=gate)
@@ -498,13 +456,15 @@ def test_a_mobility_step_retires_the_memo_entries_of_moved_uavs():
     cfg.network.uav_count = 30
     sim = engine.Simulation(cfg)
     graph = sim.graph
-    for node in sim.uav_ids + ["base"]:
+    for node in sim.uav_ids + sim.edge_ids:
         graph.nearest_edge(node)
+        graph.uav_neighbors(node)
     sim._handle_mobility()
     assert sim.alive_uavs == sim.uav_ids
-    assert not set(graph._nearest_memo) & set(sim.alive_uavs)
-    # Entries of nodes that did not move stay.
-    assert "base" in graph._nearest_memo
+    # A step moves every alive UAV and clears every cache with one reset.
+    assert graph._nearest_memo == {} and graph._contention_cache == {}
+    assert graph._alive_uav_points is None
+    assert "base" in sim.registry and "base" not in graph.positions
 
 
 def test_deliver_none_when_out_of_range():
