@@ -107,10 +107,8 @@ def assemble_block(pool: ValidationPool, params: ConsensusSection,
     # the compressed result is re-checked below and trimmed if needed.
     raw_budget = (params.max_block_bytes
                   / (1.0 - ledger_params.compression_headroom))
-    base = len(ledger.block_header(prev.block_id, ledger.ZERO_DIGEST, now,
-                                   proposer)) + 36
     picked: list[Transaction] = []
-    raw_total = base
+    raw_total = ledger.block_wire_size(proposer, [])
     for tx in candidates:
         size = tx.wire_size()
         if raw_total + size > raw_budget:

@@ -361,7 +361,7 @@ class Simulation:
                                                 block.compressed_size)
 
         # Honest members all check the same block against the same head, so
-        # one check stands for each of their votes; vote-reject edges say no.
+        # one check stands for each of their votes; malicious edges say no.
         valid = not ledger.check_block(block, segment.head(), self.registry,
                                        self.provider, cfg.consensus.max_block_bytes,
                                        segment.committed_ids)

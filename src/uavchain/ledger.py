@@ -9,6 +9,7 @@ little-endian i64 fixed-point microseconds):
   header     = hash_prev || merkle_root || timestamp_us || len(proposer) || proposer
   block id   = sha256("block" || header)
   block wire = block_id || header || u32(n_tx) || tx wire...
+               (fixed part: three 32 B digests + i64 time + two u32 = 112 B)
 
 Merkle convention: leaves are sha256(tx id); an odd level duplicates its last
 node; internal node = sha256(left || right). A single-transaction block has
@@ -41,30 +42,19 @@ class LedgerError(Exception):
     """A ledger rule violation or a malformed ledger dump."""
 
 
-def u32(value: int) -> bytes:
-    return int(value).to_bytes(4, "little", signed=False)
-
-
-def u64(value: int) -> bytes:
-    # Signed i64: adversarial senders may back-date timestamps below zero.
-    return int(value).to_bytes(8, "little", signed=True)
-
-
-def encode_bytes(data: bytes) -> bytes:
-    return u32(len(data)) + data
-
-
 def time_to_us(seconds: float) -> int:
     return round(seconds * 1_000_000)
 
 
+# The wire's fields; times are signed, as senders may back-date below zero.
 _U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
 _I64_U32 = struct.Struct("<qI")
 
 
 def encode_tx_core(sender: str, submit_time: float, payload: bytes) -> bytes:
-    """The tx core layout; OverflowError, as from `u32` and `u64`, when a
-    length or the time does not fit its field."""
+    """The tx core layout; OverflowError when a length or the time does not
+    fit its field."""
     sender_bytes = sender.encode("utf-8")
     try:
         return (_U32.pack(len(sender_bytes)) + sender_bytes
@@ -93,7 +83,8 @@ class Transaction:
         return encode_tx_core(self.sender, self.submit_time, self.payload)
 
     def wire(self) -> bytes:
-        return self.canonical_encoding() + encode_bytes(self.signature)
+        return (self.canonical_encoding() + _U32.pack(len(self.signature))
+                + self.signature)
 
     def wire_size(self) -> int:
         return self._core_size + 4 + len(self.signature)
@@ -133,8 +124,8 @@ def merkle_root(tx_ids: list[bytes]) -> bytes:
 
 
 def block_header(hash_prev: bytes, root: bytes, timestamp: float, proposer: str) -> bytes:
-    return (hash_prev + root + u64(time_to_us(timestamp))
-            + encode_bytes(proposer.encode("utf-8")))
+    name = proposer.encode("utf-8")
+    return hash_prev + root + _I64_U32.pack(time_to_us(timestamp), len(name)) + name
 
 
 def block_id_for(header: bytes) -> bytes:
@@ -148,7 +139,7 @@ def make_block(transactions: list[Transaction], hash_prev: bytes,
     meta = BlockMetadata(block_id=block_id_for(header), hash_prev=hash_prev,
                          merkle_root=root, timestamp=timestamp)
     block = Block(metadata=meta, transactions=list(transactions), proposer=proposer)
-    block.raw_size = block_wire_size(block)
+    block.raw_size = block_wire_size(proposer, block.transactions)
     return block
 
 
@@ -156,18 +147,16 @@ def block_wire(block: Block) -> bytes:
     meta = block.metadata
     header = block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
                           block.proposer)
-    parts = [meta.block_id, header, u32(len(block.transactions))]
+    parts = [meta.block_id, header, _U32.pack(len(block.transactions))]
     parts.extend(tx.wire() for tx in block.transactions)
     return b"".join(parts)
 
 
-def block_wire_size(block: Block) -> int:
-    """len(block_wire(block)), without building the transaction bytes."""
-    meta = block.metadata
-    header = block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
-                          block.proposer)
-    return (len(meta.block_id) + len(header) + 4
-            + sum(tx.wire_size() for tx in block.transactions))
+def block_wire_size(proposer: str, transactions: list[Transaction]) -> int:
+    """len(block_wire(block)) of a block of `transactions` by `proposer`,
+    from the layout alone: no bytes are built."""
+    return (3 * DIGEST_LEN + _I64_U32.size + _U32.size + len(proposer.encode("utf-8"))
+            + sum(tx.wire_size() for tx in transactions))
 
 
 def compression_ratio(raw_size: int, compressed_size: int) -> float:
@@ -180,20 +169,19 @@ def compression_ratio(raw_size: int, compressed_size: int) -> float:
 
 
 def compress_block(block: Block, codec: str) -> None:
-    """Record the block's raw and stored sizes under `codec`. Stored form
-    falls back to the raw bytes when zlib does not make them smaller, so the
-    block's compression ratio is then exactly 0."""
+    """Record the block's stored size under `codec`. Stored form falls back
+    to the raw bytes when zlib does not make them smaller, so the block's
+    compression ratio is then exactly 0."""
     if codec not in CODECS:
         raise LedgerError(f"unknown codec {codec!r}")
     raw = block_wire(block)
-    block.raw_size = block.compressed_size = len(raw)
-    if codec == "zlib":
-        block.compressed_size = min(len(raw), len(zlib.compress(raw, 6)))
+    block.compressed_size = (min(len(raw), len(zlib.compress(raw, 6)))
+                             if codec == "zlib" else len(raw))
 
 
 def genesis_metadata(seed: int) -> BlockMetadata:
     """Deterministic chain bootstrap: zero transactions, id bound to the seed."""
-    return BlockMetadata(block_id=hash_bytes(b"genesis" + u64(seed)),
+    return BlockMetadata(block_id=hash_bytes(b"genesis" + _I64.pack(seed)),
                          hash_prev=ZERO_DIGEST, merkle_root=ZERO_DIGEST,
                          timestamp=0.0)
 
@@ -230,7 +218,7 @@ def _time(data: dict, key: str) -> float:
     """`data[key]` if it is a time in seconds that the wire's i64
     microseconds can hold."""
     value = _field(data, key, (int, float))
-    u64(time_to_us(value))  # OverflowError or ValueError when it cannot
+    _I64.pack(time_to_us(value))  # OverflowError, ValueError or struct.error
     return value
 
 
@@ -354,7 +342,7 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, 
         return (segments, registry, _field(data, "scheme", str),
                 _field(data, "seed", int), limit)
     except (AttributeError, KeyError, OverflowError, RecursionError,
-            TypeError, ValueError) as exc:
+            TypeError, ValueError, struct.error) as exc:
         raise LedgerError(f"malformed ledger dump {path}: "
                           f"{type(exc).__name__}: {exc}") from None
 
@@ -381,7 +369,7 @@ def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],
         findings.append("block id mismatch")
     if merkle_root(block.tx_ids()) != meta.merkle_root:
         findings.append("merkle root mismatch")
-    if block.raw_size != block_wire_size(block):
+    if block.raw_size != block_wire_size(block.proposer, block.transactions):
         findings.append("raw size mismatch")
     if max_block_bytes and block.compressed_size > max_block_bytes:
         findings.append("oversize block")

@@ -26,7 +26,6 @@ class Behavior(str, Enum):
     FORGE_SIGNATURE = "forge-signature"
     REPLAY = "replay"
     DELAY_INJECTION = "delay-injection"
-    VOTE_REJECT = "vote-reject"
 
 
 def next_arrival(rate: float, rng: Random) -> float:
@@ -57,12 +56,11 @@ def assign_adversaries(uav_ids: list[str], edge_ids: list[str],
 
     Exactly floor(fraction * count) UAVs are compromised, chosen uniformly;
     behaviors cycle through `behavior_names` in selection order. Malicious
-    edges only vote-reject.
+    edges vote against every proposal but their own.
     """
     n_uavs = math.floor(params.compromised_fraction * len(uav_ids))
     chosen = rng.sample(sorted(uav_ids), n_uavs)
-    behaviors = [Behavior(b) for b in behavior_names
-                 if b != Behavior.VOTE_REJECT.value]
+    behaviors = [Behavior(b) for b in behavior_names]
     if n_uavs and not behaviors:
         raise WorkloadError("no UAV-side behaviors configured")
     uav_behaviors = {uav: behaviors[i % len(behaviors)]

@@ -1,7 +1,8 @@
 """The golden digests without pytest: ``python -S tests/golden_stdlib.py``.
 
-Stubs the ``pytest`` module, imports ``test_golden.py`` beside this file and
-checks its three seeds, so an interpreter with no pytest installed (``-S``
+Stubs the ``pytest`` module, imports ``test_golden.py`` and ``test_ledger.py``
+beside this file and checks the three golden seeds and the pinned digest of a
+``ledger.json`` dump, so an interpreter with no pytest installed (``-S``
 leaves site-packages off ``sys.path``) can still check the pinned outputs.
 Exits 1 on a mismatch. Its name keeps pytest from collecting it.
 """
@@ -17,11 +18,23 @@ sys.modules["pytest"] = types.SimpleNamespace(
     mark=types.SimpleNamespace(parametrize=lambda *_: lambda test: test))
 
 import test_golden  # noqa: E402
+import test_ledger  # noqa: E402
 
-failed = 0
+
+def ledger_dump_matches(outdir: Path) -> bool:
+    try:
+        test_ledger.test_ledger_dump_matches_pinned_digest(outdir)
+    except AssertionError:
+        return False
+    return True
+
+
+results = {}
 for seed, expected in sorted(test_golden.GOLDEN.items()):
     with tempfile.TemporaryDirectory() as outdir:
-        match = test_golden.run_digests(Path(outdir), seed) == expected
-    print(f"seed {seed}: {'ok' if match else 'MISMATCH'}")
-    failed += not match
-sys.exit(1 if failed else 0)
+        results[f"seed {seed}"] = test_golden.run_digests(Path(outdir), seed) == expected
+with tempfile.TemporaryDirectory() as outdir:
+    results["ledger dump"] = ledger_dump_matches(Path(outdir))
+for name, match in results.items():
+    print(f"{name}: {'ok' if match else 'MISMATCH'}")
+sys.exit(0 if all(results.values()) else 1)

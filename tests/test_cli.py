@@ -88,6 +88,22 @@ def test_seed_outside_i64_is_rejected(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sim.mobility_step_s", 1e-17),  # now + step == now from t = 0.125 s on
+    ("workload.arrival_rate_tps", 1e300),  # arrivals never leave t = 0
+    ("network.vote_size_bytes", 10**400),  # no float can hold it
+], ids=["mobility_step_1e-17", "arrival_rate_1e300", "vote_size_10e400"])
+def test_run_rejects_a_scenario_that_could_not_finish(tmp_path, capsys, key,
+                                                      value):
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": 2, "network.uav_count": 5, key: value})
+    code = cli.main(["run", "--config", scenario, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_unregistered_crypto_scheme(tmp_path, capsys):
     scenario = write_small_scenario(
         tmp_path, **{"crypto.scheme": "dilithium3-class"})

@@ -24,13 +24,15 @@ def make_tx(payload: bytes, t: float = 1.0, sender: str = "u000") -> Transaction
                        signature=sig)
 
 
-def test_u32_u64_encodings():
-    assert ledger.u32(0) == b"\x00" * 4
-    assert ledger.u32(1) == b"\x01\x00\x00\x00"
-    assert ledger.u64(1) == b"\x01" + b"\x00" * 7
-    # Timestamps are signed: back-dated submit times can go below zero.
-    assert ledger.u64(-1) == b"\xff" * 8
-    assert int.from_bytes(ledger.u64(-5), "little", signed=True) == -5
+def test_genesis_ids_are_pinned():
+    # The genesis id hashes the seed as a signed little-endian i64.
+    assert {seed: genesis_metadata(seed).block_id.hex()
+            for seed in (-1, 0, 1, 2**63 - 1)} == {
+        -1: "a69c96814b4ec9511dba4a33989ffc42b388f9c4ae99c249dab7fc8a30be5a29",
+        0: "113c5de3731b7bb2b125910b945c7fc8afd67e8b5ecbd79f511eaa9a1b6ef832",
+        1: "9e0e7015180ce018f2f4d1088983d649d09f6d881fcbb1abf8c101e93e6fc623",
+        2**63 - 1:
+            "2c778c01da34f1a0dc3f42404dcf63c8dbdb29665ea49603f46ad03479843249"}
 
 
 def test_time_to_us_fixed_point():
@@ -66,7 +68,8 @@ def test_encode_tx_core_overflows_on_a_field_the_wire_cannot_hold():
 def test_tx_wire_size_matches_wire():
     tx = make_tx(b"x" * 100)
     assert tx.wire_size() == len(tx.wire())
-    assert tx.wire() == tx.canonical_encoding() + ledger.u32(64) + tx.signature
+    assert tx.wire() == (tx.canonical_encoding() + b"\x40\x00\x00\x00"
+                         + tx.signature)
 
 
 def test_wire_size_matches_wire_for_adversarial_and_loaded_txs(tmp_path):
@@ -368,7 +371,40 @@ def test_make_block_raw_size_is_the_wire_length():
     block = ledger.make_block([make_tx(b"a"), make_tx(b"b" * 300)],
                               genesis_metadata(1).block_id, 10.0, "e00")
     assert block.raw_size == len(ledger.block_wire(block))
-    assert ledger.block_wire_size(block) == block.raw_size
+    ledger.compress_block(block, "zlib")
+    assert block.raw_size == len(ledger.block_wire(block))
+
+
+PROPOSERS = ["", "e07", "edge-\u00e9\u6771\U0001f681"]  # empty, ASCII, multi-byte
+
+
+@pytest.mark.parametrize("proposer", PROPOSERS)
+def test_block_wire_size_is_the_wire_length(proposer):
+    honest = make_tx(b"reading" * 20, t=4.0)
+    txs = [honest,
+           Transaction(sender="u000", payload=b"f" * 70, submit_time=5.0,
+                       signature=bytes(range(64))),  # forged
+           Transaction(sender=honest.sender, payload=honest.payload,
+                       submit_time=honest.submit_time,
+                       signature=honest.signature),  # replayed
+           make_tx(b"late", t=-3.0),  # back-dated
+           make_tx(b"", t=0.0)]
+    for n in range(1, len(txs) + 1):
+        block = ledger.make_block(txs[:n], genesis_metadata(1).block_id, 10.0,
+                                  proposer)
+        assert ledger.block_wire_size(proposer, txs[:n]) == len(
+            ledger.block_wire(block))
+
+
+@pytest.mark.parametrize("proposer", PROPOSERS)
+def test_empty_block_wire_size_is_the_header_and_36_bytes(proposer):
+    # 36 = the block id and the u32 tx count around the header.
+    header = ledger.block_header(hash_bytes(b"prev"), ledger.ZERO_DIGEST, 10.0,
+                                 proposer)
+    empty = Block(metadata=genesis_metadata(1), transactions=[],
+                  proposer=proposer)
+    assert ledger.block_wire_size(proposer, []) == len(header) + 36 == len(
+        ledger.block_wire(empty))
 
 
 def test_check_block_flags_raw_size_mismatch():
