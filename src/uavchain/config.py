@@ -17,7 +17,7 @@ from typing import Any
 
 from .crypto import UnsupportedSchemeError, get_provider
 from .ledger import CODECS
-from .workload import Behavior
+from .workload import BACKDATE_TAUS, Behavior
 
 
 class ConfigError(ValueError):
@@ -53,9 +53,13 @@ I64 = Interval(-2**63, 2**63, high_open=True)
 BYTES = Interval(0, 2**32 - 1, low_open=True)   # a u32 length on the wire
 # Committee sampling costs committee_size * edge_count steps per window.
 EDGES = Interval(0, 1000, low_open=True)
+# Noise past the speed of light is not a UAV's, and it keeps a step finite.
+SPEED = Interval(0, 299_792_458.0)
 
 # The most events one periodic or arrival stream may run in a scenario.
 MAX_STREAM_EVENTS = 10**7
+# The wire holds a time as i64 microseconds (ledger.time_to_us).
+MAX_WIRE_TIME_S = 2**63 / 1e6
 
 
 def bounded(default, bound: Interval):
@@ -89,8 +93,9 @@ class NetworkSection:
 class MobilitySection:
     memory: float = bounded(0.85, UNIT)   # autocorrelation of successive velocities
     mean_speed_mps: float = bounded(8.0, NON_NEGATIVE)
-    speed_sigma: float = bounded(1.5, NON_NEGATIVE)
-    heading_sigma: float = bounded(0.35, NON_NEGATIVE)  # radians
+    speed_sigma: float = bounded(1.5, SPEED)
+    # radians; a wrapped normal with sigma 2*pi is already uniform
+    heading_sigma: float = bounded(0.35, Interval(0, 2 * math.pi))
     vert_sigma: float = bounded(0.3, NON_NEGATIVE)
     alt_min_m: float = bounded(50.0, NON_NEGATIVE)
     alt_max_m: float = bounded(150.0, NON_NEGATIVE)
@@ -210,6 +215,18 @@ class ScenarioConfig:
                 ("workload.arrival_rate_tps", sim.duration_s * work.arrival_rate_tps)):
             check(events <= MAX_STREAM_EVENTS, key, f"{events:g} events over "
                   f"sim.duration_s; at most {MAX_STREAM_EVENTS:g} may run")
+        # Every time on the wire must fit its i64 microseconds. A delay whose
+        # mean is longer could never arrive, and the bound keeps draws finite.
+        for key, what, seconds in (
+                ("sim.duration_s", "the last event time", sim.duration_s),
+                ("consensus.tau_max_s", f"the delay-injection back-dating, "
+                 f"{BACKDATE_TAUS:g} x tau_max_s,", BACKDATE_TAUS * cons.tau_max_s),
+                ("network.jitter_mean_s", "the jitter mean at full contention, "
+                 "jitter_mean_s x (1 + network.contention_per_uav x "
+                 "network.uav_count),", net.jitter_mean_s
+                 * (1.0 + net.contention_per_uav * net.uav_count))):
+            check(seconds < MAX_WIRE_TIME_S, key, f"{what} is {seconds:g} s, "
+                  f"past the {MAX_WIRE_TIME_S:g} s that i64 microseconds hold")
         try:
             get_provider(self.crypto.scheme)
         except UnsupportedSchemeError as exc:

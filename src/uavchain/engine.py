@@ -123,10 +123,9 @@ class Simulation:
                 mean_heading=0.0)
             state.mean_heading = state.heading
             self.uav_states[uav] = state
+        # graph.uav_ids holds the alive UAVs; _charge_uav removes each death.
         self.graph = CommGraph(cfg.network, sites, {
             uav: state.position() for uav, state in self.uav_states.items()})
-        # Alive UAVs in uav_ids order; _charge_uav removes a UAV as it dies.
-        self.alive_uavs = list(self.uav_ids)
 
         # Keys are provisioned at scenario start for every node.
         self.keys = {}
@@ -205,7 +204,7 @@ class Simulation:
     def _handle_mobility(self) -> None:
         self._schedule(self.now + self.config.sim.mobility_step_s,
                        _PRIO_MOBILITY, self._handle_mobility)
-        states = [self.uav_states[uav] for uav in self.alive_uavs]
+        states = [self.uav_states[uav] for uav in self.graph.uav_ids]
         netsim.step_mobility(states, self.config.sim.mobility_step_s,
                              self.config.mobility, self.config.area_side_m(),
                              self.rng_mobility)
@@ -217,9 +216,8 @@ class Simulation:
         ok = account.try_charge(amount)
         if account.depleted and uav not in self.death_times:
             self.death_times[uav] = self.now
-            self.alive_uavs.remove(uav)
-            self.graph.set_alive(uav, False)
-            if not self.alive_uavs:
+            self.graph.remove_uav(uav)
+            if not self.graph.uav_ids:
                 log.warning("every UAV is out of energy at t=%.1f s", self.now)
         return ok
 
@@ -243,9 +241,9 @@ class Simulation:
         self._schedule(self.now + workload.next_arrival(
             cfg.workload.arrival_rate_tps, self.rng_workload),
             _PRIO_SUBMIT, self._handle_submit)
-        if not self.alive_uavs:
+        if not self.graph.uav_ids:
             return
-        uav = self.rng_workload.choice(self.alive_uavs)
+        uav = self.rng_workload.choice(self.graph.uav_ids)
         payload = workload.make_payload(cfg.workload, self.rng_workload)
         behavior = self.uav_behaviors.get(uav)
         costs = cfg.crypto
@@ -257,7 +255,7 @@ class Simulation:
         else:
             submit_time = self.now
             if behavior is workload.Behavior.DELAY_INJECTION:
-                submit_time = self.now - 1.5 * cfg.consensus.tau_max_s
+                submit_time -= workload.BACKDATE_TAUS * cfg.consensus.tau_max_s
             tx = Transaction(sender=uav, payload=payload,
                              submit_time=submit_time, signature=b"")
             if behavior is workload.Behavior.FORGE_SIGNATURE:
@@ -283,9 +281,11 @@ class Simulation:
             spend = cfg.energy.tx_energy(self.graph.distance(uav, edge))
             if self._ensure_session(uav, edge) and self._charge_uav(uav, spend):
                 record.energy_j += sign_spend + spend
-                delay = netsim.deliver(tx.wire_size(), uav, edge, self.graph,
-                                       self.rng_network)
-                if delay is not None:
+                # A transmit charge that drains the sender to exactly 0 J is
+                # paid, but the sender is dead: it has no link to send on.
+                if uav not in self.death_times:
+                    delay = netsim.deliver(tx.wire_size(), uav, edge,
+                                           self.graph, self.rng_network)
                     self._schedule(self.now + delay, _PRIO_RECV,
                                    self._handle_recv, tx, edge, seq, uav)
                     return
@@ -376,12 +376,7 @@ class Simulation:
                                   self.graph, self.rng_network)
             up = netsim.deliver(cfg.network.vote_size_bytes, member, proposer,
                                 self.graph, self.rng_network)
-            verify_time = eta * costs.verify_s
-            if down is None or up is None:
-                raise SimulationInvariantError(
-                    f"committee message between proposer {proposer} and "
-                    f"member {member} was dropped")
-            confirm_times[member] = self.now + down + verify_time + up
+            confirm_times[member] = self.now + down + eta * costs.verify_s + up
         record.delta_cons_s = consensus.consensus_delay(self.now, confirm_times)
         # The mains-powered infrastructure tier pays the round energy.
         self.metrics.infra_energy_j += left_sum(cfg.energy.tx_energy(d)
@@ -437,9 +432,8 @@ class Simulation:
                             xi=scores[uav], rho=ranks[uav])
                 for uav, chi in chis.items())
 
-        alive = self.alive_uavs
         assignment: dict[str, set[str]] = {edge: set() for edge in self.edge_ids}
-        for uav in alive:
+        for uav in self.graph.uav_ids:
             edge = self.graph.nearest_edge(uav)
             if edge is not None:
                 assignment[edge].add(uav)
@@ -450,7 +444,6 @@ class Simulation:
     # --- completion ---------------------------------------------------------
 
     def _finalize(self) -> None:
-        self._check_invariants()
         _, top_share = trust_deciles(self.trust_scores,
                                      self.metrics.transactions)[0]
         self.summary = self.metrics.summary(
@@ -458,6 +451,12 @@ class Simulation:
             uav_energy_spent_j=left_sum(a.initial - a.remaining
                                         for a in self.accounts.values()),
             top_decile_share=top_share)
+        # validate cannot foresee every product of large values; a run whose
+        # outputs overflow a float ends here, before anything is written.
+        where = self.metrics.first_non_finite(self.summary)
+        if where is not None:
+            raise ConfigError(f"the scenario's values overflow a float: {where}")
+        self._check_invariants()
 
     def _check_invariants(self) -> None:
         rows = self.metrics.transactions
@@ -478,16 +477,15 @@ class Simulation:
                         f"{pool.owner} pools tx {tx_id.hex()[:16]} against "
                         f"row {seq}, a {row.status} row of edge {row.edge}")
         budget = self.config.energy.uav_budget_j
-        alive = set(self.alive_uavs)
+        alive = set(self.graph.uav_ids)
         for uav, account in self.accounts.items():
-            dead = (uav in self.death_times, uav not in alive,
-                    not self.graph.alive[uav])
+            dead = (uav in self.death_times, uav not in alive)
             if (set(dead) != {account.depleted}
                     or not 0.0 <= account.remaining <= budget):
                 raise SimulationInvariantError(
                     f"{uav} liveness disagrees with its energy account: "
                     f"{account.remaining} J of {budget} J left, dead in "
-                    f"{sum(dead)} of 3 liveness records")
+                    f"{sum(dead)} of 2 liveness records")
         costs = self.config.crypto
         attributed = (left_sum(r.theta_j for r in self.metrics.rounds)
                       + costs.verify_j * len(arrived)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields
+from itertools import filterfalse
 from pathlib import Path
 from statistics import mean
 from typing import Optional
@@ -129,14 +131,34 @@ class MetricsCollector:
             "top_decile_share_pct": 100.0 * top_decile_share,
         }
 
+    def _tables(self) -> dict:
+        return {"transactions.csv": (TxRecord, self.transactions),
+                "rounds.csv": (RoundRecord, self.rounds),
+                "trust.csv": (TrustRecord, self.trust)}
+
+    def first_non_finite(self, summary: dict) -> Optional[str]:
+        """Where the outputs first hold inf or NaN, or None. Checks every
+        summary float and every float column of the CSVs; of the optional
+        ones, a receive time is the clock and the summary holds the mean
+        latency."""
+        for key, value in summary.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                return f"summary.json {key} is {value!r}"
+        for name, (record_type, records) in self._tables().items():
+            for column in fields(record_type):
+                if column.type == "float":
+                    bad = next(filterfalse(math.isfinite, map(
+                        operator.attrgetter(column.name), records)), None)
+                    if bad is not None:
+                        return f"{name} column {column.name} holds {bad!r}"
+        return None
+
     # --- file emission ----------------------------------------------------
 
     def write_csvs(self, outdir) -> list[str]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        tables = {"transactions.csv": (TxRecord, self.transactions),
-                  "rounds.csv": (RoundRecord, self.rounds),
-                  "trust.csv": (TrustRecord, self.trust)}
+        tables = self._tables()
         for name, (record_type, records) in tables.items():
             columns = [f.name for f in fields(record_type)]
             write_csv(outdir / name, columns,

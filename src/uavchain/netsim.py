@@ -1,9 +1,11 @@
 """Mobility, time-varying connectivity, link latency, and the energy model.
 
 UAVs follow a Gauss-Markov process on speed, heading and vertical speed with
-reflective area boundaries and a clamped altitude band. Links exist between
-any alive pair within transmission range; edge servers additionally share an
-always-on wired backhaul. Transmission energy follows
+reflective area boundaries and a clamped altitude band. The engine applies
+the link rule once, where it picks a receiver: an alive UAV uploads to its
+nearest edge within transmission range, and edge servers talk over an
+always-on wired backhaul. `deliver` only times a message. Transmission
+energy follows
 
     eps_tx = eps0 + eps1 * distance**2
 
@@ -12,8 +14,9 @@ transmit and compute costs. Every function takes the scenario's config
 section for its parameters.
 
 ``UavState`` is kinematics only: a UAV's energy lives in its
-``EnergyAccount`` and its liveness in the graph. Accounts are UAV-only; the
-mains-powered infrastructure tier keeps one running total in the metrics.
+``EnergyAccount`` and its liveness in the graph's ``uav_ids``. Accounts are
+UAV-only; the mains-powered infrastructure tier keeps one running total in
+the metrics.
 """
 
 from __future__ import annotations
@@ -116,21 +119,20 @@ def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
 
 
 class CommGraph:
-    """Positions + liveness snapshot answering range and latency queries.
+    """Positions answering range, contention and latency queries.
 
     Built once from the edge sites and the UAVs' starting positions, each
     mapping's order kept in `edge_ids` and `uav_ids`. Edges never move or
     die: `move` sets UAV positions (a mobility step moves every alive UAV
-    at once) and `set_alive` marks a UAV dead. The base station is no node.
-
-    Link rule: (i, j) is up iff both endpoints are alive and either their
-    distance is within transmission range or both are edges (which share a
-    wired backhaul). `deliver` applies it, once per message.
+    at once). `uav_ids` holds the alive UAVs: `remove_uav` takes a dead one
+    out, and it keeps its last position. The base station is no node. The
+    link rule lives in the engine, which sends an upload only to a nearest
+    edge in range and committee messages over the edges' backhaul.
 
     Caches: `nearest_edge` keeps each queried node's answer and distance;
     the first `uav_neighbors` query builds the list of alive UAV positions
     (in `uav_ids` order) that every later query scans, and each node's
-    count is kept. Every `move` and `set_alive` clears all three, so
+    count is kept. Every `move` and `remove_uav` clears all three, so
     positions and liveness must change only through those two methods.
     """
 
@@ -143,9 +145,9 @@ class CommGraph:
         except OverflowError:
             self._range2 = math.inf
         self.edge_ids = list(edge_sites)
-        self.uav_ids = list(uav_positions)
+        self.uav_ids = list(uav_positions)   # the alive UAVs, in start order
+        self._uavs = frozenset(uav_positions)   # every UAV, alive or dead
         self.positions = {**edge_sites, **uav_positions}
-        self.alive = dict.fromkeys(self.uav_ids, True)  # UAVs only
         self._contention_cache: dict[str, int] = {}
         self._alive_uav_points: Optional[list[tuple[float, float, float]]] = None
         self._nearest_memo: dict[str, tuple[Optional[str], float]] = {}
@@ -157,33 +159,34 @@ class CommGraph:
 
     def move(self, positions: Mapping[str, tuple[float, float, float]]) -> None:
         """Set the position of every UAV in `positions` (UAV -> point)."""
-        if not positions.keys() <= self.alive.keys():
-            raise KeyError(sorted(positions.keys() - self.alive.keys()))
+        if not positions.keys() <= self._uavs:
+            raise KeyError(sorted(positions.keys() - self._uavs))
         self.positions.update(positions)
         self._changed()
 
-    def set_alive(self, uav: str, alive: bool) -> None:
-        if uav not in self.alive:
-            raise KeyError(uav)
-        self.alive[uav] = alive
+    def remove_uav(self, uav: str) -> None:
+        """Take a dead UAV out of `uav_ids`; KeyError if it is not there."""
+        try:
+            self.uav_ids.remove(uav)
+        except ValueError:
+            raise KeyError(uav) from None
         self._changed()
 
     def distance(self, a: str, b: str) -> float:
         return math.dist(self.positions[a], self.positions[b])
 
     def is_infra_pair(self, a: str, b: str) -> bool:
-        return a not in self.alive and b not in self.alive
+        return a not in self._uavs and b not in self._uavs
 
     def uav_neighbors(self, node_id: str) -> int:
         """Alive UAVs inside the node's radio range (channel contention)."""
         cached = self._contention_cache.get(node_id)
         if cached is not None:
             return cached
-        positions, alive = self.positions, self.alive
+        positions = self.positions
         points = self._alive_uav_points
         if points is None:
-            points = self._alive_uav_points = [
-                positions[u] for u in self.uav_ids if alive[u]]
+            points = self._alive_uav_points = [positions[u] for u in self.uav_ids]
         px, py, pz = positions[node_id]
         rng2 = self._range2
         count = 0
@@ -191,7 +194,7 @@ class CommGraph:
             dx, dy, dz = ox - px, oy - py, oz - pz
             if dx * dx + dy * dy + dz * dz <= rng2:
                 count += 1
-        if alive.get(node_id):
+        if node_id in self._uavs and node_id in self.uav_ids:
             count -= 1  # the node itself, at distance 0
         self._contention_cache[node_id] = count
         return count
@@ -228,24 +231,15 @@ def delivery_mean_delay(graph: CommGraph, size_bytes: int, src: str,
 
 
 def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
-            rng: Random) -> Optional[float]:
-    """Delay for one message, or None when the link is down (drop).
-
-    The link is down unless it passes `CommGraph`'s link rule. Delay =
-    propagation + serialization + exponential queueing jitter whose mean
-    scales with the number of UAVs contending for the receiver's channel.
-    """
-    if not (graph.alive.get(src, True) and graph.alive.get(dst, True)):
-        return None
+            rng: Random) -> float:
+    """Delay of one message on a link the caller has chosen: propagation +
+    serialization + exponential queueing jitter whose mean scales with the
+    number of UAVs contending for the receiver's channel."""
     p = graph.params
-    distance = graph.distance(src, dst)
-    infra = graph.is_infra_pair(src, dst)
-    if not infra and distance > p.range_m:
-        return None
-    bandwidth = p.backhaul_bps if infra else p.bandwidth_bps
+    bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
     jitter_mean = p.jitter_mean_s * (1.0 + p.contention_per_uav
                                      * graph.uav_neighbors(dst))
-    return (distance / p.prop_speed_mps
+    return (graph.distance(src, dst) / p.prop_speed_mps
             + size_bytes * 8 / bandwidth
             + rng.expovariate(1.0 / jitter_mean))
 

@@ -18,6 +18,9 @@ if TYPE_CHECKING:  # config imports Behavior from here
     from .config import WorkloadSection
 
 
+BACKDATE_TAUS = 1.5   # delay-injection back-dates a tx by 1.5 x tau_max_s
+
+
 class WorkloadError(ValueError):
     pass
 

@@ -1,9 +1,10 @@
 """The golden digests without pytest: ``python -S tests/golden_stdlib.py``.
 
-Stubs the ``pytest`` module, imports ``test_golden.py`` and ``test_ledger.py``
-beside this file and checks the three golden seeds and the pinned digest of a
-``ledger.json`` dump, so an interpreter with no pytest installed (``-S``
-leaves site-packages off ``sys.path``) can still check the pinned outputs.
+Stubs the ``pytest`` module, imports ``test_golden.py``, ``test_ledger.py``
+and ``test_golden_deaths.py`` beside this file and checks the three golden
+seeds, the pinned digest of a ``ledger.json`` dump and the pinned runs in
+which UAVs die, so an interpreter with no pytest installed (``-S`` leaves
+site-packages off ``sys.path``) can still check the pinned outputs.
 Exits 1 on a mismatch. Its name keeps pytest from collecting it.
 """
 
@@ -18,6 +19,7 @@ sys.modules["pytest"] = types.SimpleNamespace(
     mark=types.SimpleNamespace(parametrize=lambda *_: lambda test: test))
 
 import test_golden  # noqa: E402
+import test_golden_deaths  # noqa: E402
 import test_ledger  # noqa: E402
 
 
@@ -35,6 +37,9 @@ for seed, expected in sorted(test_golden.GOLDEN.items()):
         results[f"seed {seed}"] = test_golden.run_digests(Path(outdir), seed) == expected
 with tempfile.TemporaryDirectory() as outdir:
     results["ledger dump"] = ledger_dump_matches(Path(outdir))
+for name, expected in sorted(test_golden_deaths.GOLDEN.items()):
+    with tempfile.TemporaryDirectory() as outdir:
+        results[name] = test_golden_deaths.run_digests(Path(outdir), name) == expected
 for name, match in results.items():
     print(f"{name}: {'ok' if match else 'MISMATCH'}")
 sys.exit(0 if all(results.values()) else 1)

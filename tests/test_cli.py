@@ -104,6 +104,53 @@ def test_run_rejects_a_scenario_that_could_not_finish(tmp_path, capsys, key,
     assert not (tmp_path / "o").exists()
 
 
+_STEPS_1E9 = {"sim.mobility_step_s": 1e9, "consensus.window_s": 1e9,
+              "consensus.block_interval_s": 1e9}
+
+
+@pytest.mark.parametrize("extra,key", [
+    # Times past the wire's i64 microseconds.
+    ({"sim.duration_s": 1e13, "network.uav_count": 5, **_STEPS_1E9,
+      "workload.arrival_rate_tps": 1e-9, "energy.uav_budget_j": 1e300},
+     "sim.duration_s"),
+    ({"sim.duration_s": 60, "network.uav_count": 40,
+      "consensus.tau_max_s": 1e13, "workload.compromised_fraction": 0.5},
+     "consensus.tau_max_s"),
+    # The jitter mean at full contention overflows to inf.
+    ({"network.jitter_mean_s": 1e308}, "network.jitter_mean_s"),
+    ({"network.contention_per_uav": 1e308}, "network.contention_per_uav"),
+    # cos of an infinite heading; an infinite, then NaN, speed.
+    ({"mobility.heading_sigma": 1.7e308}, "mobility.heading_sigma"),
+    ({"mobility.speed_sigma": 1.7e308}, "mobility.speed_sigma"),
+], ids=["duration_1e13", "tau_max_1e13", "jitter_1e308", "contention_1e308",
+        "heading_sigma_1.7e308", "speed_sigma_1.7e308"])
+def test_run_rejects_a_scenario_that_would_crash(tmp_path, capsys, extra, key):
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": 20, "network.uav_count": 15, **extra})
+    code = cli.main(["run", "--config", scenario, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["csv", "dump"])
+@pytest.mark.parametrize("key", ["consensus.alpha", "consensus.gamma",
+                                 "crypto.verify_j", "crypto.verify_s"])
+def test_a_run_whose_outputs_overflow_writes_nothing(tmp_path, capsys, key,
+                                                     dump):
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": 20, "network.uav_count": 15, key: 1e308})
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", scenario, "--out", str(out)]
+                    + ["--dump-ledger"] * dump)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the scenario's values overflow a float: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_rejects_unregistered_crypto_scheme(tmp_path, capsys):
     scenario = write_small_scenario(
         tmp_path, **{"crypto.scheme": "dilithium3-class"})

@@ -1,5 +1,6 @@
 """Scenario config parsing, validation, overrides, bundled defaults."""
 
+import copy
 import math
 import re
 from pathlib import Path
@@ -11,8 +12,8 @@ from uavchain.config import (ConfigError, ScenarioConfig, apply_override,
                              config_to_flat_dict, default_scenario_path,
                              known_keys, load_config)
 from uavchain.crypto import MockProvider, register_provider
-from uavchain.ledger import CODECS
-from uavchain.workload import Behavior
+from uavchain.ledger import CODECS, encode_tx_core
+from uavchain.workload import BACKDATE_TAUS, Behavior
 
 
 def test_defaults_validate():
@@ -252,6 +253,29 @@ def test_a_value_just_outside_its_bound_is_rejected(tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
+def test_the_wire_time_rule_stops_where_i64_microseconds_do():
+    cfg = ScenarioConfig()
+    for key in ("sim.mobility_step_s", "consensus.window_s",
+                "consensus.block_interval_s"):
+        apply_override(cfg, key, 1e9)
+    apply_override(cfg, "workload.arrival_rate_tps", 1e-9)
+    last = math.nextafter(config.MAX_WIRE_TIME_S, 0)
+    tau = config.MAX_WIRE_TIME_S / BACKDATE_TAUS
+    while BACKDATE_TAUS * tau >= config.MAX_WIRE_TIME_S:
+        tau = math.nextafter(tau, 0)
+    cfg.sim.duration_s, cfg.consensus.tau_max_s = last, tau
+    cfg.validate()
+    # The latest event and the earliest back-dated submit time both encode.
+    encode_tx_core("u000", last, b"")
+    encode_tx_core("u000", 0.0 - BACKDATE_TAUS * tau, b"")
+    for key, value in (("sim.duration_s", config.MAX_WIRE_TIME_S),
+                       ("consensus.tau_max_s", math.nextafter(tau, math.inf))):
+        bad = copy.deepcopy(cfg)
+        apply_override(bad, key, value)
+        with pytest.raises(ConfigError, match="^" + re.escape(key + ":")):
+            bad.validate()
+
+
 def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
     # Any value inside every bound that keeps the rules spanning keys loads.
     hypothesis = pytest.importorskip("hypothesis")
@@ -296,11 +320,22 @@ def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
             flat["consensus.gamma"] = 0.1
         # Half the event cap keeps each stream clear of it after rounding.
         events = config.MAX_STREAM_EVENTS / 2
+        # Half the wire's time limit keeps each time and delay mean clear of
+        # it after rounding.
+        wire = config.MAX_WIRE_TIME_S / 2
         flat["sim.duration_s"] = min(
             flat["sim.duration_s"], events / flat["workload.arrival_rate_tps"],
             *(events * flat[key] for key in ("sim.mobility_step_s",
                                              "consensus.window_s",
-                                             "consensus.block_interval_s")))
+                                             "consensus.block_interval_s")),
+            wire)
+        flat["consensus.tau_max_s"] = min(flat["consensus.tau_max_s"],
+                                          wire / BACKDATE_TAUS)
+        contention = flat["network.contention_per_uav"] = min(
+            flat["network.contention_per_uav"], wire)
+        flat["network.jitter_mean_s"] = min(
+            flat["network.jitter_mean_s"],
+            wire / (1.0 + contention * flat["network.uav_count"]))
         path = tmp_path / "drawn.scenario"
         path.write_text("".join(f"{key} = {flat[key]}\n"
                                 for key in known_keys()))

@@ -6,8 +6,8 @@ import logging
 
 import pytest
 
-from uavchain import engine, ledger, netsim
-from uavchain.config import ScenarioConfig
+from uavchain import engine, ledger
+from uavchain.config import ConfigError, ScenarioConfig
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
 from uavchain.metrics import MetricsCollector
@@ -237,31 +237,34 @@ def test_dead_uavs_stop_everything():
 def test_alive_list_drops_uavs_as_they_run_out_of_energy(caplog):
     sim = engine.Simulation(small_config(energy__uav_budget_j=2.0,
                                          sim__duration_s=300.0))
-    assert sim.alive_uavs == sim.uav_ids
+    assert sim.graph.uav_ids == sim.uav_ids
     with caplog.at_level(logging.WARNING):
         sim.run()
-    assert sim.alive_uavs == [u for u in sim.uav_ids
-                              if not sim.accounts[u].depleted]
+    assert sim.graph.uav_ids == [u for u in sim.uav_ids
+                                 if not sim.accounts[u].depleted]
     # Every UAV is dead long before the end; that is logged once, not on
     # every later trust window.
-    assert not sim.alive_uavs
+    assert not sim.graph.uav_ids
     last = max(sim.death_times.values())
     assert [r.getMessage() for r in caplog.records] == [
         f"every UAV is out of energy at t={last:.1f} s"]
 
 
-def test_dropped_committee_message_raises_invariant_error(monkeypatch):
-    deliver = netsim.deliver
-
-    def drop_infra(size, src, dst, graph, rng):
-        if graph.is_infra_pair(src, dst):
-            return None
-        return deliver(size, src, dst, graph, rng)
-
-    monkeypatch.setattr(netsim, "deliver", drop_infra)
-    with pytest.raises(engine.SimulationInvariantError,
-                       match=r"proposer e\d+ and member e\d+ was dropped"):
-        engine.run(small_config())
+def test_a_sender_drained_by_its_transmit_charge_sends_nothing():
+    # Sign 0.5 J + encaps 0.25 J + transmit 0.25 J drain a 1 J battery to
+    # exactly 0 J: the charges are paid, and the upload is dropped.
+    cfg = small_config(sim__duration_s=30.0, network__uav_count=10,
+                       energy__uav_budget_j=1.0, crypto__sign_j=0.5,
+                       crypto__encaps_j=0.25, energy__eps0_j=0.25,
+                       energy__eps1_j_per_m2=0.0,
+                       workload__compromised_fraction=0.0)
+    sim = engine.run(cfg)
+    drained = [r for r in sim.metrics.transactions if r.edge]
+    assert len(drained) == 9
+    for row in drained:
+        assert (row.status, row.reject_reason) == ("dropped", "no-link")
+        assert row.energy_j == 0.75 and row.recv_time_s is None
+        assert sim.death_times[row.sender] == row.submit_time_s
 
 
 def _finalize_after(monkeypatch, corrupt):
@@ -316,13 +319,31 @@ def test_pool_entry_without_a_pending_row_raises(monkeypatch):
 
 def test_uav_marked_dead_without_depletion_raises(monkeypatch):
     def kill_first_uav(sim):
-        uav = sim.alive_uavs.pop(0)
-        sim.graph.set_alive(uav, False)
+        uav = sim.graph.uav_ids[0]
+        sim.graph.remove_uav(uav)
         sim.death_times[uav] = sim.now
 
     _finalize_after(monkeypatch, kill_first_uav)
     with pytest.raises(engine.SimulationInvariantError,
                        match=r"u\d+ liveness disagrees with its energy account"):
+        engine.run(small_config(sim__duration_s=60.0))
+
+
+@pytest.mark.parametrize("table,column,value", [
+    ("transactions", "energy_j", float("inf")),
+    ("transactions", "submit_time_s", float("-inf")),
+    ("rounds", "zeta", float("nan")),
+    ("trust", "chi", float("nan")),   # ahead of the [0,1] invariant
+    ("trust", "rho", float("nan")),
+])
+def test_a_non_finite_output_ends_the_run_before_anything_is_written(
+        monkeypatch, table, column, value):
+    def overflow_last_row(sim):
+        setattr(getattr(sim.metrics, table)[-1], column, value)
+
+    _finalize_after(monkeypatch, overflow_last_row)
+    file = f"{table}.csv column {column}"
+    with pytest.raises(ConfigError, match=f"overflow a float: {file} holds"):
         engine.run(small_config(sim__duration_s=60.0))
 
 

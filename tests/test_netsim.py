@@ -248,29 +248,66 @@ def _graph() -> CommGraph:
                       "u2": (5000.0, 0.0, 100.0)})
 
 
-def _link_up(graph: CommGraph, src: str, dst: str) -> bool:
-    return deliver(100, src, dst, graph, Random(1)) is not None
-
-
 def test_deliver_uses_distance_for_radio_links():
+    # u2 is beyond u0's range: the engine never picks that link, and
+    # deliver still times it from the distance.
     graph = _graph()
-    assert _link_up(graph, "u0", "u1")
-    assert not _link_up(graph, "u0", "u2")
+    p = graph.params
+    jitter_mean = p.jitter_mean_s * (1.0 + p.contention_per_uav
+                                     * graph.uav_neighbors("u2"))
+    assert deliver(100, "u0", "u2", graph, Random(1)) == (
+        graph.distance("u0", "u2") / p.prop_speed_mps + 800 / p.bandwidth_bps
+        + Random(1).expovariate(1.0 / jitter_mean))
 
 
 def test_infra_pairs_always_connected():
     graph = _graph()
-    assert _link_up(graph, "e0", "e1")
-    assert _link_up(graph, "e1", "e0")
-    assert not _link_up(graph, "u0", "e1")
+    assert graph.is_infra_pair("e0", "e1") and graph.is_infra_pair("e1", "e0")
+    assert not graph.is_infra_pair("u0", "e1")
+    assert not graph.is_infra_pair("e1", "u0")
+
+
+def test_deliver_returns_a_float_for_any_pair_of_graph_nodes():
+    graph = _graph()
+    graph.remove_uav("u1")
+    p = graph.params
+    for src in graph.positions:
+        for dst in graph.positions:
+            bandwidth = (p.backhaul_bps if graph.is_infra_pair(src, dst)
+                         else p.bandwidth_bps)
+            floor = graph.distance(src, dst) / p.prop_speed_mps + 800 / bandwidth
+            delay = deliver(100, src, dst, graph, Random(1))
+            assert type(delay) is float and floor <= delay < math.inf
 
 
 def test_dead_nodes_have_no_links():
+    # A removed UAV leaves uav_ids and every contention count, and keeps its
+    # last position for nearest_edge and distance.
     graph = _graph()
-    graph.set_alive("u1", False)
-    assert not _link_up(graph, "u0", "u1")
-    assert not _link_up(graph, "u1", "e0")
-    assert _link_up(graph, "u0", "e0")
+    graph.move({"u2": (100.0, 0.0, 100.0)})
+    assert graph.uav_neighbors("u0") == 2 and graph.uav_neighbors("e0") == 3
+    graph.remove_uav("u1")
+    assert graph.uav_ids == ["u0", "u2"]
+    assert graph.uav_neighbors("u0") == 1 and graph.uav_neighbors("e0") == 2
+    assert graph.uav_neighbors("u1") == 2  # a dead receiver counts no self
+    assert graph.positions["u1"] == (500.0, 0.0, 100.0)
+    assert graph.distance("u0", "u1") == 500.0
+    assert graph.nearest_edge("u1", require_range=True) == "e0"
+
+
+@pytest.mark.parametrize("node", ["e0", "base", "u9", "u1"])
+def test_remove_uav_rejects_an_edge_base_or_unknown_name_and_changes_nothing(
+        node):
+    graph = _graph()
+    if node == "u1":  # already removed
+        graph.remove_uav("u1")
+    before = (list(graph.uav_ids), dict(graph.positions))
+    assert graph.nearest_edge("u0") == "e0"
+    counts = {n: graph.uav_neighbors(n) for n in graph.positions}
+    with pytest.raises(KeyError):
+        graph.remove_uav(node)
+    assert (graph.uav_ids, graph.positions) == before
+    assert graph._nearest_memo and graph._contention_cache == counts
 
 
 def test_nearest_edge_and_range_gate():
@@ -286,7 +323,7 @@ def test_nearest_edge_and_range_gate():
 def test_uav_neighbors_counts_alive_uavs_in_range():
     graph = _graph()
     assert graph.uav_neighbors("u0") == 1
-    graph.set_alive("u1", False)
+    graph.remove_uav("u1")
     assert graph.uav_neighbors("u0") == 0
     graph.move({"u2": (600.0, 0.0, 100.0)})
     assert graph.uav_neighbors("u0") == 1
@@ -337,7 +374,7 @@ def test_nearest_edge_memo_follows_every_change():
     check("e1")
     graph.move({"u0": (8500.0, 0.0, 100.0), "u1": (100.0, 400.0, 100.0)})
     check("e0")
-    graph.set_alive("u2", False)
+    graph.remove_uav("u2")
     check("e0")
 
 
@@ -373,9 +410,6 @@ def test_move_rejects_an_edge_or_an_unknown_node_and_changes_nothing(node):
         graph.move({"u0": (9000.0, 1.0, 100.0), node: (1.0, 1.0, 0.0)})
     assert graph.positions == before
     assert graph.nearest_edge("u0") == "e0"
-    with pytest.raises(KeyError):
-        graph.set_alive(node, False)
-    assert _link_up(graph, "u0", "e0") and _link_up(graph, "e0", "e1")
 
 
 def _random_graph(rng: Random, uavs: list[str], edges: list[str]):
@@ -400,8 +434,8 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
         elif roll < 0.8:
             uav = rng.choice(uavs)
             move_checked(graph, {uav: graph.positions[uav]})
-        else:
-            graph.set_alive(rng.choice(uavs), False)
+        elif graph.uav_ids:
+            graph.remove_uav(rng.choice(graph.uav_ids))
         for uav in uavs:
             for gate in (False, True):
                 assert (graph.nearest_edge(uav, require_range=gate)
@@ -409,13 +443,13 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
 
 
 def scan_uav_neighbors(graph: CommGraph, node_id: str) -> int:
-    """Uncached scan of every UAV: the reference for `uav_neighbors`."""
-    positions, alive = graph.positions, graph.alive
+    """Uncached scan of every alive UAV: the reference for `uav_neighbors`."""
+    positions = graph.positions
     pos = positions[node_id]
     rng2 = graph.params.range_m ** 2
     count = 0
     for other in graph.uav_ids:
-        if other == node_id or not alive[other]:
+        if other == node_id:
             continue
         ox, oy, oz = positions[other]
         dx, dy, dz = ox - pos[0], oy - pos[1], oz - pos[2]
@@ -432,18 +466,18 @@ def test_contention_and_memo_match_a_scan_along_a_random_walk():
     seen_dead_uav = False
     for step in range(600):
         roll = rng.random()
-        if roll < 0.9:
+        if roll < 0.9 or not graph.uav_ids:
             # The alive UAVs, as a mobility step moves them, or any subset.
-            alive = [uav for uav in uavs if graph.alive[uav]]
-            moved = alive if roll < 0.45 else rng.sample(
+            moved = list(graph.uav_ids) if roll < 0.45 else rng.sample(
                 uavs, rng.randint(1, len(uavs)))
-            move_checked(graph, {uav: spot(100.0) for uav in moved})
+            if moved:
+                move_checked(graph, {uav: spot(100.0) for uav in moved})
         else:
-            graph.set_alive(rng.choice(uavs), False)
+            graph.remove_uav(rng.choice(graph.uav_ids))
         # Query a rotating subset so that some answers come from the cache
         # and some are computed after a change.
         for node in edges + uavs[step % 3::3]:
-            seen_dead_uav |= node in uavs and not graph.alive[node]
+            seen_dead_uav |= node in uavs and node not in graph.uav_ids
             assert graph.uav_neighbors(node) == scan_uav_neighbors(graph, node)
             for gate in (False, True):
                 assert (graph.nearest_edge(node, require_range=gate)
@@ -460,16 +494,11 @@ def test_a_mobility_step_retires_the_memo_entries_of_moved_uavs():
         graph.nearest_edge(node)
         graph.uav_neighbors(node)
     sim._handle_mobility()
-    assert sim.alive_uavs == sim.uav_ids
+    assert graph.uav_ids == sim.uav_ids
     # A step moves every alive UAV and clears every cache with one reset.
     assert graph._nearest_memo == {} and graph._contention_cache == {}
     assert graph._alive_uav_points is None
     assert "base" in sim.registry and "base" not in graph.positions
-
-
-def test_deliver_none_when_out_of_range():
-    graph = _graph()
-    assert deliver(100, "u0", "u2", graph, Random(1)) is None
 
 
 def test_deliver_mean_matches_closed_form():
