@@ -55,9 +55,13 @@ BYTES = Interval(0, 2**32 - 1, low_open=True)   # a u32 length on the wire
 EDGES = Interval(0, 1000, low_open=True)
 # Noise past the speed of light is not a UAV's, and it keeps a step finite.
 SPEED = Interval(0, 299_792_458.0)
+PAYLOAD = Interval(0, 2**20, low_open=True)
 
 # The most events one periodic or arrival stream may run in a scenario.
 MAX_STREAM_EVENTS = 10**7
+# The event loop also runs what falls up to 1 ns past sim.duration_s, so a
+# periodic time summed with rounding error still runs at the end.
+EVENT_SLACK_S = 1e-9
 # The wire holds a time as i64 microseconds (ledger.time_to_us).
 MAX_WIRE_TIME_S = 2**63 / 1e6
 
@@ -87,6 +91,10 @@ class NetworkSection:
     contention_per_uav: float = bounded(0.08, NON_NEGATIVE)  # queueing per UAV in cell
     prop_speed_mps: float = bounded(3e8, POSITIVE)
     vote_size_bytes: int = bounded(256, BYTES)
+
+    def jitter_mean(self, contenders: int) -> float:
+        """Mean queueing jitter at a receiver with `contenders` UAVs in range."""
+        return self.jitter_mean_s * (1.0 + self.contention_per_uav * contenders)
 
 
 @dataclass
@@ -156,8 +164,10 @@ class EnergySection:
 @dataclass
 class WorkloadSection:
     arrival_rate_tps: float = bounded(6.0, POSITIVE)   # network-wide, not per UAV
-    payload_min_bytes: int = bounded(512, BYTES)
-    payload_max_bytes: int = bounded(2048, BYTES)
+    # A payload is built whole in memory: 1 MiB is far past a telemetry
+    # record and keeps each arrival's allocation small.
+    payload_min_bytes: int = bounded(512, PAYLOAD)
+    payload_max_bytes: int = bounded(2048, PAYLOAD)
     payload_random_fraction: float = bounded(0.56, UNIT)  # incompressible share
     compromised_fraction: float = bounded(0.15, FRACTION)
     malicious_edge_fraction: float = bounded(0.0, FRACTION)
@@ -208,13 +218,14 @@ class ScenarioConfig:
               "utility weights must not all be zero")
         check(work.payload_min_bytes <= work.payload_max_bytes,
               "workload.payload_min_bytes", "must not exceed payload_max_bytes")
+        span = sim.duration_s + EVENT_SLACK_S   # the time the loop runs
         for key, events in (
-                ("sim.mobility_step_s", sim.duration_s / sim.mobility_step_s),
-                ("consensus.window_s", sim.duration_s / cons.window_s),
-                ("consensus.block_interval_s", sim.duration_s / cons.block_interval_s),
-                ("workload.arrival_rate_tps", sim.duration_s * work.arrival_rate_tps)):
-            check(events <= MAX_STREAM_EVENTS, key, f"{events:g} events over "
-                  f"sim.duration_s; at most {MAX_STREAM_EVENTS:g} may run")
+                ("sim.mobility_step_s", span / sim.mobility_step_s),
+                ("consensus.window_s", span / cons.window_s),
+                ("consensus.block_interval_s", span / cons.block_interval_s),
+                ("workload.arrival_rate_tps", span * work.arrival_rate_tps)):
+            check(events <= MAX_STREAM_EVENTS, key, f"{events:g} events up to "
+                  f"1 ns past sim.duration_s; at most {MAX_STREAM_EVENTS:g} may run")
         # Every time on the wire must fit its i64 microseconds. A delay whose
         # mean is longer could never arrive, and the bound keeps draws finite.
         for key, what, seconds in (
@@ -223,8 +234,7 @@ class ScenarioConfig:
                  f"{BACKDATE_TAUS:g} x tau_max_s,", BACKDATE_TAUS * cons.tau_max_s),
                 ("network.jitter_mean_s", "the jitter mean at full contention, "
                  "jitter_mean_s x (1 + network.contention_per_uav x "
-                 "network.uav_count),", net.jitter_mean_s
-                 * (1.0 + net.contention_per_uav * net.uav_count))):
+                 "network.uav_count),", net.jitter_mean(net.uav_count))):
             check(seconds < MAX_WIRE_TIME_S, key, f"{what} is {seconds:g} s, "
                   f"past the {MAX_WIRE_TIME_S:g} s that i64 microseconds hold")
         try:

@@ -27,7 +27,7 @@ from statistics import mean, stdev
 from typing import Optional
 
 from . import consensus, ledger, left_sum, netsim, trust, workload
-from .config import ConfigError, ScenarioConfig, apply_override
+from .config import EVENT_SLACK_S, ConfigError, ScenarioConfig, apply_override
 from .crypto import get_provider
 from .ledger import LedgerSegment, Transaction, genesis_metadata
 from .metrics import (MetricsCollector, RoundRecord, TrustRecord, TxRecord,
@@ -110,22 +110,17 @@ class Simulation:
             sites[edge] = (cx + self.rng_placement.uniform(-0.2, 0.2) * cell_w,
                            cy + self.rng_placement.uniform(-0.2, 0.2) * cell_h, 0.0)
 
+        draw = self.rng_mobility.uniform
+        starts = {}
         self.uav_states: dict[str, UavState] = {}
-        for uav in self.uav_ids:
-            state = UavState(
-                node_id=uav,
-                x=self.rng_mobility.uniform(0.0, side),
-                y=self.rng_mobility.uniform(0.0, side),
-                z=self.rng_mobility.uniform(cfg.mobility.alt_min_m,
-                                            cfg.mobility.alt_max_m),
-                speed=cfg.mobility.mean_speed_mps,
-                heading=self.rng_mobility.uniform(-math.pi, math.pi),
-                mean_heading=0.0)
-            state.mean_heading = state.heading
-            self.uav_states[uav] = state
+        for uav in self.uav_ids:   # draw order pinned by the digests
+            starts[uav] = (draw(0.0, side), draw(0.0, side),
+                           draw(cfg.mobility.alt_min_m, cfg.mobility.alt_max_m))
+            heading = draw(-math.pi, math.pi)
+            self.uav_states[uav] = UavState(uav, cfg.mobility.mean_speed_mps,
+                                            heading, heading)
         # graph.uav_ids holds the alive UAVs; _charge_uav removes each death.
-        self.graph = CommGraph(cfg.network, sites, {
-            uav: state.position() for uav, state in self.uav_states.items()})
+        self.graph = CommGraph(cfg.network, sites, starts)
 
         # Keys are provisioned at scenario start for every node.
         self.keys = {}
@@ -188,11 +183,9 @@ class Simulation:
 
         while self._events:
             time, _, _, handler, args = heapq.heappop(self._events)
-            if time > duration + 1e-9:
+            if time > duration + EVENT_SLACK_S:
                 break
-            if time < self.now - 1e-9:
-                raise SimulationInvariantError("clock went backwards")
-            self.now = max(self.now, time)
+            self.now = time   # _schedule queues nothing before now
             handler(*args)
 
         self.now = duration
@@ -205,11 +198,9 @@ class Simulation:
         self._schedule(self.now + self.config.sim.mobility_step_s,
                        _PRIO_MOBILITY, self._handle_mobility)
         states = [self.uav_states[uav] for uav in self.graph.uav_ids]
-        netsim.step_mobility(states, self.config.sim.mobility_step_s,
-                             self.config.mobility, self.config.area_side_m(),
-                             self.rng_mobility)
-        self.graph.move({state.node_id: (state.x, state.y, state.z)
-                         for state in states})
+        self.graph.move(netsim.step_mobility(
+            states, self.graph.positions, self.config.sim.mobility_step_s,
+            self.config.mobility, self.config.area_side_m(), self.rng_mobility))
 
     def _charge_uav(self, uav: str, amount: float) -> bool:
         account = self.accounts[uav]
@@ -500,8 +491,9 @@ class Simulation:
                     f"{row.node} trust row of window {row.window_id} has chi "
                     f"{row.chi}, xi {row.xi} outside [0,1]")
         side = self.config.area_side_m()
-        for uav, state in self.uav_states.items():
-            if not (0.0 <= state.x <= side and 0.0 <= state.y <= side):
+        for uav in self.uav_ids:   # a dead UAV keeps its last point
+            x, y, _ = self.graph.positions[uav]
+            if not (0.0 <= x <= side and 0.0 <= y <= side):
                 raise SimulationInvariantError(f"{uav} left the area")
         for edge in self.edge_ids:
             findings = ledger.verify_segment(

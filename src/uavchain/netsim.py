@@ -13,10 +13,10 @@ energy follows
 transmit and compute costs. Every function takes the scenario's config
 section for its parameters.
 
-``UavState`` is kinematics only: a UAV's energy lives in its
-``EnergyAccount`` and its liveness in the graph's ``uav_ids``. Accounts are
-UAV-only; the mains-powered infrastructure tier keeps one running total in
-the metrics.
+``UavState`` is a UAV's velocity only: its position lives in the graph's
+``positions``, beside its liveness in ``uav_ids``, and its energy in its
+``EnergyAccount``. Accounts are UAV-only; the mains-powered infrastructure
+tier keeps one running total in the metrics.
 """
 
 from __future__ import annotations
@@ -31,20 +31,16 @@ from . import left_sum
 if TYPE_CHECKING:
     from .config import EnergySection, MobilitySection, NetworkSection
 
+Point = tuple[float, float, float]   # x, y, z in metres
+
 
 @dataclass(slots=True)
 class UavState:
     node_id: str
-    x: float
-    y: float
-    z: float
     speed: float
     heading: float
     mean_heading: float
     vz: float = 0.0
-
-    def position(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
 
 
 def _reflect(value: float, low: float, high: float) -> float:
@@ -71,14 +67,16 @@ def _reflect(value: float, low: float, high: float) -> float:
     return value
 
 
-def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
-                  area_side: float, rng: Random) -> None:
+def step_mobility(states: list[UavState], positions: Mapping[str, Point],
+                  dt: float, mobility: MobilitySection, area_side: float,
+                  rng: Random) -> dict[str, Point]:
     """One Gauss-Markov step with boundary reflection for each of `states`.
 
-    In place: each listed state is overwritten, and no other. For each state
-    in list order, draws speed, heading and vertical-speed noise from `rng`
-    in that order. A coordinate is folded back, and its heading or vertical
-    speed turned, only when the step leaves the area or the altitude band.
+    Steps each listed state's velocity in place, and no other, and returns
+    {UAV: new point} from the points in `positions`, which it only reads.
+    Draws speed, heading and vertical-speed noise per state, in list order.
+    A coordinate is folded back, and its heading or vertical speed turned,
+    only when the step leaves the area or the altitude band.
     """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
@@ -90,6 +88,7 @@ def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
     speed_sigma, heading_sigma = mobility.speed_sigma, mobility.heading_sigma
     vert_sigma = mobility.vert_sigma
     low, high = mobility.alt_min_m, mobility.alt_max_m
+    moves = {}
     for state in states:
         speed = eta * state.speed + drift + root * gauss(0.0, speed_sigma)
         mean_heading = state.mean_heading
@@ -97,9 +96,10 @@ def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
                    + root * gauss(0.0, heading_sigma))
         vz = eta * state.vz + root * gauss(0.0, vert_sigma)
 
-        x = state.x + speed * cos(heading) * dt
-        y = state.y + speed * sin(heading) * dt
-        z = state.z + vz * dt
+        px, py, pz = positions[state.node_id]
+        x = px + speed * cos(heading) * dt
+        y = py + speed * sin(heading) * dt
+        z = pz + vz * dt
 
         if x < 0.0 or x > area_side:
             x = _reflect(x, 0.0, area_side)
@@ -113,21 +113,22 @@ def step_mobility(states: list[UavState], dt: float, mobility: MobilitySection,
             z = _reflect(z, low, high)
             vz = -vz
 
-        state.x, state.y, state.z = x, y, z
+        moves[state.node_id] = (x, y, z)
         state.speed, state.heading, state.mean_heading = speed, heading, mean_heading
         state.vz = vz
+    return moves
 
 
 class CommGraph:
     """Positions answering range, contention and latency queries.
 
     Built once from the edge sites and the UAVs' starting positions, each
-    mapping's order kept in `edge_ids` and `uav_ids`. Edges never move or
-    die: `move` sets UAV positions (a mobility step moves every alive UAV
-    at once). `uav_ids` holds the alive UAVs: `remove_uav` takes a dead one
-    out, and it keeps its last position. The base station is no node. The
-    link rule lives in the engine, which sends an upload only to a nearest
-    edge in range and committee messages over the edges' backhaul.
+    mapping's order kept in `edge_ids` and `uav_ids`. A UAV's point lives
+    only in `positions`, beside its liveness in `uav_ids`. Edges never move
+    or die; `move` sets UAV points (a mobility step at once) and `remove_uav`
+    takes a dead UAV out, leaving its last point. The base station is no
+    node. The link rule lives in the engine, which sends an upload only to
+    a nearest edge in range and committee messages over the edges' backhaul.
 
     Caches: `nearest_edge` keeps each queried node's answer and distance;
     the first `uav_neighbors` query builds the list of alive UAV positions
@@ -136,9 +137,8 @@ class CommGraph:
     positions and liveness must change only through those two methods.
     """
 
-    def __init__(self, network: NetworkSection,
-                 edge_sites: Mapping[str, tuple[float, float, float]],
-                 uav_positions: Mapping[str, tuple[float, float, float]]):
+    def __init__(self, network: NetworkSection, edge_sites: Mapping[str, Point],
+                 uav_positions: Mapping[str, Point]):
         self.params = network
         try:
             self._range2 = network.range_m ** 2
@@ -149,7 +149,7 @@ class CommGraph:
         self._uavs = frozenset(uav_positions)   # every UAV, alive or dead
         self.positions = {**edge_sites, **uav_positions}
         self._contention_cache: dict[str, int] = {}
-        self._alive_uav_points: Optional[list[tuple[float, float, float]]] = None
+        self._alive_uav_points: Optional[list[Point]] = None
         self._nearest_memo: dict[str, tuple[Optional[str], float]] = {}
 
     def _changed(self) -> None:
@@ -157,7 +157,7 @@ class CommGraph:
         self._alive_uav_points = None
         self._nearest_memo.clear()
 
-    def move(self, positions: Mapping[str, tuple[float, float, float]]) -> None:
+    def move(self, positions: Mapping[str, Point]) -> None:
         """Set the position of every UAV in `positions` (UAV -> point)."""
         if not positions.keys() <= self._uavs:
             raise KeyError(sorted(positions.keys() - self._uavs))
@@ -226,8 +226,8 @@ def delivery_mean_delay(graph: CommGraph, size_bytes: int, src: str,
     """Closed-form mean of the delivery delay model (for verification)."""
     p = graph.params
     bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
-    jitter = p.jitter_mean_s * (1.0 + p.contention_per_uav * graph.uav_neighbors(dst))
-    return graph.distance(src, dst) / p.prop_speed_mps + size_bytes * 8 / bandwidth + jitter
+    return (graph.distance(src, dst) / p.prop_speed_mps + size_bytes * 8 / bandwidth
+            + p.jitter_mean(graph.uav_neighbors(dst)))
 
 
 def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
@@ -237,11 +237,9 @@ def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
     number of UAVs contending for the receiver's channel."""
     p = graph.params
     bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
-    jitter_mean = p.jitter_mean_s * (1.0 + p.contention_per_uav
-                                     * graph.uav_neighbors(dst))
     return (graph.distance(src, dst) / p.prop_speed_mps
             + size_bytes * 8 / bandwidth
-            + rng.expovariate(1.0 / jitter_mean))
+            + rng.expovariate(1.0 / p.jitter_mean(graph.uav_neighbors(dst))))
 
 
 def round_energy(energy: EnergySection, transmit_distances: list[float],

@@ -1,11 +1,13 @@
 """CLI surface: run/sweep/figures/audit subcommands and their artifacts."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import zlib
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from uavchain import cli, crypto, engine
-from uavchain.config import ScenarioConfig
+from uavchain import cli, config, crypto, engine, metrics, workload
+from uavchain.config import Interval, ScenarioConfig
 
 
 def write_small_scenario(tmp_path, **extra) -> str:
@@ -104,6 +106,24 @@ def test_run_rejects_a_scenario_that_could_not_finish(tmp_path, capsys, key,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra,key", [
+    ({"sim.duration_s": 0, "sim.mobility_step_s": 1e-300},
+     "sim.mobility_step_s"),
+    ({"sim.duration_s": 5e-324, "workload.arrival_rate_tps": 1e300},
+     "workload.arrival_rate_tps"),
+], ids=["duration_0_step_1e-300", "duration_5e-324_rate_1e300"])
+def test_run_counts_the_events_of_the_nanosecond_past_the_duration(
+        tmp_path, capsys, extra, key):
+    # The loop runs every event up to 1 ns past sim.duration_s: 1e291 here.
+    scenario = write_small_scenario(tmp_path, **{"network.uav_count": 5,
+                                                 **extra})
+    code = cli.main(["run", "--config", scenario, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: 1e+291 events") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 _STEPS_1E9 = {"sim.mobility_step_s": 1e9, "consensus.window_s": 1e9,
               "consensus.block_interval_s": 1e9}
 
@@ -122,9 +142,17 @@ _STEPS_1E9 = {"sim.mobility_step_s": 1e9, "consensus.window_s": 1e9,
     # cos of an infinite heading; an infinite, then NaN, speed.
     ({"mobility.heading_sigma": 1.7e308}, "mobility.heading_sigma"),
     ({"mobility.speed_sigma": 1.7e308}, "mobility.speed_sigma"),
+    # One payload of up to 4 GiB: a MemoryError, or gigabytes of the host's.
+    ({"workload.payload_max_bytes": 4294967295}, "workload.payload_max_bytes"),
 ], ids=["duration_1e13", "tau_max_1e13", "jitter_1e308", "contention_1e308",
-        "heading_sigma_1.7e308", "speed_sigma_1.7e308"])
-def test_run_rejects_a_scenario_that_would_crash(tmp_path, capsys, extra, key):
+        "heading_sigma_1.7e308", "speed_sigma_1.7e308", "payload_max_2^32-1"])
+def test_run_rejects_a_scenario_that_would_crash(tmp_path, capsys, monkeypatch,
+                                                 extra, key):
+    def never(*args):
+        raise AssertionError("a payload was built")
+
+    # Each is refused at load, before any payload is built.
+    monkeypatch.setattr(workload, "make_payload", never)
     scenario = write_small_scenario(tmp_path, **{
         "sim.duration_s": 20, "network.uav_count": 15, **extra})
     code = cli.main(["run", "--config", scenario, "--out", str(tmp_path / "o")])
@@ -149,6 +177,115 @@ def test_a_run_whose_outputs_overflow_writes_nothing(tmp_path, capsys, key,
     assert err.startswith("error: the scenario's values overflow a float: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# --- any scenario inside the bounds runs clean or is refused ----------------
+
+# Drawn for each key whose interval holds them, with the interval's finite
+# closed ends (an integer key's ends) and values from inside it.
+_EXTREMES = (0, 5e-324, 1e-300, 1 - 2**-53, 1e300, 1.7e308)
+
+# Each example changes up to four keys of a small scenario that commits a
+# block every second. The keys that set the amount of work draw from these
+# caps instead of their bounds, so an example runs in milliseconds: at most
+# 3 simulated seconds, 20 UAVs, 8 edges and 4 tx/s (about 12 payloads of up
+# to 1 MiB each). A step or interval draws values of at least 0.25 s and
+# every extreme of its bound: the tiny ones are refused by the event cap.
+_SMALL = {"sim.duration_s": 3.0, "network.uav_count": 10,
+          "network.edge_count": 4, "consensus.committee_size": 3,
+          "consensus.window_s": 1.0, "consensus.block_interval_s": 1.0,
+          "workload.arrival_rate_tps": 4.0}
+_CAPS = {"sim.duration_s": Interval(0, 3), "network.uav_count": Interval(1, 20),
+         "network.edge_count": Interval(1, 8),
+         "workload.arrival_rate_tps": Interval(0, 4, low_open=True)}
+_STEPS = ("sim.mobility_step_s", "consensus.window_s",
+          "consensus.block_interval_s")
+
+
+def _drawn_values(st, default, outer: Interval, inside: Interval):
+    """Any value of `inside`, or an extreme of `outer` that `outer` holds:
+    one of `_EXTREMES` (0 for an integer key) or a closed end."""
+    if isinstance(default, float):
+        ends = [end for end, is_open in ((outer.low, outer.low_open),
+                                         (outer.high, outer.high_open))
+                if not is_open]   # an infinite end is always open
+        extremes = [float(v) for v in (*_EXTREMES, *ends) if v in outer]
+        low = inside.low if math.isfinite(inside.low) else None
+        high = inside.high if math.isfinite(inside.high) else None
+        values = st.floats(low, high, allow_nan=False, allow_infinity=False,
+                           exclude_min=low is not None and inside.low_open,
+                           exclude_max=high is not None and inside.high_open)
+    else:
+        ends = (outer.low + outer.low_open, outer.high - outer.high_open)
+        extremes = [v for v in (0, *ends) if v in outer]
+        values = st.integers(inside.low + inside.low_open,
+                             inside.high - inside.high_open)
+    return st.one_of(st.sampled_from(sorted(set(extremes))), values)
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    def refuse(literal):
+        raise AssertionError(f"summary.json holds {literal}")
+
+    json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    for name, record in (("transactions", metrics.TxRecord),
+                         ("rounds", metrics.RoundRecord),
+                         ("trust", metrics.TrustRecord)):
+        floats = [f.name for f in dataclasses.fields(record) if "float" in f.type]
+        with open(out / f"{name}.csv", newline="", encoding="utf-8") as handle:
+            for row in csv.DictReader(handle):
+                for column in floats:
+                    if row[column]:
+                        assert math.isfinite(float(row[column])), (name, column)
+
+
+def test_any_scenario_inside_the_bounds_runs_clean_or_is_refused(tmp_path,
+                                                                   capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    numeric = {}
+    for key, default in config.config_to_flat_dict(ScenarioConfig()).items():
+        bound = config._FIELDS[key][2]
+        if key in _STEPS:
+            numeric[key] = _drawn_values(st, default, bound, Interval(
+                0.25, math.inf, high_open=True))
+        elif bound is not None:
+            cap = _CAPS.get(key, bound)
+            numeric[key] = _drawn_values(st, default, cap, cap)
+    outcomes = {"refused": 0, "clean": 0}
+
+    @hypothesis.settings(derandomize=True, max_examples=300, database=None,
+                         deadline=None)
+    @hypothesis.given(keys=st.lists(st.sampled_from(sorted(numeric)),
+                                    min_size=1, max_size=4, unique=True),
+                      data=st.data())
+    def check(keys, data):
+        drawn = {key: data.draw(numeric[key], label=key) for key in keys}
+        work = tmp_path / "example"
+        work.mkdir()
+        try:
+            path, out = work / "drawn.scenario", work / "out"
+            path.write_text("".join(f"{key} = {value!r}\n" for key, value
+                                    in {**_SMALL, **drawn}.items()))
+            code = cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--dump-ledger"])
+            err = capsys.readouterr().err
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert not out.exists()
+                outcomes["refused"] += 1
+                return
+            assert code == 0 and not err, err
+            _assert_finite_outputs(out)
+            assert cli.main(["audit", "--ledger", str(out / "ledger.json")]) == 0
+            assert "audit passed" in capsys.readouterr().out
+            outcomes["clean"] += 1
+        finally:
+            shutil.rmtree(work)
+
+    check()
+    # Both endings occur, so neither check is vacuous.
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_run_rejects_unregistered_crypto_scheme(tmp_path, capsys):

@@ -318,7 +318,15 @@ def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
         if not (flat["consensus.alpha"] or flat["consensus.beta"]
                 or flat["consensus.gamma"]):
             flat["consensus.gamma"] = 0.1
-        # Half the event cap keeps each stream clear of it after rounding.
+        # The loop's 1 ns past the duration takes at most a quarter of the
+        # event cap, and the duration half of it, so each stream stays clear
+        # of the cap after rounding.
+        quarter = config.MAX_STREAM_EVENTS / 4
+        for key in ("sim.mobility_step_s", "consensus.window_s",
+                    "consensus.block_interval_s"):
+            flat[key] = max(flat[key], config.EVENT_SLACK_S / quarter)
+        flat["workload.arrival_rate_tps"] = min(
+            flat["workload.arrival_rate_tps"], quarter / config.EVENT_SLACK_S)
         events = config.MAX_STREAM_EVENTS / 2
         # Half the wire's time limit keeps each time and delay mean clear of
         # it after rounding.

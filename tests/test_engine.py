@@ -61,6 +61,18 @@ def test_periodic_events_queue_one_at_a_time(monkeypatch):
     assert engine.Simulation(small_config())._events == []
 
 
+def test_an_event_before_now_is_refused_and_queues_nothing():
+    # The one clock guard: the run loop pops events in time order and trusts
+    # that none lies before now.
+    sim = engine.Simulation(small_config())
+    sim.now = 5.0
+    with pytest.raises(engine.SimulationInvariantError, match="in the past"):
+        sim._schedule(4.999, engine._PRIO_MOBILITY, sim._handle_mobility)
+    assert sim._events == [] and sim._event_seq == 0
+    sim._schedule(5.0, engine._PRIO_MOBILITY, sim._handle_mobility)
+    assert len(sim._events) == 1
+
+
 def test_smoke_run_commits_transactions():
     result = engine.run(small_config())
     s = result.summary
@@ -102,9 +114,7 @@ def test_workload_stream_does_not_perturb_mobility():
     # Changing only the arrival rate must leave trajectories untouched.
     slow = engine.run(small_config(workload__arrival_rate_tps=2.0))
     fast = engine.run(small_config(workload__arrival_rate_tps=10.0))
-    for uav, state in slow.uav_states.items():
-        other = fast.uav_states[uav]
-        assert state.x == other.x and state.y == other.y
+    assert slow.graph.positions == fast.graph.positions
 
 
 def test_ledger_segments_audit_clean():
@@ -326,6 +336,22 @@ def test_uav_marked_dead_without_depletion_raises(monkeypatch):
     _finalize_after(monkeypatch, kill_first_uav)
     with pytest.raises(engine.SimulationInvariantError,
                        match=r"u\d+ liveness disagrees with its energy account"):
+        engine.run(small_config(sim__duration_s=60.0))
+
+
+@pytest.mark.parametrize("dead", [False, True], ids=["alive", "dead"])
+def test_a_uav_outside_the_area_raises(monkeypatch, dead):
+    # The check reads the graph's positions, where a dead UAV keeps its last.
+    def fly_out(sim):
+        uav = sim.graph.uav_ids[-1]
+        if dead:
+            sim._charge_uav(uav, sim.accounts[uav].remaining + 1.0)
+        _, y, z = sim.graph.positions[uav]
+        sim.graph.move({uav: (-1.0, y, z)})
+
+    _finalize_after(monkeypatch, fly_out)
+    with pytest.raises(engine.SimulationInvariantError,
+                       match=r"u\d+ left the area"):
         engine.run(small_config(sim__duration_s=60.0))
 
 

@@ -1,7 +1,7 @@
 """Mobility statistics, connectivity rules, delivery delay, energy model."""
 
-import copy
 import math
+from dataclasses import dataclass
 from random import Random
 from statistics import mean
 
@@ -15,13 +15,18 @@ from uavchain.netsim import (CommGraph, EnergyAccount, UavState, _reflect,
                              step_mobility)
 
 SIDE = 1e7  # huge area so trajectory tests never hit the boundary
+CENTRE = {"u0": (SIDE / 2, SIDE / 2, 100.0)}
 
 
 def make_state(**kwargs) -> UavState:
-    defaults = dict(node_id="u0", x=SIDE / 2, y=SIDE / 2, z=100.0, speed=8.0,
-                    heading=0.3, mean_heading=0.3)
+    defaults = dict(node_id="u0", speed=8.0, heading=0.3, mean_heading=0.3)
     defaults.update(kwargs)
     return UavState(**defaults)
+
+
+def walk(states, positions, dt, params, side, rng):
+    """One step of `states`, moving `positions` as `CommGraph.move` does."""
+    positions.update(step_mobility(states, positions, dt, params, side, rng))
 
 
 # --- mobility -----------------------------------------------------------------
@@ -31,8 +36,9 @@ def test_memory_one_is_straight_line():
                              vert_sigma=5.0, alt_min_m=0.0, alt_max_m=1e6)
     state = make_state(speed=10.0, heading=0.5)
     rng = Random(1)
+    positions = dict(CENTRE)
     for _ in range(50):
-        step_mobility([state], 1.0, params, SIDE, rng)
+        walk([state], positions, 1.0, params, SIDE, rng)
         assert state.speed == pytest.approx(10.0)
         assert state.heading == pytest.approx(0.5)
 
@@ -41,10 +47,10 @@ def test_memory_zero_is_uncorrelated_around_mean():
     params = MobilitySection(memory=0.0, mean_speed_mps=8.0, speed_sigma=1.5,
                              alt_min_m=0.0, alt_max_m=1e6)
     rng = Random(2)
-    state = make_state()
+    state, positions = make_state(), dict(CENTRE)
     speeds = []
     for _ in range(5000):
-        step_mobility([state], 1.0, params, SIDE, rng)
+        walk([state], positions, 1.0, params, SIDE, rng)
         speeds.append(state.speed)
     assert mean(speeds) == pytest.approx(8.0, abs=0.1)
     assert _lag1_autocorr(speeds) == pytest.approx(0.0, abs=0.05)
@@ -62,10 +68,10 @@ def test_speed_lag1_autocorrelation_matches_memory(eta):
     params = MobilitySection(memory=eta, mean_speed_mps=8.0, speed_sigma=1.5,
                              alt_min_m=0.0, alt_max_m=1e6)
     rng = Random(3)
-    state = make_state()
+    state, positions = make_state(), dict(CENTRE)
     speeds = []
     for _ in range(10_000):
-        step_mobility([state], 1.0, params, SIDE, rng)
+        walk([state], positions, 1.0, params, SIDE, rng)
         speeds.append(state.speed)
     assert _lag1_autocorr(speeds) == pytest.approx(eta, abs=0.05)
 
@@ -75,26 +81,34 @@ def test_reflection_keeps_uav_inside_area():
     params = MobilitySection(memory=0.85, mean_speed_mps=30.0, speed_sigma=5.0,
                              alt_min_m=50.0, alt_max_m=150.0)
     rng = Random(4)
-    state = make_state(x=10.0, y=490.0, z=60.0)
+    state, positions = make_state(), {"u0": (10.0, 490.0, 60.0)}
     for _ in range(2000):
-        step_mobility([state], 1.0, params, side, rng)
-        assert 0.0 <= state.x <= side
-        assert 0.0 <= state.y <= side
-        assert 50.0 <= state.z <= 150.0
+        walk([state], positions, 1.0, params, side, rng)
+        x, y, z = positions["u0"]
+        assert 0.0 <= x <= side
+        assert 0.0 <= y <= side
+        assert 50.0 <= z <= 150.0
 
 
 def test_step_mobility_steps_exactly_the_listed_states_and_validates_dt():
     states = [make_state(node_id=f"u{i}", heading=0.1 * i) for i in range(4)]
+    positions = {f"u{i}": (SIDE / 2 + i, SIDE / 2, 100.0) for i in range(4)}
+    start = dict(positions)
     params = MobilitySection()
-    before = [_kinematics(state) for state in states]
-    assert step_mobility(states[1:3], 1.0, params, SIDE, Random(5)) is None
-    after = [_kinematics(state) for state in states]
+    before = [_velocity(state) for state in states]
+    moves = step_mobility(states[1:3], positions, 1.0, params, SIDE, Random(5))
+    after = [_velocity(state) for state in states]
     assert [a == b for a, b in zip(after, before)] == [True, False, False, True]
     assert [state.node_id for state in states] == ["u0", "u1", "u2", "u3"]
+    # The step only reads the points and returns the listed UAVs' new ones.
+    assert positions == start
+    assert list(moves) == ["u1", "u2"]
+    assert all(moves[u] != start[u] for u in moves)
     for dt in (0.0, -1.0):
         with pytest.raises(ValueError):
-            step_mobility(states, dt, params, SIDE, Random(5))
-    assert [_kinematics(state) for state in states] == after
+            step_mobility(states, positions, dt, params, SIDE, Random(5))
+    assert [_velocity(state) for state in states] == after
+    assert positions == start
 
 
 def _frozen_reflect(value, low, high, folds):
@@ -116,6 +130,19 @@ def _frozen_reflect(value, low, high, folds):
     if bounced:
         folds.append((side, count))
     return value, bounced
+
+
+@dataclass
+class _FrozenState:
+    """`netsim.UavState` while it still held the UAV's position."""
+    node_id: str
+    x: float
+    y: float
+    z: float
+    speed: float
+    heading: float
+    mean_heading: float
+    vz: float = 0.0
 
 
 def _frozen_step(state, dt, mobility, area_side, rng, folds):
@@ -148,13 +175,16 @@ def _frozen_step(state, dt, mobility, area_side, rng, folds):
     if bounced_z:
         vz = -vz
 
-    return UavState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
-                    heading=heading, mean_heading=mean_heading, vz=vz)
+    return _FrozenState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
+                        heading=heading, mean_heading=mean_heading, vz=vz)
+
+
+def _velocity(state):
+    return (state.speed, state.heading, state.mean_heading, state.vz)
 
 
 def _kinematics(state):
-    return (state.x, state.y, state.z, state.speed, state.heading,
-            state.mean_heading, state.vz)
+    return (state.x, state.y, state.z) + _velocity(state)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.85, 1.0])
@@ -169,23 +199,28 @@ def test_step_matches_the_frozen_reference_bit_for_bit(eta):
         setup = Random(17)
         folds = {"x": [], "y": [], "z": []}
         names = [f"u{i}" for i in range(uavs)]
-        for walk in range(20):
-            frozen = [UavState(name, setup.uniform(0.0, side),
-                               setup.uniform(0.0, side),
-                               setup.uniform(50.0, 150.0),
-                               setup.uniform(0.0, 60.0),
-                               setup.uniform(-math.pi, math.pi),
-                               setup.uniform(-math.pi, math.pi),
-                               setup.uniform(-20.0, 20.0)) for name in names]
-            ours = [copy.copy(state) for state in frozen]
-            rng_ours, rng_frozen = Random(walk), Random(walk)
+        for seed in range(20):
+            frozen = [_FrozenState(name, setup.uniform(0.0, side),
+                                   setup.uniform(0.0, side),
+                                   setup.uniform(50.0, 150.0),
+                                   setup.uniform(0.0, 60.0),
+                                   setup.uniform(-math.pi, math.pi),
+                                   setup.uniform(-math.pi, math.pi),
+                                   setup.uniform(-20.0, 20.0))
+                      for name in names]
+            ours = [UavState(state.node_id, *_velocity(state))
+                    for state in frozen]
+            positions = {state.node_id: (state.x, state.y, state.z)
+                         for state in frozen}
+            rng_ours, rng_frozen = Random(seed), Random(seed)
             for _ in range(200):
                 # 40 s at ~30 m/s crosses the 300 m area several times over.
                 dt = setup.choice((0.5, 1.0, 7.3, 40.0))
-                step_mobility(ours, dt, params, side, rng_ours)
+                walk(ours, positions, dt, params, side, rng_ours)
                 frozen = [_frozen_step(state, dt, params, side, rng_frozen,
                                        folds) for state in frozen]
-                assert ([_kinematics(state) for state in ours]
+                assert ([positions[state.node_id] + _velocity(state)
+                         for state in ours]
                         == [_kinematics(state) for state in frozen])
                 assert [state.node_id for state in ours] == names
             assert rng_ours.getstate() == rng_frozen.getstate()
