@@ -59,6 +59,10 @@ PAYLOAD = Interval(0, 2**20, low_open=True)
 
 # The most events one periodic or arrival stream may run in a scenario.
 MAX_STREAM_EVENTS = 10**7
+# The most UAV-steps (network.uav_count x mobility steps) a scenario may run.
+# A UAV-step costs about 5 us at 10,000 UAVs, so this is about 1.4 h of
+# stepping; a day of 10,000 UAVs at the default 1 s step fits.
+MAX_UAV_STEPS = 10**9
 # The event loop also runs what falls up to 1 ns past sim.duration_s, so a
 # periodic time summed with rounding error still runs at the end.
 EVENT_SLACK_S = 1e-9
@@ -226,6 +230,11 @@ class ScenarioConfig:
                 ("workload.arrival_rate_tps", span * work.arrival_rate_tps)):
             check(events <= MAX_STREAM_EVENTS, key, f"{events:g} events up to "
                   f"1 ns past sim.duration_s; at most {MAX_STREAM_EVENTS:g} may run")
+        steps = math.ceil(span / sim.mobility_step_s)
+        check(net.uav_count * steps <= MAX_UAV_STEPS, "network.uav_count",
+              f"{net.uav_count} UAVs x {steps} mobility steps (sim.duration_s "
+              f"/ sim.mobility_step_s) is {net.uav_count * steps:g} UAV-steps; "
+              f"at most {MAX_UAV_STEPS:g} may run")
         # Every time on the wire must fit its i64 microseconds. A delay whose
         # mean is longer could never arrive, and the bound keeps draws finite.
         for key, what, seconds in (

@@ -74,27 +74,45 @@ def step_mobility(states: list[UavState], positions: Mapping[str, Point],
 
     Steps each listed state's velocity in place, and no other, and returns
     {UAV: new point} from the points in `positions`, which it only reads.
-    Draws speed, heading and vertical-speed noise per state, in list order.
+    Draws speed, heading and vertical-speed noise per state, in list order,
+    each normal as `rng.gauss` would: a pair from two `random()` calls, the
+    second kept as the spare in `rng.gauss_next`, where the next draw takes
+    it. So the draws depend on `random()`, not on how `gauss` is coded.
     A coordinate is folded back, and its heading or vertical speed turned,
     only when the step leaves the area or the altitude band.
     """
     if dt <= 0.0:
         raise ValueError("mobility step must be positive")
-    gauss, cos, sin, pi = rng.gauss, math.cos, math.sin, math.pi
+    random, log, sqrt = rng.random, math.log, math.sqrt
+    cos, sin, pi = math.cos, math.sin, math.pi
+    two_pi = 2.0 * pi
     eta = mobility.memory
     rest = 1.0 - eta
-    root = math.sqrt(max(0.0, 1.0 - eta * eta))
+    root = sqrt(max(0.0, 1.0 - eta * eta))
     drift = rest * mobility.mean_speed_mps
     speed_sigma, heading_sigma = mobility.speed_sigma, mobility.heading_sigma
     vert_sigma = mobility.vert_sigma
     low, high = mobility.alt_min_m, mobility.alt_max_m
     moves = {}
+    spare = rng.gauss_next
     for state in states:
-        speed = eta * state.speed + drift + root * gauss(0.0, speed_sigma)
+        # Three normals: with no spare two pairs, leaving one; else one pair.
+        x2pi = random() * two_pi
+        g2rad = sqrt(-2.0 * log(1.0 - random()))
+        if spare is None:
+            z_speed, z_heading = cos(x2pi) * g2rad, sin(x2pi) * g2rad
+            x2pi = random() * two_pi
+            g2rad = sqrt(-2.0 * log(1.0 - random()))
+            z_vert, spare = cos(x2pi) * g2rad, sin(x2pi) * g2rad
+        else:
+            z_speed, z_heading, z_vert = spare, cos(x2pi) * g2rad, sin(x2pi) * g2rad
+            spare = None
+        # `0.0 + z * sigma` is gauss's `mu + z * sigma`, signed zeros included.
+        speed = eta * state.speed + drift + root * (0.0 + z_speed * speed_sigma)
         mean_heading = state.mean_heading
         heading = (eta * state.heading + rest * mean_heading
-                   + root * gauss(0.0, heading_sigma))
-        vz = eta * state.vz + root * gauss(0.0, vert_sigma)
+                   + root * (0.0 + z_heading * heading_sigma))
+        vz = eta * state.vz + root * (0.0 + z_vert * vert_sigma)
 
         px, py, pz = positions[state.node_id]
         x = px + speed * cos(heading) * dt
@@ -116,6 +134,7 @@ def step_mobility(states: list[UavState], positions: Mapping[str, Point],
         moves[state.node_id] = (x, y, z)
         state.speed, state.heading, state.mean_heading = speed, heading, mean_heading
         state.vz = vz
+    rng.gauss_next = spare
     return moves
 
 
@@ -221,13 +240,18 @@ class CommGraph:
         return best
 
 
+def _fixed_delay(graph: CommGraph, size_bytes: int, src: str, dst: str) -> float:
+    """Propagation + serialization: the part of a delay that draws nothing."""
+    p = graph.params
+    bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
+    return graph.distance(src, dst) / p.prop_speed_mps + size_bytes * 8 / bandwidth
+
+
 def delivery_mean_delay(graph: CommGraph, size_bytes: int, src: str,
                         dst: str) -> float:
     """Closed-form mean of the delivery delay model (for verification)."""
-    p = graph.params
-    bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
-    return (graph.distance(src, dst) / p.prop_speed_mps + size_bytes * 8 / bandwidth
-            + p.jitter_mean(graph.uav_neighbors(dst)))
+    return (_fixed_delay(graph, size_bytes, src, dst)
+            + graph.params.jitter_mean(graph.uav_neighbors(dst)))
 
 
 def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
@@ -235,11 +259,8 @@ def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
     """Delay of one message on a link the caller has chosen: propagation +
     serialization + exponential queueing jitter whose mean scales with the
     number of UAVs contending for the receiver's channel."""
-    p = graph.params
-    bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
-    return (graph.distance(src, dst) / p.prop_speed_mps
-            + size_bytes * 8 / bandwidth
-            + rng.expovariate(1.0 / p.jitter_mean(graph.uav_neighbors(dst))))
+    return (_fixed_delay(graph, size_bytes, src, dst) + rng.expovariate(
+        1.0 / graph.params.jitter_mean(graph.uav_neighbors(dst))))
 
 
 def round_energy(energy: EnergySection, transmit_distances: list[float],

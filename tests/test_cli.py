@@ -124,6 +124,34 @@ def test_run_counts_the_events_of_the_nanosecond_past_the_duration(
     assert not (tmp_path / "o").exists()
 
 
+class _Reached(Exception):
+    """Raised by a stand-in for `engine.run`: the scenario passed load."""
+
+
+@pytest.mark.parametrize("duration,refused", [(99_999, False), (100_000, True)],
+                         ids=["at_the_budget", "one_step_over"])
+def test_run_caps_uav_steps_across_keys(tmp_path, capsys, monkeypatch,
+                                        duration, refused):
+    # 10,000 UAVs x ceil((duration + 1 ns) / 1 s) steps against 1e9.
+    def reached(config):
+        raise _Reached
+
+    monkeypatch.setattr(engine, "run", reached)
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": duration, "network.uav_count": 10_000})
+    argv = ["run", "--config", scenario, "--out", str(tmp_path / "o")]
+    if not refused:
+        with pytest.raises(_Reached):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: network.uav_count: 10000 UAVs x 100001 mobility "
+                   "steps (sim.duration_s / sim.mobility_step_s) is "
+                   "1.00001e+09 UAV-steps; at most 1e+09 may run\n")
+    assert not (tmp_path / "o").exists()
+
+
 _STEPS_1E9 = {"sim.mobility_step_s": 1e9, "consensus.window_s": 1e9,
               "consensus.block_interval_s": 1e9}
 

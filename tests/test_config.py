@@ -339,6 +339,11 @@ def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
             wire)
         flat["consensus.tau_max_s"] = min(flat["consensus.tau_max_s"],
                                           wire / BACKDATE_TAUS)
+        # At most about half the event cap of steps, so about 200 UAVs fit.
+        steps = math.ceil((flat["sim.duration_s"] + config.EVENT_SLACK_S)
+                          / flat["sim.mobility_step_s"])
+        flat["network.uav_count"] = min(flat["network.uav_count"],
+                                        config.MAX_UAV_STEPS // steps)
         contention = flat["network.contention_per_uav"] = min(
             flat["network.contention_per_uav"], wire)
         flat["network.jitter_mean_s"] = min(

@@ -231,6 +231,34 @@ def test_step_matches_the_frozen_reference_bit_for_bit(eta):
             assert max(count for _, count in folds[axis]) > 1, axis
 
 
+@pytest.mark.parametrize("uavs", [1, 2, 3])
+@pytest.mark.parametrize("spare_in", [False, True], ids=["no_spare", "spare"])
+def test_step_hands_the_gauss_spare_on_in_both_directions(uavs, spare_in):
+    """The step takes `random.gauss`'s spare as its first normal, and an odd
+    count of normals leaves one for the next `rng.gauss` to return."""
+    params = MobilitySection(memory=0.85, mean_speed_mps=30.0, speed_sigma=20.0,
+                             heading_sigma=1.0, vert_sigma=15.0)
+    frozen = [_FrozenState(f"u{i}", 150.0 + i, 150.0, 100.0, 12.0, 0.2 * i,
+                           0.1, 1.0) for i in range(uavs)]
+    ours = [UavState(state.node_id, *_velocity(state)) for state in frozen]
+    positions = {state.node_id: (state.x, state.y, state.z) for state in frozen}
+    rng_ours, rng_frozen = Random(23), Random(23)
+    if spare_in:
+        assert rng_ours.gauss() == rng_frozen.gauss()
+        assert rng_ours.gauss_next is not None
+    folds = {"x": [], "y": [], "z": []}
+    walk(ours, positions, 1.0, params, 300.0, rng_ours)
+    frozen = [_frozen_step(state, 1.0, params, 300.0, rng_frozen, folds)
+              for state in frozen]
+    assert ([positions[state.node_id] + _velocity(state) for state in ours]
+            == [_kinematics(state) for state in frozen])
+    assert rng_ours.getstate() == rng_frozen.getstate()
+    # 3 normals per UAV, plus the one drawn before: an odd total keeps a spare.
+    assert (rng_ours.gauss_next is not None) == ((3 * uavs + spare_in) % 2 == 1)
+    assert rng_ours.gauss(0.0, 1.0) == rng_frozen.gauss(0.0, 1.0)
+    assert rng_ours.getstate() == rng_frozen.getstate()
+
+
 BANDS = [(0.0, 300.0), (50.0, 150.0), (0.0, 3162.2776601683795), (7.5, 7.75)]
 
 
