@@ -63,6 +63,12 @@ MAX_STREAM_EVENTS = 10**7
 # A UAV-step costs about 5 us at 10,000 UAVs, so this is about 1.4 h of
 # stepping; a day of 10,000 UAVs at the default 1 s step fits.
 MAX_UAV_STEPS = 10**9
+# The most bytes a scenario's arrivals may hold. Each keeps its row to the
+# end of the run and a pooled or committed tx its payload: peak RSS grew by
+# about 1 KB an arrival plus its payload (100 UAVs, 600 tx/s, 120 s). 4 GiB
+# admits 960 s at 600 tx/s (1.8e9 B), not 10^7 arrivals (3.1e10 B).
+ARRIVAL_BYTES = 1024
+MAX_ARRIVAL_BYTES = 4 * 2**30
 # The event loop also runs what falls up to 1 ns past sim.duration_s, so a
 # periodic time summed with rounding error still runs at the end.
 EVENT_SLACK_S = 1e-9
@@ -223,11 +229,12 @@ class ScenarioConfig:
         check(work.payload_min_bytes <= work.payload_max_bytes,
               "workload.payload_min_bytes", "must not exceed payload_max_bytes")
         span = sim.duration_s + EVENT_SLACK_S   # the time the loop runs
+        arrivals = span * work.arrival_rate_tps
         for key, events in (
                 ("sim.mobility_step_s", span / sim.mobility_step_s),
                 ("consensus.window_s", span / cons.window_s),
                 ("consensus.block_interval_s", span / cons.block_interval_s),
-                ("workload.arrival_rate_tps", span * work.arrival_rate_tps)):
+                ("workload.arrival_rate_tps", arrivals)):
             check(events <= MAX_STREAM_EVENTS, key, f"{events:g} events up to "
                   f"1 ns past sim.duration_s; at most {MAX_STREAM_EVENTS:g} may run")
         steps = math.ceil(span / sim.mobility_step_s)
@@ -235,6 +242,11 @@ class ScenarioConfig:
               f"{net.uav_count} UAVs x {steps} mobility steps (sim.duration_s "
               f"/ sim.mobility_step_s) is {net.uav_count * steps:g} UAV-steps; "
               f"at most {MAX_UAV_STEPS:g} may run")
+        held = arrivals * (ARRIVAL_BYTES + work.payload_max_bytes)
+        check(held <= MAX_ARRIVAL_BYTES, "workload.arrival_rate_tps",
+              f"{arrivals:g} arrivals (sim.duration_s x rate) x ({ARRIVAL_BYTES} "
+              f"B + workload.payload_max_bytes) is {held:g} B; at most "
+              f"{MAX_ARRIVAL_BYTES:g} B may be held")
         # Every time on the wire must fit its i64 microseconds. A delay whose
         # mean is longer could never arrive, and the bound keeps draws finite.
         for key, what, seconds in (
@@ -256,6 +268,10 @@ class ScenarioConfig:
         unknown = sorted(names - {b.value for b in Behavior})
         if unknown:
             raise ConfigError(f"workload.behaviors: unknown behavior {unknown[0]!r}")
+        compromised = math.floor(work.compromised_fraction * net.uav_count)
+        check(bool(names) or not compromised, "workload.behaviors",
+              f"is empty, but {compromised} UAVs are compromised "
+              "(workload.compromised_fraction x network.uav_count)")
 
 
 # trust.lambda is the documented key; "lambda" is reserved in Python.

@@ -144,8 +144,7 @@ class Simulation:
                       for edge in self.edge_ids}
         self.trust_scores = dict.fromkeys(self.uav_ids, cfg.trust.initial_score)
         self.uav_behaviors, self.malicious_edges = workload.assign_adversaries(
-            self.uav_ids, self.edge_ids, cfg.workload,
-            cfg.behavior_list() or (workload.Behavior.FORGE_SIGNATURE.value,),
+            self.uav_ids, self.edge_ids, cfg.workload, cfg.behavior_list(),
             self.rng_adversary)
 
         self.window_stats = {uav: _WindowStats() for uav in self.uav_ids}
@@ -269,13 +268,15 @@ class Simulation:
         if edge is not None:
             record.edge = edge
             reason = "energy-exhausted"
-            spend = cfg.energy.tx_energy(self.graph.distance(uav, edge))
+            distance = self.graph.distance(uav, edge)
+            spend = cfg.energy.tx_energy(distance)
             if self._ensure_session(uav, edge) and self._charge_uav(uav, spend):
                 record.energy_j += sign_spend + spend
                 # A transmit charge that drains the sender to exactly 0 J is
                 # paid, but the sender is dead: it has no link to send on.
                 if uav not in self.death_times:
-                    delay = netsim.deliver(tx.wire_size(), uav, edge,
+                    delay = netsim.deliver(tx.wire_size(), distance,
+                                           cfg.network.bandwidth_bps, edge,
                                            self.graph, self.rng_network)
                     self._schedule(self.now + delay, _PRIO_RECV,
                                    self._handle_recv, tx, edge, seq, uav)
@@ -362,11 +363,12 @@ class Simulation:
         record.approvals = sum(votes.values())
 
         confirm_times = {proposer: self.now}
-        for member in members:
-            down = netsim.deliver(block.compressed_size, proposer, member,
-                                  self.graph, self.rng_network)
-            up = netsim.deliver(cfg.network.vote_size_bytes, member, proposer,
-                                self.graph, self.rng_network)
+        backhaul = cfg.network.backhaul_bps
+        for member, distance in zip(members, distances):
+            down = netsim.deliver(block.compressed_size, distance, backhaul,
+                                  member, self.graph, self.rng_network)
+            up = netsim.deliver(cfg.network.vote_size_bytes, distance, backhaul,
+                                proposer, self.graph, self.rng_network)
             confirm_times[member] = self.now + down + eta * costs.verify_s + up
         record.delta_cons_s = consensus.consensus_delay(self.now, confirm_times)
         # The mains-powered infrastructure tier pays the round energy.
@@ -425,6 +427,7 @@ class Simulation:
 
         assignment: dict[str, set[str]] = {edge: set() for edge in self.edge_ids}
         for uav in self.graph.uav_ids:
+            # A NaN or infinite point (an overflowed area) has no nearest edge.
             edge = self.graph.nearest_edge(uav)
             if edge is not None:
                 assignment[edge].add(uav)

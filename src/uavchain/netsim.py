@@ -4,8 +4,8 @@ UAVs follow a Gauss-Markov process on speed, heading and vertical speed with
 reflective area boundaries and a clamped altitude band. The engine applies
 the link rule once, where it picks a receiver: an alive UAV uploads to its
 nearest edge within transmission range, and edge servers talk over an
-always-on wired backhaul. `deliver` only times a message. Transmission
-energy follows
+always-on wired backhaul. `deliver` only times a link the engine measured.
+Transmission energy follows
 
     eps_tx = eps0 + eps1 * distance**2
 
@@ -139,7 +139,7 @@ def step_mobility(states: list[UavState], positions: Mapping[str, Point],
 
 
 class CommGraph:
-    """Positions answering range, contention and latency queries.
+    """Positions answering range and contention queries.
 
     Built once from the edge sites and the UAVs' starting positions, each
     mapping's order kept in `edge_ids` and `uav_ids`. A UAV's point lives
@@ -151,7 +151,7 @@ class CommGraph:
 
     Caches: `nearest_edge` keeps each queried node's answer and distance;
     the first `uav_neighbors` query builds the list of alive UAV positions
-    (in `uav_ids` order) that every later query scans, and each node's
+    (in `uav_ids` order) that every later query scans, and each edge's
     count is kept. Every `move` and `remove_uav` clears all three, so
     positions and liveness must change only through those two methods.
     """
@@ -194,28 +194,23 @@ class CommGraph:
     def distance(self, a: str, b: str) -> float:
         return math.dist(self.positions[a], self.positions[b])
 
-    def is_infra_pair(self, a: str, b: str) -> bool:
-        return a not in self._uavs and b not in self._uavs
-
-    def uav_neighbors(self, node_id: str) -> int:
-        """Alive UAVs inside the node's radio range (channel contention)."""
-        cached = self._contention_cache.get(node_id)
+    def uav_neighbors(self, edge: str) -> int:
+        """Alive UAVs inside an edge's radio range (its channel contention)."""
+        cached = self._contention_cache.get(edge)
         if cached is not None:
             return cached
         positions = self.positions
         points = self._alive_uav_points
         if points is None:
             points = self._alive_uav_points = [positions[u] for u in self.uav_ids]
-        px, py, pz = positions[node_id]
+        px, py, pz = positions[edge]
         rng2 = self._range2
         count = 0
         for ox, oy, oz in points:
             dx, dy, dz = ox - px, oy - py, oz - pz
             if dx * dx + dy * dy + dz * dz <= rng2:
                 count += 1
-        if node_id in self._uavs and node_id in self.uav_ids:
-            count -= 1  # the node itself, at distance 0
-        self._contention_cache[node_id] = count
+        self._contention_cache[edge] = count
         return count
 
     def nearest_edge(self, node_id: str, require_range: bool = False,
@@ -235,32 +230,33 @@ class CommGraph:
                 if d < best_d:
                     best, best_d = other, d
             self._nearest_memo[node_id] = (best, best_d)
-        if best is not None and require_range and best_d > self.params.range_m:
+        if require_range and best_d > self.params.range_m:
             return None
         return best
 
 
-def _fixed_delay(graph: CommGraph, size_bytes: int, src: str, dst: str) -> float:
+def _fixed_delay(network: NetworkSection, size_bytes: int, distance_m: float,
+                 bandwidth_bps: float) -> float:
     """Propagation + serialization: the part of a delay that draws nothing."""
-    p = graph.params
-    bandwidth = p.backhaul_bps if graph.is_infra_pair(src, dst) else p.bandwidth_bps
-    return graph.distance(src, dst) / p.prop_speed_mps + size_bytes * 8 / bandwidth
+    return distance_m / network.prop_speed_mps + size_bytes * 8 / bandwidth_bps
 
 
-def delivery_mean_delay(graph: CommGraph, size_bytes: int, src: str,
-                        dst: str) -> float:
+def delivery_mean_delay(size_bytes: int, distance_m: float, bandwidth_bps: float,
+                        edge: str, graph: CommGraph) -> float:
     """Closed-form mean of the delivery delay model (for verification)."""
-    return (_fixed_delay(graph, size_bytes, src, dst)
-            + graph.params.jitter_mean(graph.uav_neighbors(dst)))
+    p = graph.params
+    return (_fixed_delay(p, size_bytes, distance_m, bandwidth_bps)
+            + p.jitter_mean(graph.uav_neighbors(edge)))
 
 
-def deliver(size_bytes: int, src: str, dst: str, graph: CommGraph,
-            rng: Random) -> float:
-    """Delay of one message on a link the caller has chosen: propagation +
-    serialization + exponential queueing jitter whose mean scales with the
-    number of UAVs contending for the receiver's channel."""
-    return (_fixed_delay(graph, size_bytes, src, dst) + rng.expovariate(
-        1.0 / graph.params.jitter_mean(graph.uav_neighbors(dst))))
+def deliver(size_bytes: int, distance_m: float, bandwidth_bps: float, edge: str,
+            graph: CommGraph, rng: Random) -> float:
+    """Delay of one message on a link the caller chose (`distance_m` long, at
+    `bandwidth_bps`) to `edge`: propagation + serialization + exponential
+    queueing jitter whose mean scales with the UAVs contending at the edge."""
+    p = graph.params
+    return (_fixed_delay(p, size_bytes, distance_m, bandwidth_bps)
+            + rng.expovariate(1.0 / p.jitter_mean(graph.uav_neighbors(edge))))
 
 
 def round_energy(energy: EnergySection, transmit_distances: list[float],

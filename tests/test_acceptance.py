@@ -17,7 +17,7 @@ import pytest
 
 from uavchain import cli, engine, ledger
 from uavchain.config import (ConsensusSection, EnergySection, ScenarioConfig,
-                             TrustSection, apply_override)
+                             TrustSection)
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider, hash_bytes
 from uavchain.netsim import round_energy
@@ -220,14 +220,9 @@ def test_criterion_4_latency_trend(scale_battery):
 
 def test_criterion_5_throughput_saturation():
     offered_levels = (100.0, 400.0, 600.0)
-    means = []
-    for rate in offered_levels:
-        per_seed = []
-        for seed in range(1, 3):
-            cfg = _clean_config(240.0)
-            cfg.workload.arrival_rate_tps = rate
-            per_seed.append(engine.run(cfg, seed=seed).summary["tps_committed"])
-        means.append(mean(per_seed))
+    rows = engine.sweep(_clean_config(240.0), "workload.arrival_rate_tps",
+                        list(offered_levels), replications=2)
+    means = [row["tps_committed_mean"] for row in rows]
     assert means == sorted(means)  # grows with offered load
     assert 100.0 <= means[-1] <= 250.0  # plateau band
     assert means[-1] / means[-2] < 1.15  # saturated, not still climbing
@@ -258,17 +253,12 @@ def test_criterion_8_compression_band(scale_battery):
 
 def test_criterion_9_resilience_trend():
     fractions = (0.0, 0.05, 0.10, 0.15)
-    means = []
-    for fraction in fractions:
-        per_seed = []
-        for seed in range(1, 3):
-            cfg = ScenarioConfig()
-            cfg.sim.duration_s = 300.0
-            apply_override(cfg, "workload.compromised_fraction", fraction)
-            apply_override(cfg, "workload.malicious_edge_fraction", fraction)
-            per_seed.append(engine.run(cfg, seed=seed)
-                            .summary["validation_success_pct"])
-        means.append(mean(per_seed))
+    base = ScenarioConfig()
+    base.sim.duration_s = 300.0
+    rows = engine.sweep(base, "workload.compromised_fraction", list(fractions),
+                        replications=2,
+                        coupled=("workload.malicious_edge_fraction",))
+    means = [row["validation_success_pct_mean"] for row in rows]
     assert all(a >= b for a, b in zip(means, means[1:]))  # non-increasing
     assert means[fractions.index(0.15)] >= 89.0
     _report(9, f"consensus success {[round(m, 1) for m in means]} over "

@@ -152,6 +152,34 @@ def test_run_caps_uav_steps_across_keys(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("duration,rate,held", [
+    (960, 600, None), (1398, 1000, None), (1399, 1000, "1.399e+06 arrivals "
+     "(sim.duration_s x rate) x (1024 B + workload.payload_max_bytes) is "
+     "4.29773e+09 B"), (9999, 1000, "9.999e+06 arrivals (sim.duration_s x "
+     "rate) x (1024 B + workload.payload_max_bytes) is 3.07169e+10 B")],
+    ids=["960s_at_600tps", "at_the_budget", "one_second_over", "1e7_arrivals"])
+def test_run_caps_the_memory_of_the_arrivals(tmp_path, capsys, monkeypatch,
+                                             duration, rate, held):
+    # (duration + 1 ns) x rate arrivals of 1024 B plus the default 2048 B
+    # payload cap each, against 4 GiB.
+    def reached(config):
+        raise _Reached
+
+    monkeypatch.setattr(engine, "run", reached)
+    scenario = write_small_scenario(tmp_path, **{
+        "sim.duration_s": duration, "workload.arrival_rate_tps": rate})
+    argv = ["run", "--config", scenario, "--out", str(tmp_path / "o")]
+    if held is None:
+        with pytest.raises(_Reached):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: workload.arrival_rate_tps: {held}; at most 4.29497e+09 B "
+        "may be held\n")
+    assert not (tmp_path / "o").exists()
+
+
 _STEPS_1E9 = {"sim.mobility_step_s": 1e9, "consensus.window_s": 1e9,
               "consensus.block_interval_s": 1e9}
 

@@ -125,6 +125,7 @@ def test_load_config_without_a_file_starts_from_the_defaults():
     ("workload.compromised_fraction", 1.0),
     ("workload.behaviors", "forge-signature,unknown"),
     ("workload.behaviors", "vote-reject"),  # an edge's, by malicious_edge_fraction
+    ("workload.behaviors", ""),  # 15 compromised UAVs with no behavior
     ("crypto.scheme", "rsa-2048"),
     ("crypto.scheme", "dilithium3-class"),  # named in docs, not registered
     ("crypto.sign_j", -1.0),
@@ -189,6 +190,18 @@ def test_registered_provider_is_a_valid_scheme(x_test_scheme):
     assert result.summary["committed"] > 0
     assert any(b.value == "forge-signature"
                for b in result.uav_behaviors.values())
+
+
+def test_empty_behaviors_with_no_compromised_uav_runs():
+    # floor(0.04 x 20) = 0 UAVs are compromised, so none needs a behavior.
+    cfg = ScenarioConfig()
+    for key, value in (("sim.duration_s", 60.0), ("network.uav_count", 20),
+                       ("workload.compromised_fraction", 0.04),
+                       ("workload.behaviors", "")):
+        apply_override(cfg, key, value)
+    cfg.validate()
+    result = engine.run(cfg)
+    assert result.uav_behaviors == {} and result.summary["committed"] > 0
 
 
 def test_bundled_default_scenario_matches_code_defaults():
@@ -325,14 +338,20 @@ def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
         for key in ("sim.mobility_step_s", "consensus.window_s",
                     "consensus.block_interval_s"):
             flat[key] = max(flat[key], config.EVENT_SLACK_S / quarter)
+        # Likewise a quarter and a half of the arrivals the memory budget
+        # holds at this draw's largest payload.
+        budget = config.MAX_ARRIVAL_BYTES / (config.ARRIVAL_BYTES
+                                             + flat["workload.payload_max_bytes"])
         flat["workload.arrival_rate_tps"] = min(
-            flat["workload.arrival_rate_tps"], quarter / config.EVENT_SLACK_S)
+            flat["workload.arrival_rate_tps"], quarter / config.EVENT_SLACK_S,
+            budget / 4 / config.EVENT_SLACK_S)
         events = config.MAX_STREAM_EVENTS / 2
         # Half the wire's time limit keeps each time and delay mean clear of
         # it after rounding.
         wire = config.MAX_WIRE_TIME_S / 2
         flat["sim.duration_s"] = min(
             flat["sim.duration_s"], events / flat["workload.arrival_rate_tps"],
+            budget / 2 / flat["workload.arrival_rate_tps"],
             *(events * flat[key] for key in ("sim.mobility_step_s",
                                              "consensus.window_s",
                                              "consensus.block_interval_s")),

@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from uavchain import engine, ledger
+from uavchain import engine, ledger, netsim
 from uavchain.config import ConfigError, ScenarioConfig
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
@@ -232,6 +232,26 @@ def test_committed_round_rows_match_their_blocks(tmp_path):
             sim.config.consensus, eta, float(row["zeta"]), float(row["theta_j"]))
     assert committed
     assert heights == {edge: len(s.chain) for edge, s in sim.segments.items()}
+
+
+def test_each_link_is_measured_once(monkeypatch):
+    # An upload's transmit energy and delay share one distance; a round's
+    # energy, block down and vote up share one per non-proposer member.
+    calls = []
+    distance = netsim.CommGraph.distance
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return distance(self, a, b)
+
+    monkeypatch.setattr(netsim.CommGraph, "distance", counted)
+    sim = engine.run(small_config())
+    assert not sim.death_times   # so every row with an edge was sent
+    uploads = sum(1 for row in sim.metrics.transactions if row.edge)
+    members = sum(row.committee.count("|") for row in sim.metrics.rounds
+                  if row.outcome != "skipped")
+    assert uploads > 0 and members > 0
+    assert len(calls) == uploads + members
 
 
 def test_dead_uavs_stop_everything():

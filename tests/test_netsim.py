@@ -7,7 +7,7 @@ from statistics import mean
 
 import pytest
 
-from uavchain import engine
+from uavchain import engine, netsim
 from uavchain.config import (CryptoSection, EnergySection, MobilitySection,
                              NetworkSection, ScenarioConfig)
 from uavchain.netsim import (CommGraph, EnergyAccount, UavState, _reflect,
@@ -311,48 +311,61 @@ def _graph() -> CommGraph:
                       "u2": (5000.0, 0.0, 100.0)})
 
 
-def test_deliver_uses_distance_for_radio_links():
-    # u2 is beyond u0's range: the engine never picks that link, and
-    # deliver still times it from the distance.
+def test_deliver_uses_distance_for_radio_links(monkeypatch):
+    # deliver times the length it is given, one that no two nodes of the
+    # graph are apart, and measures nothing itself.
     graph = _graph()
     p = graph.params
+    distance = 123_456.5
+    assert distance not in {graph.distance(a, b) for a in graph.positions
+                            for b in graph.positions}
+    monkeypatch.setattr(graph, "distance", None)
     jitter_mean = p.jitter_mean_s * (1.0 + p.contention_per_uav
-                                     * graph.uav_neighbors("u2"))
-    assert deliver(100, "u0", "u2", graph, Random(1)) == (
-        graph.distance("u0", "u2") / p.prop_speed_mps + 800 / p.bandwidth_bps
+                                     * graph.uav_neighbors("e0"))
+    assert deliver(100, distance, p.bandwidth_bps, "e0", graph, Random(1)) == (
+        distance / p.prop_speed_mps + 800 / p.bandwidth_bps
         + Random(1).expovariate(1.0 / jitter_mean))
 
 
-def test_infra_pairs_always_connected():
-    graph = _graph()
-    assert graph.is_infra_pair("e0", "e1") and graph.is_infra_pair("e1", "e0")
-    assert not graph.is_infra_pair("u0", "e1")
-    assert not graph.is_infra_pair("e1", "u0")
-
-
-def test_deliver_returns_a_float_for_any_pair_of_graph_nodes():
+def test_deliver_returns_a_float_for_every_edge_and_rate():
     graph = _graph()
     graph.remove_uav("u1")
     p = graph.params
-    for src in graph.positions:
-        for dst in graph.positions:
-            bandwidth = (p.backhaul_bps if graph.is_infra_pair(src, dst)
-                         else p.bandwidth_bps)
-            floor = graph.distance(src, dst) / p.prop_speed_mps + 800 / bandwidth
-            delay = deliver(100, src, dst, graph, Random(1))
-            assert type(delay) is float and floor <= delay < math.inf
+    for edge in graph.edge_ids:
+        for bandwidth in (p.bandwidth_bps, p.backhaul_bps):
+            for distance in (0.0, 412.3, 9000.0):
+                floor = distance / p.prop_speed_mps + 800 / bandwidth
+                delay = deliver(100, distance, bandwidth, edge, graph, Random(1))
+                assert type(delay) is float and floor <= delay < math.inf
+
+
+def test_distance_is_symmetric_bit_for_bit():
+    # A round measures each proposer-member link once and times the vote
+    # back over it, so both directions must measure the same float.
+    rng = Random(31)
+
+    def point():
+        return tuple(rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 10.0)
+                     * 10.0 ** rng.choice((-3, 0, 3, 6, 150, 300))
+                     for _ in range(3))
+
+    graph = CommGraph(NetworkSection(), {f"e{i}": point() for i in range(150)},
+                      {f"u{i}": point() for i in range(150)})
+    nodes = list(graph.positions)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            assert graph.distance(a, b).hex() == graph.distance(b, a).hex()
 
 
 def test_dead_nodes_have_no_links():
-    # A removed UAV leaves uav_ids and every contention count, and keeps its
-    # last position for nearest_edge and distance.
+    # A removed UAV leaves uav_ids and every edge's contention count, and
+    # keeps its last position for nearest_edge and distance.
     graph = _graph()
     graph.move({"u2": (100.0, 0.0, 100.0)})
-    assert graph.uav_neighbors("u0") == 2 and graph.uav_neighbors("e0") == 3
+    assert graph.uav_neighbors("e0") == 3 and graph.uav_neighbors("e1") == 0
     graph.remove_uav("u1")
     assert graph.uav_ids == ["u0", "u2"]
-    assert graph.uav_neighbors("u0") == 1 and graph.uav_neighbors("e0") == 2
-    assert graph.uav_neighbors("u1") == 2  # a dead receiver counts no self
+    assert graph.uav_neighbors("e0") == 2
     assert graph.positions["u1"] == (500.0, 0.0, 100.0)
     assert graph.distance("u0", "u1") == 500.0
     assert graph.nearest_edge("u1", require_range=True) == "e0"
@@ -366,7 +379,7 @@ def test_remove_uav_rejects_an_edge_base_or_unknown_name_and_changes_nothing(
         graph.remove_uav("u1")
     before = (list(graph.uav_ids), dict(graph.positions))
     assert graph.nearest_edge("u0") == "e0"
-    counts = {n: graph.uav_neighbors(n) for n in graph.positions}
+    counts = {edge: graph.uav_neighbors(edge) for edge in graph.edge_ids}
     with pytest.raises(KeyError):
         graph.remove_uav(node)
     assert (graph.uav_ids, graph.positions) == before
@@ -385,11 +398,11 @@ def test_nearest_edge_and_range_gate():
 
 def test_uav_neighbors_counts_alive_uavs_in_range():
     graph = _graph()
-    assert graph.uav_neighbors("u0") == 1
+    assert graph.uav_neighbors("e0") == 2
     graph.remove_uav("u1")
-    assert graph.uav_neighbors("u0") == 0
+    assert graph.uav_neighbors("e0") == 1
     graph.move({"u2": (600.0, 0.0, 100.0)})
-    assert graph.uav_neighbors("u0") == 1
+    assert graph.uav_neighbors("e0") == 2
 
 
 def test_nearest_edge_tie_goes_to_first_added_edge():
@@ -403,14 +416,14 @@ def test_nearest_edge_tie_goes_to_first_added_edge():
 
 
 def test_uav_neighbors_ignores_edges_and_base():
-    graph = CommGraph(NetworkSection(range_m=1000.0), {"e0": (10.0, 0.0, 0.0)},
+    graph = CommGraph(NetworkSection(range_m=1000.0),
+                      {"e0": (10.0, 0.0, 0.0), "e1": (30.0, 0.0, 0.0)},
                       {"u0": (0.0, 0.0, 100.0), "u1": (20.0, 0.0, 100.0)})
-    assert graph.uav_neighbors("u0") == 1
-    assert graph.uav_neighbors("e0") == 2
+    assert graph.uav_neighbors("e0") == 2   # e1 in range counts for nothing
     # The base station holds a registry key but is no graph node.
     with pytest.raises(KeyError):
         graph.uav_neighbors("base")
-    assert graph.uav_ids == ["u0", "u1"] and graph.edge_ids == ["e0"]
+    assert graph.uav_ids == ["u0", "u1"] and graph.edge_ids == ["e0", "e1"]
 
 
 def scan_nearest_edge(graph: CommGraph, node: str,
@@ -454,9 +467,10 @@ def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
     graph = _graph()
     for node in graph.positions:
         graph.nearest_edge(node)
-    assert graph.uav_neighbors("u0") == 1
+    assert graph.uav_neighbors("e0") == 2 and graph.uav_neighbors("e1") == 0
     move_checked(graph, {"u0": (5000.0, 10.0, 100.0), "u1": (9000.0, 10.0, 100.0)})
-    assert graph.uav_neighbors("u0") == 1  # u2 is now the one in range
+    assert graph.uav_neighbors("e0") == 0
+    assert graph.uav_neighbors("e1") == 1  # u1 is now the one in range
     assert graph.nearest_edge("u1") == "e1"
     before = dict(graph.positions)
     with pytest.raises(KeyError):
@@ -505,15 +519,13 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
                         == scan_nearest_edge(graph, uav, gate))
 
 
-def scan_uav_neighbors(graph: CommGraph, node_id: str) -> int:
+def scan_uav_neighbors(graph: CommGraph, edge: str) -> int:
     """Uncached scan of every alive UAV: the reference for `uav_neighbors`."""
     positions = graph.positions
-    pos = positions[node_id]
+    pos = positions[edge]
     rng2 = graph.params.range_m ** 2
     count = 0
     for other in graph.uav_ids:
-        if other == node_id:
-            continue
         ox, oy, oz = positions[other]
         dx, dy, dz = ox - pos[0], oy - pos[1], oz - pos[2]
         if dx * dx + dy * dy + dz * dz <= rng2:
@@ -537,11 +549,12 @@ def test_contention_and_memo_match_a_scan_along_a_random_walk():
                 move_checked(graph, {uav: spot(100.0) for uav in moved})
         else:
             graph.remove_uav(rng.choice(graph.uav_ids))
-        # Query a rotating subset so that some answers come from the cache
-        # and some are computed after a change.
+        # Query a rotating subset of edges twice, so that some answers come
+        # from the cache and some are computed after a change.
+        for edge in edges[step % 2::2] * 2:
+            assert graph.uav_neighbors(edge) == scan_uav_neighbors(graph, edge)
         for node in edges + uavs[step % 3::3]:
             seen_dead_uav |= node in uavs and node not in graph.uav_ids
-            assert graph.uav_neighbors(node) == scan_uav_neighbors(graph, node)
             for gate in (False, True):
                 assert (graph.nearest_edge(node, require_range=gate)
                         == scan_nearest_edge(graph, node, gate))
@@ -566,21 +579,43 @@ def test_a_mobility_step_retires_the_memo_entries_of_moved_uavs():
 
 def test_deliver_mean_matches_closed_form():
     graph = _graph()
+    p = graph.params
     rng = Random(6)
-    size = 1000
-    samples = [deliver(size, "u0", "e0", graph, rng) for _ in range(200_000)]
-    expected = delivery_mean_delay(graph, size, "u0", "e0")
+    size, distance = 1000, graph.distance("u0", "e0")
+    samples = [deliver(size, distance, p.bandwidth_bps, "e0", graph, rng)
+               for _ in range(200_000)]
+    expected = delivery_mean_delay(size, distance, p.bandwidth_bps, "e0", graph)
     assert mean(samples) == pytest.approx(expected, rel=0.02)
-    floor = (graph.distance("u0", "e0") / graph.params.prop_speed_mps
-             + size * 8 / graph.params.bandwidth_bps)
+    floor = distance / p.prop_speed_mps + size * 8 / p.bandwidth_bps
     assert min(samples) >= floor
 
 
-def test_backhaul_serialization_uses_backhaul_bandwidth():
-    graph = _graph()
-    slow = delivery_mean_delay(graph, 10 ** 6, "u0", "e0")
-    fast = delivery_mean_delay(graph, 10 ** 6, "e0", "e1")
-    assert fast < slow
+def test_backhaul_serialization_uses_backhaul_bandwidth(monkeypatch):
+    # The engine sends an upload at the UAVs' air rate and a round's block
+    # and votes at the edges' backhaul rate.
+    rates: dict[str, set] = {}
+    handler = [""]
+
+    def tagged(name):
+        inner = getattr(engine.Simulation, name)
+
+        def run(self, *args):
+            handler[0] = name
+            inner(self, *args)
+        return run
+
+    def recording(size, distance, bandwidth, edge, graph, rng):
+        rates.setdefault(handler[0], set()).add(bandwidth)
+        return deliver(size, distance, bandwidth, edge, graph, rng)
+
+    for name in ("_handle_submit", "_handle_round"):
+        monkeypatch.setattr(engine.Simulation, name, tagged(name))
+    monkeypatch.setattr(netsim, "deliver", recording)
+    cfg = ScenarioConfig()
+    cfg.sim.duration_s, cfg.network.uav_count = 60.0, 20
+    engine.run(cfg)
+    assert rates == {"_handle_submit": {cfg.network.bandwidth_bps},
+                     "_handle_round": {cfg.network.backhaul_bps}}
 
 
 # --- energy ---------------------------------------------------------------------
