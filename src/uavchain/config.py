@@ -93,7 +93,8 @@ class NetworkSection:
     # Set-up holds about 1.3 KB per UAV before the first event runs.
     uav_count: int = bounded(100, Interval(0, 10**5, low_open=True))
     edge_count: int = bounded(10, EDGES)
-    area_km2: float = bounded(10.0, POSITIVE)
+    # The area in m^2, and so the side the sites are drawn on, stays finite.
+    area_km2: float = bounded(10.0, Interval(0, 1e302, low_open=True))
     range_m: float = bounded(1200.0, POSITIVE)
     bandwidth_bps: float = bounded(1e6, POSITIVE)    # UAV air links
     backhaul_bps: float = bounded(1e7, POSITIVE)     # edge/base infrastructure links
@@ -114,7 +115,7 @@ class MobilitySection:
     speed_sigma: float = bounded(1.5, SPEED)
     # radians; a wrapped normal with sigma 2*pi is already uniform
     heading_sigma: float = bounded(0.35, Interval(0, 2 * math.pi))
-    vert_sigma: float = bounded(0.3, NON_NEGATIVE)
+    vert_sigma: float = bounded(0.3, SPEED)
     alt_min_m: float = bounded(50.0, NON_NEGATIVE)
     alt_max_m: float = bounded(150.0, NON_NEGATIVE)
 

@@ -185,19 +185,8 @@ def sample_proposer(committee: list[str], weights: dict[str, float],
     return _weighted_draw(members, total, rng)
 
 
-def run_round(committee: list[str], proposer: str,
-              votes: dict[str, bool]) -> RoundOutcome:
-    """Settle a proposal's round from every committee member's vote."""
-    if proposer not in committee:
-        raise ConsensusError("proposer must be a committee member")
-    approvals = sum(bool(votes[member]) for member in committee)
+def run_round(approvals: int, committee_size: int) -> RoundOutcome:
+    """Settle a proposal's round from its committee's approval count."""
     return (RoundOutcome.COMMITTED
-            if approvals >= quorum_threshold(len(committee))
+            if approvals >= quorum_threshold(committee_size)
             else RoundOutcome.ABORTED)
-
-
-def consensus_delay(t_propose: float, confirm_times: dict[str, float]) -> float:
-    """Slowest member confirmation relative to the proposal instant."""
-    if not confirm_times:
-        return 0.0
-    return max(confirm_times.values()) - t_propose

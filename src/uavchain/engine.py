@@ -263,12 +263,11 @@ class Simulation:
                           submit_time_s=tx.submit_time)
         self.metrics.transactions.append(record)
 
-        edge = self.graph.nearest_edge(uav, require_range=True)
+        edge, distance = self.graph.nearest_edge(uav)
         reason = "no-link"
-        if edge is not None:
+        if distance <= cfg.network.range_m:
             record.edge = edge
             reason = "energy-exhausted"
-            distance = self.graph.distance(uav, edge)
             spend = cfg.energy.tx_energy(distance)
             if self._ensure_session(uav, edge) and self._charge_uav(uav, spend):
                 record.energy_j += sign_spend + spend
@@ -353,24 +352,24 @@ class Simulation:
                                                 block.compressed_size)
 
         # Honest members all check the same block against the same head, so
-        # one check stands for each of their votes; malicious edges say no.
+        # one check stands for each of their votes; the proposer approves its
+        # own block and malicious edges say no.
         valid = not ledger.check_block(block, segment.head(), self.registry,
                                        self.provider, cfg.consensus.max_block_bytes,
                                        segment.committed_ids)
-        votes = {m: valid and (m == proposer or m not in self.malicious_edges)
-                 for m in committee}
-        outcome = consensus.run_round(committee, proposer, votes)
-        record.approvals = sum(votes.values())
+        approvals = record.approvals = valid * (
+            1 + sum(m not in self.malicious_edges for m in members))
+        outcome = consensus.run_round(approvals, len(committee))
 
-        confirm_times = {proposer: self.now}
+        slowest = self.now
         backhaul = cfg.network.backhaul_bps
         for member, distance in zip(members, distances):
             down = netsim.deliver(block.compressed_size, distance, backhaul,
                                   member, self.graph, self.rng_network)
             up = netsim.deliver(cfg.network.vote_size_bytes, distance, backhaul,
                                 proposer, self.graph, self.rng_network)
-            confirm_times[member] = self.now + down + eta * costs.verify_s + up
-        record.delta_cons_s = consensus.consensus_delay(self.now, confirm_times)
+            slowest = max(slowest, self.now + down + eta * costs.verify_s + up)
+        record.delta_cons_s = slowest - self.now
         # The mains-powered infrastructure tier pays the round energy.
         self.metrics.infra_energy_j += left_sum(cfg.energy.tx_energy(d)
                                                 for d in distances)
@@ -427,10 +426,7 @@ class Simulation:
 
         assignment: dict[str, set[str]] = {edge: set() for edge in self.edge_ids}
         for uav in self.graph.uav_ids:
-            # A NaN or infinite point (an overflowed area) has no nearest edge.
-            edge = self.graph.nearest_edge(uav)
-            if edge is not None:
-                assignment[edge].add(uav)
+            assignment[self.graph.nearest_edge(uav)[0]].add(uav)
         self.edge_weights = trust.edge_committee_weights(assignment, scores)
         self.committee = consensus.sample_committee(
             self.edge_weights, cfg.consensus.committee_size, self.rng_committee)
@@ -525,8 +521,8 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
     """Replicated parameter sweep; replication i uses master_seed + i.
 
     Each `coupled` key is set to the swept value too. Returns one row per
-    axis value with mean/std aggregates of every numeric summary metric,
-    taken over the replications that report a number (None when none does).
+    axis value with mean/std aggregates of every summary metric, taken over
+    the replications that report a number (None when none does).
     Aggregation order is deterministic regardless of worker count, which
     is the integer in the UAVCHAIN_WORKERS environment variable (1 if unset).
     """
@@ -560,8 +556,6 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
         row: dict = {"axis": axis, "value": value, "replications": replications}
         for key in group[0]:
             samples = [s[key] for s in group if s[key] is not None]
-            if not all(isinstance(x, (int, float)) for x in samples):
-                continue
             row[f"{key}_mean"] = mean(samples) if samples else None
             row[f"{key}_std"] = (stdev(samples) if len(samples) > 1
                                  else 0.0 if samples else None)

@@ -149,7 +149,7 @@ class CommGraph:
     node. The link rule lives in the engine, which sends an upload only to
     a nearest edge in range and committee messages over the edges' backhaul.
 
-    Caches: `nearest_edge` keeps each queried node's answer and distance;
+    Caches: `nearest_edge` keeps each queried node's (edge, distance) pair;
     the first `uav_neighbors` query builds the list of alive UAV positions
     (in `uav_ids` order) that every later query scans, and each edge's
     count is kept. Every `move` and `remove_uav` clears all three, so
@@ -213,14 +213,11 @@ class CommGraph:
         self._contention_cache[edge] = count
         return count
 
-    def nearest_edge(self, node_id: str, require_range: bool = False,
-                     ) -> Optional[str]:
-        """Closest edge (first listed wins a tie), or None if there is none
-        or, with `require_range`, if it lies beyond the transmission range."""
+    def nearest_edge(self, node_id: str) -> tuple[Optional[str], float]:
+        """Closest edge (first listed wins a tie) and its distance, or
+        (None, inf) if no edge lies at a finite distance."""
         memo = self._nearest_memo.get(node_id)
-        if memo is not None:
-            best, best_d = memo
-        else:
+        if memo is None:
             positions = self.positions
             pos = positions[node_id]
             best = None
@@ -229,10 +226,8 @@ class CommGraph:
                 d = math.dist(pos, positions[other])
                 if d < best_d:
                     best, best_d = other, d
-            self._nearest_memo[node_id] = (best, best_d)
-        if require_range and best_d > self.params.range_m:
-            return None
-        return best
+            memo = self._nearest_memo[node_id] = (best, best_d)
+        return memo
 
 
 def _fixed_delay(network: NetworkSection, size_bytes: int, distance_m: float,

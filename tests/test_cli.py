@@ -198,10 +198,14 @@ _STEPS_1E9 = {"sim.mobility_step_s": 1e9, "consensus.window_s": 1e9,
     # cos of an infinite heading; an infinite, then NaN, speed.
     ({"mobility.heading_sigma": 1.7e308}, "mobility.heading_sigma"),
     ({"mobility.speed_sigma": 1.7e308}, "mobility.speed_sigma"),
+    # NaN altitudes; an infinite area side, then NaN edge sites.
+    ({"mobility.vert_sigma": 1.7e308}, "mobility.vert_sigma"),
+    ({"network.area_km2": 1.8e302}, "network.area_km2"),
     # One payload of up to 4 GiB: a MemoryError, or gigabytes of the host's.
     ({"workload.payload_max_bytes": 4294967295}, "workload.payload_max_bytes"),
 ], ids=["duration_1e13", "tau_max_1e13", "jitter_1e308", "contention_1e308",
-        "heading_sigma_1.7e308", "speed_sigma_1.7e308", "payload_max_2^32-1"])
+        "heading_sigma_1.7e308", "speed_sigma_1.7e308", "vert_sigma_1.7e308",
+        "area_1.8e302", "payload_max_2^32-1"])
 def test_run_rejects_a_scenario_that_would_crash(tmp_path, capsys, monkeypatch,
                                                  extra, key):
     def never(*args):

@@ -235,23 +235,65 @@ def test_committed_round_rows_match_their_blocks(tmp_path):
 
 
 def test_each_link_is_measured_once(monkeypatch):
-    # An upload's transmit energy and delay share one distance; a round's
-    # energy, block down and vote up share one per non-proposer member.
-    calls = []
+    # An upload's range rule, transmit energy and delay all read the distance
+    # that nearest_edge measured, and no upload measures again; a round's
+    # energy, block down and vote up share one distance per non-proposer
+    # member.
+    handler = [""]
+    calls, links, sent, spent = [], [], [], []
     distance = netsim.CommGraph.distance
+    nearest_edge = netsim.CommGraph.nearest_edge
+    deliver = netsim.deliver
+
+    def tagged(name):
+        inner = getattr(engine.Simulation, name)
+
+        def run(self, *args):
+            handler[0] = name
+            rows = len(self.metrics.transactions)
+            inner(self, *args)
+            if name == "_handle_submit" and len(self.metrics.transactions) > rows:
+                spent.append(self.metrics.transactions[-1].energy_j)
+            handler[0] = ""
+        return run
 
     def counted(self, a, b):
-        calls.append((a, b))
+        calls.append(handler[0])
         return distance(self, a, b)
 
+    def recorded(self, node):
+        pair = nearest_edge(self, node)
+        if handler[0] == "_handle_submit":
+            links.append(pair)
+        return pair
+
+    def recording(size, distance_m, *args):
+        if handler[0] == "_handle_submit":
+            sent.append(distance_m)
+        return deliver(size, distance_m, *args)
+
+    for name in ("_handle_submit", "_handle_round"):
+        monkeypatch.setattr(engine.Simulation, name, tagged(name))
     monkeypatch.setattr(netsim.CommGraph, "distance", counted)
-    sim = engine.run(small_config())
+    monkeypatch.setattr(netsim.CommGraph, "nearest_edge", recorded)
+    monkeypatch.setattr(netsim, "deliver", recording)
+    sim = engine.run(small_config(workload__compromised_fraction=0.0))
+    cfg = sim.config
     assert not sim.death_times   # so every row with an edge was sent
-    uploads = sum(1 for row in sim.metrics.transactions if row.edge)
+    rows = sim.metrics.transactions
+    # Each row's upload asks for its link once, and each row is signed.
+    assert len(links) == len(spent) == len(rows)
+    uploads = []
+    for row, (edge, length), energy in zip(rows, links, spent):
+        assert row.edge == (edge if length <= cfg.network.range_m else "")
+        if row.edge:
+            uploads.append(length)
+            assert energy == cfg.crypto.sign_j + cfg.energy.tx_energy(length)
+    assert sent == uploads
     members = sum(row.committee.count("|") for row in sim.metrics.rounds
                   if row.outcome != "skipped")
-    assert uploads > 0 and members > 0
-    assert len(calls) == uploads + members
+    assert uploads and members > 0
+    assert calls == ["_handle_round"] * members
 
 
 def test_dead_uavs_stop_everything():

@@ -368,7 +368,8 @@ def test_dead_nodes_have_no_links():
     assert graph.uav_neighbors("e0") == 2
     assert graph.positions["u1"] == (500.0, 0.0, 100.0)
     assert graph.distance("u0", "u1") == 500.0
-    assert graph.nearest_edge("u1", require_range=True) == "e0"
+    edge, distance = graph.nearest_edge("u1")
+    assert edge == "e0" and distance <= graph.params.range_m
 
 
 @pytest.mark.parametrize("node", ["e0", "base", "u9", "u1"])
@@ -378,7 +379,7 @@ def test_remove_uav_rejects_an_edge_base_or_unknown_name_and_changes_nothing(
     if node == "u1":  # already removed
         graph.remove_uav("u1")
     before = (list(graph.uav_ids), dict(graph.positions))
-    assert graph.nearest_edge("u0") == "e0"
+    assert graph.nearest_edge("u0")[0] == "e0"
     counts = {edge: graph.uav_neighbors(edge) for edge in graph.edge_ids}
     with pytest.raises(KeyError):
         graph.remove_uav(node)
@@ -387,13 +388,18 @@ def test_remove_uav_rejects_an_edge_base_or_unknown_name_and_changes_nothing(
 
 
 def test_nearest_edge_and_range_gate():
+    # nearest_edge returns the nearest edge with the distance it measured,
+    # in range or not; the engine's range rule reads that distance.
     graph = _graph()
-    assert graph.nearest_edge("u0") == "e0"
-    # The gate applies after the memo lookup, so the order of the queries
-    # does not matter.
-    assert graph.nearest_edge("u2", require_range=True) is None
-    assert graph.nearest_edge("u2") == "e1"
-    assert graph.nearest_edge("u2", require_range=True) is None
+    range_m = graph.params.range_m
+    assert graph.nearest_edge("u0") == ("e0", graph.distance("u0", "e0"))
+    assert graph.nearest_edge("u0")[1] <= range_m
+    assert graph.nearest_edge("u2") == ("e1", graph.distance("u2", "e1"))
+    assert graph.nearest_edge("u2")[1] > range_m
+    # A point at no finite distance has no edge; inf fails the range rule.
+    lost = CommGraph(NetworkSection(range_m=1000.0), {"e0": (0.0, 0.0, 0.0)},
+                     {"u0": (math.nan, 0.0, 100.0)})
+    assert lost.nearest_edge("u0") == (None, math.inf)
 
 
 def test_uav_neighbors_counts_alive_uavs_in_range():
@@ -410,9 +416,9 @@ def test_nearest_edge_tie_goes_to_first_added_edge():
              "e5": (0.0, 300.0, 0.0)}
     origin = {"u0": (0.0, 0.0, 0.0)}
     network = NetworkSection(range_m=1000.0)
-    assert CommGraph(network, sites, origin).nearest_edge("u0") == "e9"
+    assert CommGraph(network, sites, origin).nearest_edge("u0") == ("e9", 300.0)
     reordered = dict(reversed(sites.items()))
-    assert CommGraph(network, reordered, origin).nearest_edge("u0") == "e5"
+    assert CommGraph(network, reordered, origin).nearest_edge("u0") == ("e5", 300.0)
 
 
 def test_uav_neighbors_ignores_edges_and_base():
@@ -426,24 +432,21 @@ def test_uav_neighbors_ignores_edges_and_base():
     assert graph.uav_ids == ["u0", "u1"] and graph.edge_ids == ["e0", "e1"]
 
 
-def scan_nearest_edge(graph: CommGraph, node: str,
-                      require_range: bool = False):
+def scan_nearest_edge(graph: CommGraph, node: str):
     """Uncached linear scan: the reference for `CommGraph.nearest_edge`."""
     best, best_d = None, math.inf
     for edge in graph.edge_ids:
         if graph.distance(node, edge) < best_d:
             best, best_d = edge, graph.distance(node, edge)
-    if best is not None and require_range and best_d > graph.params.range_m:
-        return None
-    return best
+    return best, best_d
 
 
 def test_nearest_edge_memo_follows_every_change():
     graph = _graph()
 
     def check(expected):
-        assert graph.nearest_edge("u1") == expected
-        assert scan_nearest_edge(graph, "u1") == expected
+        assert graph.nearest_edge("u1")[0] == expected
+        assert scan_nearest_edge(graph, "u1") == graph.nearest_edge("u1")
 
     check("e0")
     graph.move({"u1": (8000.0, 0.0, 100.0)})
@@ -471,7 +474,7 @@ def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
     move_checked(graph, {"u0": (5000.0, 10.0, 100.0), "u1": (9000.0, 10.0, 100.0)})
     assert graph.uav_neighbors("e0") == 0
     assert graph.uav_neighbors("e1") == 1  # u1 is now the one in range
-    assert graph.nearest_edge("u1") == "e1"
+    assert graph.nearest_edge("u1")[0] == "e1"
     before = dict(graph.positions)
     with pytest.raises(KeyError):
         graph.move({"u0": (1.0, 1.0, 1.0), "u9": (2.0, 2.0, 2.0)})
@@ -481,12 +484,12 @@ def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
 @pytest.mark.parametrize("node", ["e0", "base", "u9"])
 def test_move_rejects_an_edge_or_an_unknown_node_and_changes_nothing(node):
     graph = _graph()
-    assert graph.nearest_edge("u0") == "e0"
+    assert graph.nearest_edge("u0")[0] == "e0"
     before = dict(graph.positions)
     with pytest.raises(KeyError):
         graph.move({"u0": (9000.0, 1.0, 100.0), node: (1.0, 1.0, 0.0)})
     assert graph.positions == before
-    assert graph.nearest_edge("u0") == "e0"
+    assert graph.nearest_edge("u0")[0] == "e0"
 
 
 def _random_graph(rng: Random, uavs: list[str], edges: list[str]):
@@ -503,6 +506,7 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
     rng = Random(11)
     uavs = [f"u{i}" for i in range(12)]
     graph, spot = _random_graph(rng, uavs, [f"e{i}" for i in range(5)])
+    in_range = set()
     for _ in range(500):
         roll = rng.random()
         if roll < 0.7:
@@ -514,9 +518,13 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
         elif graph.uav_ids:
             graph.remove_uav(rng.choice(graph.uav_ids))
         for uav in uavs:
-            for gate in (False, True):
-                assert (graph.nearest_edge(uav, require_range=gate)
-                        == scan_nearest_edge(graph, uav, gate))
+            edge, distance = graph.nearest_edge(uav)
+            assert (edge, distance) == scan_nearest_edge(graph, uav)
+            # The memo holds the link's length bit for bit, as the engine
+            # reads it for the range rule, the energy and the delay.
+            assert distance.hex() == graph.distance(uav, edge).hex()
+            in_range.add(distance <= graph.params.range_m)
+    assert in_range == {False, True}
 
 
 def scan_uav_neighbors(graph: CommGraph, edge: str) -> int:
@@ -555,9 +563,7 @@ def test_contention_and_memo_match_a_scan_along_a_random_walk():
             assert graph.uav_neighbors(edge) == scan_uav_neighbors(graph, edge)
         for node in edges + uavs[step % 3::3]:
             seen_dead_uav |= node in uavs and node not in graph.uav_ids
-            for gate in (False, True):
-                assert (graph.nearest_edge(node, require_range=gate)
-                        == scan_nearest_edge(graph, node, gate))
+            assert graph.nearest_edge(node) == scan_nearest_edge(graph, node)
     assert seen_dead_uav
 
 
