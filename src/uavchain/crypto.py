@@ -20,8 +20,11 @@ through ``register_provider``; the registered names are exactly the values
 backend being present.
 
 Every mock MAC is HMAC-SHA256 (RFC 2104) with the bytes of ``hmac.new``.
-Each key's inner and outer padded SHA-256 states are computed once and kept
-in a bounded cache, so a MAC costs two state copies, not a full HMAC set-up.
+Each key's SHA-256 states are computed once and kept in a bounded cache: the
+outer state after the padded key, and one inner state per mock prefix
+(``sig1``, ``sig2``, ``kem``) after the padded key and the prefix. A MAC then
+costs two state copies, two updates and two digests, with no HMAC set-up and
+no concatenated message.
 
 Mock byte layouts (length-prefixed encodings use little-endian u32 lengths):
   private key   32 bytes   sha256("uav-mock-sk" || seed_le64)
@@ -84,24 +87,30 @@ _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @functools.lru_cache(maxsize=4096)
-def _hmac_pads(key: bytes):
-    """SHA-256 states after absorbing `key` XOR ipad and `key` XOR opad.
+def _hmac_states(key: bytes):
+    """`key`'s HMAC-SHA256 states: ``(outer, sig1, sig2, kem)``.
 
-    `key` is at most one SHA-256 block long (every mock key is 32 bytes).
-    The returned hash objects are shared by every caller: copy them, never
-    update them.
+    ``outer`` has absorbed `key` XOR opad; each other state has absorbed
+    `key` XOR ipad and then its prefix. `key` is at most one SHA-256 block
+    long (every mock key is 32 bytes). The returned hash objects are shared
+    by every caller: copy them, never update them.
     """
     key = key.ljust(_SHA256_BLOCK, b"\0")
-    return (hashlib.sha256(key.translate(_IPAD)),
-            hashlib.sha256(key.translate(_OPAD)))
+    inner_pad = hashlib.sha256(key.translate(_IPAD))
+    states = [hashlib.sha256(key.translate(_OPAD))]
+    for prefix in (b"sig1", b"sig2", b"kem"):
+        inner = inner_pad.copy()
+        inner.update(prefix)
+        states.append(inner)
+    return tuple(states)
 
 
-def _hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256(key, message), equal to ``hmac.new(key, message, sha256)``."""
-    inner_pad, outer_pad = _hmac_pads(key)
-    inner = inner_pad.copy()
+def _hmac_sha256(outer_state, inner_state, message: bytes) -> bytes:
+    """HMAC-SHA256 of the prefix that `inner_state` absorbed followed by
+    `message`, equal to ``hmac.new(key, prefix + message, sha256)``."""
+    inner = inner_state.copy()
     inner.update(message)
-    outer = outer_pad.copy()
+    outer = outer_state.copy()
     outer.update(inner.digest())
     return outer.digest()
 
@@ -129,7 +138,8 @@ class MockProvider:
     def verify(self, message_hash: bytes, signature: bytes,
                public_key: bytes) -> bool:
         # Total by contract: any malformed input yields False, never an error.
-        if not isinstance(signature, bytes):
+        if not (isinstance(message_hash, bytes) and isinstance(signature, bytes)
+                and isinstance(public_key, bytes)):
             return False
         if len(message_hash) != DIGEST_LEN:
             return False
@@ -143,15 +153,17 @@ class MockProvider:
     @staticmethod
     def _mac(private_key: bytes, message_hash: bytes) -> bytes:
         # Shared by sign and verify, so a subclass may wrap sign (say, in a tag).
-        return (_hmac_sha256(private_key, b"sig1" + message_hash)
-                + _hmac_sha256(private_key, b"sig2" + message_hash))
+        outer, sig1, sig2, _ = _hmac_states(private_key)
+        return (_hmac_sha256(outer, sig1, message_hash)
+                + _hmac_sha256(outer, sig2, message_hash))
 
     def encaps(self, public_key: bytes, randomness_seed: int) -> tuple[bytes, bytes]:
         if len(public_key) != MOCK_PUBLIC_LEN or not public_key.startswith(_MOCK_PK_TAG):
             raise MalformedKeyError("not a mock public key")
         sk = public_key[len(_MOCK_PK_TAG):]
         eph = hashlib.sha256(b"uav-mock-eph" + _le64(randomness_seed)).digest()
-        tag = _hmac_sha256(sk, b"kem" + eph)[:16]
+        outer, _, _, kem = _hmac_states(sk)
+        tag = _hmac_sha256(outer, kem, eph)[:16]
         return eph + tag, hashlib.sha256(b"uav-mock-ss" + sk + eph).digest()
 
     def decaps(self, private_key: bytes, ciphertext: bytes) -> bytes:
@@ -160,7 +172,8 @@ class MockProvider:
         if len(ciphertext) != MOCK_CIPHERTEXT_LEN:
             raise DecapsulationError("ciphertext length mismatch")
         eph, tag = ciphertext[:32], ciphertext[32:]
-        expected = _hmac_sha256(private_key, b"kem" + eph)[:16]
+        outer, _, _, kem = _hmac_states(private_key)
+        expected = _hmac_sha256(outer, kem, eph)[:16]
         if not hmac.compare_digest(expected, tag):
             raise DecapsulationError("ciphertext integrity check failed")
         return hashlib.sha256(b"uav-mock-ss" + private_key + eph).digest()

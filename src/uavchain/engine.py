@@ -20,7 +20,6 @@ import logging
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from statistics import mean, stdev
@@ -233,15 +232,16 @@ class Simulation:
             _PRIO_SUBMIT, self._handle_submit)
         if not self.graph.uav_ids:
             return
-        uav = self.rng_workload.choice(self.graph.uav_ids)
+        uavs = self.graph.uav_ids
+        uav = uavs[workload.randbelow(self.rng_workload, len(uavs))]
         payload = workload.make_payload(cfg.workload, self.rng_workload)
         behavior = self.uav_behaviors.get(uav)
         costs = cfg.crypto
 
         sign_spend = 0.0
         if behavior is workload.Behavior.REPLAY and self.committed_recent:
-            tx = self.committed_recent[
-                self.rng_adversary.randrange(len(self.committed_recent))]
+            tx = self.committed_recent[workload.randbelow(
+                self.rng_adversary, len(self.committed_recent))]
         else:
             submit_time = self.now
             if behavior is workload.Behavior.DELAY_INJECTION:
@@ -544,6 +544,7 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
             cfg.validate()
             jobs.append(cfg)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         # With fork, the pool starts all its workers at once; cap them.
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             summaries = list(pool.map(_run_summary, jobs))

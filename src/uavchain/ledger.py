@@ -63,7 +63,7 @@ def encode_tx_core(sender: str, submit_time: float, payload: bytes) -> bytes:
         raise OverflowError(str(exc)) from None
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     sender: str
     payload: bytes

@@ -25,7 +25,7 @@ from typing import Optional
 TX_STATUSES = ("committed", "pending", "expired", "rejected", "dropped")
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class TxRecord:
     seq: int
     tx_id: str

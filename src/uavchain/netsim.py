@@ -248,10 +248,13 @@ def deliver(size_bytes: int, distance_m: float, bandwidth_bps: float, edge: str,
             graph: CommGraph, rng: Random) -> float:
     """Delay of one message on a link the caller chose (`distance_m` long, at
     `bandwidth_bps`) to `edge`: propagation + serialization + exponential
-    queueing jitter whose mean scales with the UAVs contending at the edge."""
+    queueing jitter whose mean scales with the UAVs contending at the edge.
+    The jitter is drawn as ``rng.expovariate(1.0 / mean)`` draws it, dividing
+    by the rate: multiplying by the mean would round differently."""
     p = graph.params
+    rate = 1.0 / p.jitter_mean(graph.uav_neighbors(edge))
     return (_fixed_delay(p, size_bytes, distance_m, bandwidth_bps)
-            + rng.expovariate(1.0 / p.jitter_mean(graph.uav_neighbors(edge))))
+            - math.log(1.0 - rng.random()) / rate)
 
 
 def round_energy(energy: EnergySection, transmit_distances: list[float],

@@ -5,6 +5,14 @@ followed by a slice of raw random bytes (incompressible), mixed by
 ``workload.payload_random_fraction``. The fraction is calibrated once so
 that whole-block compression lands in the expected band and then frozen in
 configuration.
+
+Every per-transaction draw comes straight from the Mersenne Twister's public
+primitives, ``random()``, ``getrandbits()`` and ``randbytes()``, computed
+exactly as ``random.Random`` computes it from them: ``randbelow`` is
+``randrange(n)``, ``lo + randbelow(rng, hi - lo + 1)`` is ``randint(lo, hi)``,
+``a + (b - a) * random()`` is ``uniform(a, b)`` and ``-log(1.0 - random()) /
+rate`` is ``expovariate(rate)``. Those bodies are the same on CPython 3.10 to
+3.13, so the draws and the generator's state after them are too.
 """
 
 from __future__ import annotations
@@ -31,24 +39,44 @@ class Behavior(str, Enum):
     DELAY_INJECTION = "delay-injection"
 
 
+def randbelow(rng: Random, n: int) -> int:
+    """What ``rng.randrange(n)`` returns, leaving `rng` in the same state:
+    ``getrandbits(n.bit_length())`` until the result is below `n`."""
+    if n < 1:
+        raise ValueError(f"randbelow needs n >= 1, got {n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def next_arrival(rate: float, rng: Random) -> float:
-    """Exponential inter-arrival time for a Poisson process."""
+    """Exponential inter-arrival time for a Poisson process
+    (``rng.expovariate(rate)``)."""
     if rate <= 0.0:
         raise WorkloadError("arrival rate must be positive")
-    return rng.expovariate(rate)
+    return -math.log(1.0 - rng.random()) / rate
 
 
 def make_payload(params: WorkloadSection, rng: Random) -> bytes:
-    """One telemetry payload of uniform size within the configured bounds."""
-    size = rng.randint(params.payload_min_bytes, params.payload_max_bytes)
+    """One telemetry payload of uniform size within the configured bounds.
+
+    Its draws are ``randint(min, max)``, ``randrange(10**10)``,
+    ``randrange(1000)``, two ``uniform``, a ``random()``, a ``uniform`` and
+    ``randbytes``. The record is the ASCII of the same ``str`` format.
+    """
+    random = rng.random
+    low = params.payload_min_bytes
+    size = low + randbelow(rng, params.payload_max_bytes - low + 1)
     n_random = round(size * params.payload_random_fraction)
-    record = ("ts=%010d;zone=%03d;temp=%05.2f;hum=%05.2f;soil=%05.3f;bat=%04.1f|"
-              % (rng.randrange(10 ** 10), rng.randrange(1000),
-                 rng.uniform(5.0, 40.0), rng.uniform(20.0, 95.0),
-                 rng.random(), rng.uniform(0.0, 100.0))).encode("ascii")
+    record = (b"ts=%010d;zone=%03d;temp=%05.2f;hum=%05.2f;soil=%05.3f;bat=%04.1f|"
+              % (randbelow(rng, 10 ** 10), randbelow(rng, 1000),
+                 5.0 + (40.0 - 5.0) * random(), 20.0 + (95.0 - 20.0) * random(),
+                 random(), 0.0 + (100.0 - 0.0) * random()))
     structured_len = size - n_random
-    reps = max(1, math.ceil(structured_len / len(record)))
-    structured = (record * reps)[:structured_len]
+    structured = (record * -(-structured_len // len(record)))[:structured_len]
     return structured + rng.randbytes(n_random)
 
 

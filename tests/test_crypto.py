@@ -82,6 +82,14 @@ def test_verify_is_total_on_malformed_input():
     assert not provider.verify(digest, "not a signature", pair.public_key)
     short = b"\x00" * 8
     assert not provider.verify(digest, short, pair.public_key)
+    # Digests and keys of the wrong type are False too, not a TypeError.
+    for bad in (None, 32, digest.hex()[:DIGEST_LEN], bytearray(digest)):
+        assert not provider.verify(bad, sig, pair.public_key)
+    for bad in (None, 35, pair.public_key.decode("latin-1"),
+                bytearray(pair.public_key)):
+        assert not provider.verify(digest, sig, bad)
+    assert not provider.verify(digest, None, pair.public_key)
+    assert provider.verify(digest, sig, pair.public_key)
 
 
 class TaggedProvider(MockProvider):
@@ -122,7 +130,7 @@ def test_mock_bytes_match_an_hmac_reference():
 
 
 def test_signatures_stay_exact_past_the_pad_cache_bound():
-    bound = crypto._hmac_pads.cache_info().maxsize
+    bound = crypto._hmac_states.cache_info().maxsize
     digest = hash_bytes(b"msg")
     pairs = [provider.keygen(seed) for seed in range(bound + 10)]
     # The second pass signs with keys the first pass evicted.
@@ -130,7 +138,7 @@ def test_signatures_stay_exact_past_the_pad_cache_bound():
         sig = provider.sign(pair.private_key, digest)
         assert sig == reference_sign(pair.private_key, digest)
         assert provider.verify(digest, sig, pair.public_key)
-    assert crypto._hmac_pads.cache_info().currsize <= bound
+    assert crypto._hmac_states.cache_info().currsize <= bound
 
 
 def test_sign_matches_hmac_for_random_keys_and_digests():

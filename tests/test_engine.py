@@ -1,8 +1,12 @@
 """Simulation loop: determinism, stream isolation, invariants, adversaries."""
 
+import copy
 import csv
 import filecmp
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from uavchain import engine, ledger, netsim
 from uavchain.config import ConfigError, ScenarioConfig
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
-from uavchain.metrics import MetricsCollector
+from uavchain.metrics import MetricsCollector, TxRecord
 from uavchain.workload import Behavior
 
 
@@ -518,8 +522,24 @@ def test_sweep_starts_no_more_workers_than_jobs(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(engine, "_run_summary", lambda cfg: {"submitted": 1})
     monkeypatch.setenv("UAVCHAIN_WORKERS", "64")
     engine.sweep(small_config(), "network.uav_count", [10], replications=2)
     assert started == [2]
+
+
+def test_importing_the_engine_starts_no_process_pool_machinery():
+    # The pool is imported only by a sweep with more than one worker.
+    code = "import sys, uavchain.engine; print('multiprocessing' in sys.modules)"
+    src = str(Path(engine.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_tx_record_has_slots_and_deep_copies_equal():
+    record = TxRecord(seq=3, tx_id="ab", sender="u001", submit_time_s=1.5)
+    assert not hasattr(record, "__dict__")
+    clone = copy.deepcopy(record)
+    assert clone == record and clone is not record

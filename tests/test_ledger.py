@@ -24,6 +24,14 @@ def make_tx(payload: bytes, t: float = 1.0, sender: str = "u000") -> Transaction
                        signature=sig)
 
 
+def test_transaction_has_slots_and_deep_copies_equal():
+    tx = make_tx(b"slots", t=2.5, sender="u007")
+    assert not hasattr(tx, "__dict__")
+    clone = copy.deepcopy(tx)
+    assert clone == tx and clone is not tx
+    assert (clone.id, clone.wire_size()) == (tx.id, tx.wire_size())
+
+
 def test_genesis_ids_are_pinned():
     # The genesis id hashes the seed as a signed little-endian i64.
     assert {seed: genesis_metadata(seed).block_id.hex()

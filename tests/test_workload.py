@@ -1,5 +1,6 @@
 """Arrival process, payload shape, adversary assignment."""
 
+import math
 import zlib
 from collections import Counter
 from random import Random
@@ -9,7 +10,7 @@ import pytest
 
 from uavchain.config import WorkloadSection
 from uavchain.workload import (Behavior, WorkloadError, assign_adversaries,
-                               make_payload, next_arrival)
+                               make_payload, next_arrival, randbelow)
 
 ALL_UAV_BEHAVIORS = (Behavior.FORGE_SIGNATURE.value, Behavior.REPLAY.value,
                      Behavior.DELAY_INJECTION.value)
@@ -68,6 +69,69 @@ def test_make_payload_random_fraction_splits_size():
     assert len(payload) == 1000
     # The structured half is ASCII telemetry records.
     assert payload[:500].decode("ascii").startswith("ts=")
+
+
+def plain_make_payload(params, rng):
+    """`make_payload` as written with `randint`, `randrange` and `uniform`."""
+    size = rng.randint(params.payload_min_bytes, params.payload_max_bytes)
+    n_random = round(size * params.payload_random_fraction)
+    record = ("ts=%010d;zone=%03d;temp=%05.2f;hum=%05.2f;soil=%05.3f;bat=%04.1f|"
+              % (rng.randrange(10 ** 10), rng.randrange(1000),
+                 rng.uniform(5.0, 40.0), rng.uniform(20.0, 95.0),
+                 rng.random(), rng.uniform(0.0, 100.0))).encode("ascii")
+    structured_len = size - n_random
+    reps = max(1, math.ceil(structured_len / len(record)))
+    structured = (record * reps)[:structured_len]
+    return structured + rng.randbytes(n_random)
+
+
+# Bounds whose width (max - min + 1) is at and next to powers of two, where
+# `getrandbits` rejection changes how many words a draw takes.
+PAYLOAD_BOUNDS = [(512, 2048), (1, 1), (1, 2 ** 20)] + [
+    (100, 100 + width - 1) for k in (1, 2, 3, 8, 10, 11)
+    for width in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
+
+
+@pytest.mark.parametrize("low, high", PAYLOAD_BOUNDS)
+def test_make_payload_equals_its_plain_twin(low, high):
+    calls = 8 if high > 100_000 else 60
+    for fraction in (0.0, 0.56, 1.0):
+        params = WorkloadSection(payload_min_bytes=low, payload_max_bytes=high,
+                                 payload_random_fraction=fraction)
+        fast, plain = Random(low * 31 + high), Random(low * 31 + high)
+        for _ in range(calls):
+            assert make_payload(params, fast) == plain_make_payload(params, plain)
+        assert fast.getstate() == plain.getstate()
+
+
+def test_randbelow_equals_randrange_and_choice():
+    for n in [*range(1, 301), 10 ** 10]:
+        fast, plain = Random(n), Random(n)
+        for _ in range(5):
+            assert randbelow(fast, n) == plain.randrange(n)
+        assert fast.getstate() == plain.getstate()
+        if n <= 300:
+            uavs = [f"u{i:03d}" for i in range(n)]
+            for _ in range(5):
+                assert uavs[randbelow(fast, n)] == plain.choice(uavs)
+            assert fast.getstate() == plain.getstate()
+
+
+def test_randbelow_refuses_an_empty_range_without_drawing():
+    rng = Random(9)
+    state = rng.getstate()
+    for n in (0, -1, -10 ** 10):
+        with pytest.raises(ValueError):
+            randbelow(rng, n)
+    assert rng.getstate() == state
+
+
+def test_next_arrival_equals_expovariate():
+    for rate in (1e-9, 0.5, 6.0, 600.0, 1e9):
+        fast, plain = Random(10), Random(10)
+        for _ in range(1000):
+            assert next_arrival(rate, fast) == plain.expovariate(rate)
+        assert fast.getstate() == plain.getstate()
 
 
 def test_assign_adversaries_counts_and_determinism():
