@@ -94,12 +94,10 @@ def assemble_block(pool: ValidationPool, params: ConsensusSection,
                    prev: BlockMetadata, proposer: str) -> Optional[Block]:
     """Greedy freshest-first packing under the block size limit.
 
-    Returns None when the pool is empty (no-proposal signal; the window is
-    skipped). Selected transactions are NOT removed from the pool; the caller
-    removes them only after a committed round.
+    Returns None when nothing fits, an empty pool included (no-proposal
+    signal; the window is skipped). Selected transactions are NOT removed
+    from the pool; the caller removes them only after a committed round.
     """
-    if not pool.admitted:
-        return None
     tau_max = params.tau_max_s
     candidates = sorted((tx for tx, _ in pool.admitted.values()),
                         key=lambda tx: (-tx_freshness(tx, now, tau_max), tx.id))

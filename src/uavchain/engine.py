@@ -77,7 +77,6 @@ class Simulation:
         self.rng_network = make_stream(seed, "network")
         self.rng_adversary = make_stream(seed, "adversary")
         self.rng_placement = make_stream(seed, "placement")
-        self.rng_replication = make_stream(seed, "replication")
 
         self.provider = get_provider(config.crypto.scheme)
         self.metrics = MetricsCollector()
@@ -388,11 +387,7 @@ class Simulation:
             row.status = "committed"
             row.energy_j += share
             self.committed_recent.append(tx)
-        others = [e for e in self.edge_ids if e != proposer]
-        replicas = self.rng_replication.sample(sorted(others),
-                                               min(cfg.ledger.replication,
-                                                   len(others)))
-        self.metrics.replication_bytes += block.compressed_size * len(replicas)
+        self.metrics.replication_bytes += block.compressed_size * cfg.ledger.replication
 
     def _uptime_fraction(self, uav: str, window_start: float) -> float:
         died = self.death_times.get(uav)
@@ -518,7 +513,8 @@ def _run_summary(config: ScenarioConfig) -> dict:
 
 def sweep(base_config: ScenarioConfig, axis: str, values: list,
           replications: int = 1, coupled: tuple[str, ...] = ()) -> list[dict]:
-    """Replicated parameter sweep; replication i uses master_seed + i.
+    """Replicated parameter sweep; replication i uses master_seed + i, so
+    `sim.master_seed` may be neither the axis nor a `coupled` key.
 
     Each `coupled` key is set to the swept value too. Returns one row per
     axis value with mean/std aggregates of every summary metric, taken over
@@ -528,6 +524,9 @@ def sweep(base_config: ScenarioConfig, axis: str, values: list,
     """
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    if "sim.master_seed" in (axis, *coupled):
+        raise ConfigError("sim.master_seed cannot be swept: replication i "
+                          "uses master_seed + i; --seed sets the base seed")
     raw_workers = os.environ.get("UAVCHAIN_WORKERS", "1")
     try:
         workers = int(raw_workers)

@@ -3,8 +3,9 @@
 UAVs follow a Gauss-Markov process on speed, heading and vertical speed with
 reflective area boundaries and a clamped altitude band. The engine applies
 the link rule once, where it picks a receiver: an alive UAV uploads to its
-nearest edge within transmission range, and edge servers talk over an
-always-on wired backhaul. `deliver` only times a link the engine measured.
+nearest edge if ``math.dist(uav, edge) <= range_m`` (`uav_neighbors` counts
+contenders by the same test), and edge servers talk over an always-on
+wired backhaul. `deliver` only times a link the engine measured.
 Transmission energy follows
 
     eps_tx = eps0 + eps1 * distance**2
@@ -147,7 +148,8 @@ class CommGraph:
     or die; `move` sets UAV points (a mobility step at once) and `remove_uav`
     takes a dead UAV out, leaving its last point. The base station is no
     node. The link rule lives in the engine, which sends an upload only to
-    a nearest edge in range and committee messages over the edges' backhaul.
+    a nearest edge in range (the range `uav_neighbors` counts contenders
+    in) and committee messages over the edges' backhaul.
 
     Caches: `nearest_edge` keeps each queried node's (edge, distance) pair;
     the first `uav_neighbors` query builds the list of alive UAV positions
@@ -159,10 +161,6 @@ class CommGraph:
     def __init__(self, network: NetworkSection, edge_sites: Mapping[str, Point],
                  uav_positions: Mapping[str, Point]):
         self.params = network
-        try:
-            self._range2 = network.range_m ** 2
-        except OverflowError:
-            self._range2 = math.inf
         self.edge_ids = list(edge_sites)
         self.uav_ids = list(uav_positions)   # the alive UAVs, in start order
         self._uavs = frozenset(uav_positions)   # every UAV, alive or dead
@@ -195,7 +193,7 @@ class CommGraph:
         return math.dist(self.positions[a], self.positions[b])
 
     def uav_neighbors(self, edge: str) -> int:
-        """Alive UAVs inside an edge's radio range (its channel contention)."""
+        """Alive UAVs the link rule admits at an edge (its channel contention)."""
         cached = self._contention_cache.get(edge)
         if cached is not None:
             return cached
@@ -203,12 +201,11 @@ class CommGraph:
         points = self._alive_uav_points
         if points is None:
             points = self._alive_uav_points = [positions[u] for u in self.uav_ids]
-        px, py, pz = positions[edge]
-        rng2 = self._range2
+        site = positions[edge]
+        range_m = self.params.range_m
         count = 0
-        for ox, oy, oz in points:
-            dx, dy, dz = ox - px, oy - py, oz - pz
-            if dx * dx + dy * dy + dz * dz <= rng2:
+        for point in points:
+            if math.dist(point, site) <= range_m:
                 count += 1
         self._contention_cache[edge] = count
         return count

@@ -657,7 +657,8 @@ def test_run_finishes_when_a_step_leaves_the_band_by_far_or_the_band_is_flat(
 
 
 def test_run_with_a_range_whose_square_overflows_writes_finite_outputs(tmp_path):
-    # 1e300 ** 2 overflows a float; the graph takes the squared range as inf.
+    # Every UAV is in range of 1e300 m, a range whose square overflows a
+    # float: the range test compares distances, not their squares.
     scenario = write_small_scenario(tmp_path, **{
         "sim.duration_s": 20, "network.uav_count": 15, "network.range_m": 1e300})
     out = tmp_path / "out"
@@ -683,6 +684,18 @@ def test_sweep_rejects_a_worker_count_that_is_not_an_integer(
     err = capsys.readouterr().err
     assert err.startswith("error: UAVCHAIN_WORKERS") and err.count("\n") == 1
     assert jobs == []
+
+
+def test_sweep_refuses_the_master_seed_as_its_axis(tmp_path, capsys,
+                                                  monkeypatch):
+    jobs = []
+    monkeypatch.setattr(engine, "_run_summary", jobs.append)
+    code = cli.main(["sweep", "--axis", "sim.master_seed", "--values", "1,2",
+                     "--replications", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.master_seed") and err.count("\n") == 1
+    assert "--seed" in err and jobs == []
 
 
 # sha256 of figure_resilience.csv for the run below, pinned across versions.

@@ -3,6 +3,7 @@
 import copy
 import csv
 import filecmp
+import json
 import logging
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from uavchain import engine, ledger, netsim
 from uavchain.config import ConfigError, ScenarioConfig
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
-from uavchain.metrics import MetricsCollector, TxRecord
+from uavchain.metrics import MetricsCollector, TxRecord, write_summary
 from uavchain.workload import Behavior
 
 
@@ -179,6 +180,20 @@ def test_malicious_edge_minority_cannot_abort_rounds():
     result = engine.run(cfg)
     assert len(result.malicious_edges) == 1
     assert result.summary["rounds_aborted"] == 0
+
+
+def test_replication_bytes_count_each_committed_block_once_per_replica(tmp_path):
+    cfg = small_config(sim__duration_s=60.0, workload__malicious_edge_fraction=0.4)
+    result = engine.run(cfg)
+    result.metrics.write_csvs(tmp_path)
+    write_summary(tmp_path, result.summary)
+    with open(tmp_path / "rounds.csv", newline="") as handle:
+        rounds = list(csv.DictReader(handle))
+    assert {"committed", "aborted"} <= {row["outcome"] for row in rounds}
+    committed = sum(int(row["compressed_size"]) for row in rounds
+                    if row["outcome"] == "committed")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["replication_bytes"] == cfg.ledger.replication * committed
 
 
 def test_each_proposal_is_checked_once_and_sets_the_honest_votes(monkeypatch):
@@ -448,6 +463,17 @@ def test_sweep_aggregates_replications():
     assert "tps_committed_std" in rows[0]
     with pytest.raises(ValueError):
         engine.sweep(cfg, "network.uav_count", [10], replications=0)
+
+
+@pytest.mark.parametrize("axis, coupled", [
+    ("sim.master_seed", ()), ("network.uav_count", ("sim.master_seed",))])
+def test_sweep_refuses_to_sweep_the_master_seed(monkeypatch, axis, coupled):
+    # Replication i runs master_seed + i, which would overwrite every value.
+    jobs = []
+    monkeypatch.setattr(engine, "_run_summary", jobs.append)
+    with pytest.raises(ConfigError, match=r"^sim\.master_seed .* master_seed \+ i"):
+        engine.sweep(small_config(), axis, [1, 2, 3], coupled=coupled)
+    assert jobs == []
 
 
 @pytest.mark.parametrize("field", ["chi", "xi"])

@@ -411,6 +411,44 @@ def test_uav_neighbors_counts_alive_uavs_in_range():
     assert graph.uav_neighbors("e0") == 2
 
 
+def test_a_uav_the_link_rule_admits_contends_at_that_edge():
+    # At this point the squared distance rounds above range_m ** 2 while
+    # math.dist rounds to range_m itself: one test must decide both.
+    graph = CommGraph(NetworkSection(range_m=1200.0),
+                      {"e0": (2675.429578129803, 332.48650246897716, 0.0)},
+                      {"u0": (3483.8945966638735, 167.60542134546733,
+                              871.3200002836201)})
+    edge, distance = graph.nearest_edge("u0")
+    assert (edge, distance) == ("e0", 1200.0)
+    assert distance <= graph.params.range_m
+    assert graph.uav_neighbors("e0") == 1
+
+
+def test_uav_neighbors_matches_the_range_rule_on_and_near_the_range_sphere():
+    rng = Random(41)
+    range_m = 1200.0
+    sites = {f"e{i}": (rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0), 0.0)
+             for i in range(4)}
+    uavs = {}
+    for i in range(2000):
+        site = sites[rng.choice(list(sites))]
+        direction = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = math.hypot(*direction)
+        reach = range_m
+        for _ in range(rng.randint(0, 2)):   # on the sphere or an ulp or two off
+            reach = math.nextafter(reach, rng.choice((0.0, math.inf)))
+        uavs[f"u{i}"] = tuple(c + d / norm * reach
+                              for c, d in zip(site, direction))
+    graph = CommGraph(NetworkSection(range_m=range_m), sites, uavs)
+    for uav in rng.sample(sorted(uavs), 200):
+        graph.remove_uav(uav)
+    on_sphere = {graph.distance(uav, edge) == range_m
+                 for uav in graph.uav_ids for edge in graph.edge_ids}
+    assert on_sphere == {False, True}
+    for edge in graph.edge_ids:
+        assert graph.uav_neighbors(edge) == scan_uav_neighbors(graph, edge)
+
+
 def test_nearest_edge_tie_goes_to_first_added_edge():
     sites = {"e9": (300.0, 0.0, 0.0), "e1": (-300.0, 0.0, 0.0),
              "e5": (0.0, 300.0, 0.0)}
@@ -528,17 +566,10 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
 
 
 def scan_uav_neighbors(graph: CommGraph, edge: str) -> int:
-    """Uncached scan of every alive UAV: the reference for `uav_neighbors`."""
-    positions = graph.positions
-    pos = positions[edge]
-    rng2 = graph.params.range_m ** 2
-    count = 0
-    for other in graph.uav_ids:
-        ox, oy, oz = positions[other]
-        dx, dy, dz = ox - pos[0], oy - pos[1], oz - pos[2]
-        if dx * dx + dy * dy + dz * dz <= rng2:
-            count += 1
-    return count
+    """Uncached scan of every alive UAV by the link rule's range test: the
+    reference for `uav_neighbors`."""
+    return sum(graph.distance(uav, edge) <= graph.params.range_m
+               for uav in graph.uav_ids)
 
 
 def test_contention_and_memo_match_a_scan_along_a_random_walk():
