@@ -22,37 +22,19 @@ from .crypto import CryptoError, get_provider
 # ("coupled" keys take the swept value too) so the committee vote path is
 # actually exercised.
 _CLEAN = {"workload.compromised_fraction": 0.0}
+_BY_UAV_COUNT = {"axis": "network.uav_count", "values": [20, 40, 60, 80, 100],
+                 "base_overrides": _CLEAN}
 FIGURES = {
-    "latency": {
-        "axis": "network.uav_count",
-        "values": [20, 40, 60, 80, 100],
-        "metrics": ["mean_latency_s"],
-        "base_overrides": _CLEAN,
-    },
+    "latency": {**_BY_UAV_COUNT, "metrics": ["mean_latency_s"]},
     "throughput": {
         "axis": "workload.arrival_rate_tps",
         "values": [10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 600.0],
         "metrics": ["tps_committed", "tps_offered"],
         "base_overrides": _CLEAN,
     },
-    "energy": {
-        "axis": "network.uav_count",
-        "values": [20, 40, 60, 80, 100],
-        "metrics": ["energy_per_committed_tx_j"],
-        "base_overrides": _CLEAN,
-    },
-    "success": {
-        "axis": "network.uav_count",
-        "values": [20, 40, 60, 80, 100],
-        "metrics": ["validation_success_pct"],
-        "base_overrides": _CLEAN,
-    },
-    "compression": {
-        "axis": "network.uav_count",
-        "values": [20, 40, 60, 80, 100],
-        "metrics": ["mean_omega"],
-        "base_overrides": _CLEAN,
-    },
+    "energy": {**_BY_UAV_COUNT, "metrics": ["energy_per_committed_tx_j"]},
+    "success": {**_BY_UAV_COUNT, "metrics": ["validation_success_pct"]},
+    "compression": {**_BY_UAV_COUNT, "metrics": ["mean_omega"]},
     "resilience": {
         "axis": "workload.compromised_fraction",
         "values": [0.0, 0.05, 0.10, 0.15, 0.20, 0.25],

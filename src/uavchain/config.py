@@ -167,8 +167,6 @@ class EnergySection:
 
     def tx_energy(self, distance_m: float) -> float:
         """Transmission energy eps0 + eps1 * distance**2."""
-        if distance_m < 0.0:
-            raise ValueError("distance must be non-negative")
         return self.eps0_j + self.eps1_j_per_m2 * distance_m * distance_m
 
 

@@ -9,6 +9,10 @@ budget; the engine scores each proposal by
 
 Committees are weighted samples without replacement over edge trust weights,
 and a round commits when approvals reach ceil(2m/3).
+
+Inputs are taken as given: `validate` keeps the committee no larger than the
+edge count, and `assemble_block` never proposes an empty block, so
+`sample_committee` and `freshness` check neither.
 """
 
 from __future__ import annotations
@@ -36,11 +40,6 @@ class RejectReason(str, Enum):
 class RoundOutcome(str, Enum):
     COMMITTED = "committed"
     ABORTED = "aborted"
-    SKIPPED = "skipped"
-
-
-class ConsensusError(Exception):
-    pass
 
 
 def utility_score(params: ConsensusSection, valid_count: int, freshness: float,
@@ -84,8 +83,6 @@ def tx_freshness(tx: Transaction, now: float, tau_max: float) -> float:
 
 def freshness(transactions: list[Transaction], now: float, tau_max: float) -> float:
     """Mean per-transaction freshness, each clamped to [0, 1]."""
-    if not transactions:
-        raise ConsensusError("freshness of an empty candidate block")
     return left_sum(tx_freshness(tx, now, tau_max) for tx in transactions) / len(transactions)
 
 
@@ -147,16 +144,13 @@ def sample_committee(weights: dict[str, float], size: int, rng: Random) -> list[
     Deterministic given the rng state; iteration is in sorted node order.
     Returns the committee sorted by node id.
     """
-    if size > len(weights):
-        raise ConsensusError(
-            f"committee size {size} exceeds population {len(weights)}")
     remaining = {node: weights[node] for node in sorted(weights)}
     chosen: list[str] = []
     for _ in range(size):
         total = left_sum(remaining.values())
         if total <= 0.0:
             # Degenerate residual mass: fill uniformly from what is left.
-            node = sorted(remaining)[rng.randrange(len(remaining))]
+            node = list(remaining)[rng.randrange(len(remaining))]
         else:
             node = _weighted_draw(remaining, total, rng)
         chosen.append(node)

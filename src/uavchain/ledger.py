@@ -169,11 +169,9 @@ def compression_ratio(raw_size: int, compressed_size: int) -> float:
 
 
 def compress_block(block: Block, codec: str) -> None:
-    """Record the block's stored size under `codec`. Stored form falls back
-    to the raw bytes when zlib does not make them smaller, so the block's
-    compression ratio is then exactly 0."""
-    if codec not in CODECS:
-        raise LedgerError(f"unknown codec {codec!r}")
+    """Record the block's stored size under `codec`, one of `CODECS`. Stored
+    form falls back to the raw bytes when zlib does not make them smaller, so
+    the block's compression ratio is then exactly 0."""
     raw = block_wire(block)
     block.compressed_size = (min(len(raw), len(zlib.compress(raw, 6)))
                              if codec == "zlib" else len(raw))

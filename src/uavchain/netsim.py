@@ -71,7 +71,7 @@ def _reflect(value: float, low: float, high: float) -> float:
 def step_mobility(states: list[UavState], positions: Mapping[str, Point],
                   dt: float, mobility: MobilitySection, area_side: float,
                   rng: Random) -> dict[str, Point]:
-    """One Gauss-Markov step with boundary reflection for each of `states`.
+    """One Gauss-Markov step (dt > 0) with boundary reflection per listed state.
 
     Steps each listed state's velocity in place, and no other, and returns
     {UAV: new point} from the points in `positions`, which it only reads.
@@ -82,8 +82,6 @@ def step_mobility(states: list[UavState], positions: Mapping[str, Point],
     A coordinate is folded back, and its heading or vertical speed turned,
     only when the step leaves the area or the altitude band.
     """
-    if dt <= 0.0:
-        raise ValueError("mobility step must be positive")
     random, log, sqrt = rng.random, math.log, math.sqrt
     cos, sin, pi = math.cos, math.sin, math.pi
     two_pi = 2.0 * pi
@@ -276,9 +274,7 @@ class EnergyAccount:
         return self.remaining <= 0.0
 
     def try_charge(self, amount: float) -> bool:
-        """Charge if affordable; an unaffordable charge drains to zero."""
-        if amount < 0.0:
-            raise ValueError("negative energy charge")
+        """Charge `amount` >= 0 if affordable; an unaffordable one drains to 0."""
         if self.remaining <= 0.0:
             return False
         if amount > self.remaining:

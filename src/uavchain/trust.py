@@ -3,6 +3,10 @@
 Trust follows the exponential-smoothing recurrence
     xi(t+1) = lambda * xi(t) + (1 - lambda) * chi(t)
 which is convex, so scores stay inside [0, 1] for behavior scores in [0, 1].
+
+Inputs are not re-checked: the engine's counters only grow, its uptime is
+clamped to [0, 1], the scenario has a UAV and an edge, and `_check_invariants`
+checks every trust row's chi and xi against [0, 1].
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ if TYPE_CHECKING:
 NEUTRAL_BEHAVIOR = 0.5
 
 
-class TrustError(ValueError):
-    pass
-
-
 def behavior_score(submitted: int, accepted: int, timely: int,
                    uptime_fraction: float, params: TrustSection) -> float:
     """Fold one consensus window's counters into a behavior score in [0,1].
@@ -30,10 +30,6 @@ def behavior_score(submitted: int, accepted: int, timely: int,
     fractions (denominator is everything submitted). The weighted mix is
     clamped to 1.0 because validation lets the weights sum to 1 within 1e-9.
     """
-    if submitted < 0 or accepted < 0 or timely < 0:
-        raise TrustError("window counters must be non-negative")
-    if not 0.0 <= uptime_fraction <= 1.0:
-        raise TrustError("uptime fraction must be in [0,1]")
     if submitted == 0:
         return NEUTRAL_BEHAVIOR
     valid_frac = min(1.0, accepted / submitted)
@@ -50,11 +46,6 @@ def update_trust(score: float, behavior: float, params: TrustSection) -> float:
 
 def trust_rank(scores: dict[str, float]) -> dict[str, float]:
     """Normalize scores so they sum to 1; all-zero input falls back to uniform."""
-    if not scores:
-        raise TrustError("trust_rank needs at least one node")
-    for node, score in scores.items():
-        if score < 0.0:
-            raise TrustError(f"negative trust score for {node}")
     total = left_sum(scores[node] for node in sorted(scores))
     if total == 0.0:
         uniform = 1.0 / len(scores)
@@ -65,8 +56,6 @@ def trust_rank(scores: dict[str, float]) -> dict[str, float]:
 def edge_committee_weights(assignment: dict[str, set[str]],
                            scores: dict[str, float]) -> dict[str, float]:
     """Per-edge selection weights: assigned-trust sums over the global sum."""
-    if not assignment:
-        raise TrustError("empty UAV-to-edge assignment")
     sums = {edge: left_sum(scores[u] for u in sorted(uavs))
             for edge, uavs in assignment.items()}
     return trust_rank(sums)

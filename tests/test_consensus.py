@@ -8,11 +8,10 @@ import pytest
 
 from uavchain import ledger
 from uavchain.config import ConsensusSection, LedgerSection
-from uavchain.consensus import (ConsensusError, RejectReason,
-                                RoundOutcome, ValidationPool, admit_transaction,
-                                assemble_block, freshness, quorum_threshold,
-                                run_round, sample_committee, sample_proposer,
-                                tx_freshness, utility_score)
+from uavchain.consensus import (RejectReason, RoundOutcome, ValidationPool,
+                                admit_transaction, assemble_block, freshness,
+                                quorum_threshold, run_round, sample_committee,
+                                sample_proposer, tx_freshness, utility_score)
 from uavchain.crypto import MockProvider, hash_bytes
 from uavchain.ledger import Transaction, genesis_metadata
 
@@ -93,8 +92,6 @@ def test_tx_freshness_values():
 def test_block_freshness_is_mean_of_members():
     txs = [make_tx(b"a", t=0.0), make_tx(b"b", t=30.0)]
     assert freshness(txs, 30.0, 60.0) == pytest.approx(0.75)
-    with pytest.raises(ConsensusError):
-        freshness([], 0.0, 60.0)
 
 
 def test_utility_hand_case():
@@ -113,11 +110,6 @@ def test_sample_committee_full_population():
 def test_sample_committee_point_mass():
     weights = {"e0": 1.0, "e1": 0.0, "e2": 0.0}
     assert sample_committee(weights, 1, Random(7)) == ["e0"]
-
-
-def test_sample_committee_too_large_raises():
-    with pytest.raises(ConsensusError):
-        sample_committee({"e0": 1.0}, 2, Random(1))
 
 
 def _inclusion_oracle(weights: dict[str, float], size: int) -> dict[str, float]:

@@ -160,8 +160,6 @@ def test_compress_block_sizes_and_fallback():
     assert stored == raw
     raw, stored = sizes(b"abc" * 1000, "none")
     assert stored == raw
-    with pytest.raises(LedgerError):
-        sizes(b"data", "bzip17")
 
 
 def test_genesis_is_seed_bound():

