@@ -287,10 +287,6 @@ _FIELDS = {
     for leaf in dataclasses.fields(sec.default_factory)}  # type: ignore[arg-type]
 
 
-def known_keys() -> list[str]:
-    return list(_FIELDS)
-
-
 def _coerce(key: str, current: Any, raw: str) -> Any:
     text = raw.strip().strip('"')
     try:
@@ -355,8 +351,3 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
 def config_to_flat_dict(config: ScenarioConfig) -> dict[str, Any]:
     return {key: getattr(getattr(config, section), name)
             for key, (section, name, _) in _FIELDS.items()}
-
-
-def default_scenario_path() -> Path:
-    """The bundled default scenario file."""
-    return Path(__file__).parent / "data" / "default.scenario"

@@ -31,6 +31,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .crypto import DIGEST_LEN, hash_bytes
 
@@ -143,18 +144,22 @@ def make_block(transactions: list[Transaction], hash_prev: bytes,
     return block
 
 
-def block_wire(block: Block) -> bytes:
+def block_wire_parts(block: Block) -> Iterator[bytes]:
+    """The block wire, in pieces: the fixed part with the header, then each
+    tx wire. Joined, they are the block's bytes; `compress_block` streams
+    them, so a run never holds a whole block's bytes at once."""
     meta = block.metadata
-    header = block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
+    yield (meta.block_id
+           + block_header(meta.hash_prev, meta.merkle_root, meta.timestamp,
                           block.proposer)
-    parts = [meta.block_id, header, _U32.pack(len(block.transactions))]
-    parts.extend(tx.wire() for tx in block.transactions)
-    return b"".join(parts)
+           + _U32.pack(len(block.transactions)))
+    for tx in block.transactions:
+        yield tx.wire()
 
 
 def block_wire_size(proposer: str, transactions: list[Transaction]) -> int:
-    """len(block_wire(block)) of a block of `transactions` by `proposer`,
-    from the layout alone: no bytes are built."""
+    """The joined length of `block_wire_parts` of a block of `transactions`
+    by `proposer`, from the layout alone: no bytes are built."""
     return (3 * DIGEST_LEN + _I64_U32.size + _U32.size + len(proposer.encode("utf-8"))
             + sum(tx.wire_size() for tx in transactions))
 
@@ -171,10 +176,21 @@ def compression_ratio(raw_size: int, compressed_size: int) -> float:
 def compress_block(block: Block, codec: str) -> None:
     """Record the block's stored size under `codec`, one of `CODECS`. Stored
     form falls back to the raw bytes when zlib does not make them smaller, so
-    the block's compression ratio is then exactly 0."""
-    raw = block_wire(block)
-    block.compressed_size = (min(len(raw), len(zlib.compress(raw, 6)))
-                             if codec == "zlib" else len(raw))
+    the block's compression ratio is then exactly 0.
+
+    The wire is fed to one deflate stream a piece at a time and only output
+    lengths are kept. Without a flush, deflate's output does not depend on
+    how its input is split, so the size is that of `zlib.compress(wire, 6)`.
+    """
+    if codec == "none":
+        block.compressed_size = sum(map(len, block_wire_parts(block)))
+        return
+    deflate = zlib.compressobj(6)
+    raw_size = deflated = 0
+    for part in block_wire_parts(block):
+        raw_size += len(part)
+        deflated += len(deflate.compress(part))
+    block.compressed_size = min(raw_size, deflated + len(deflate.flush()))
 
 
 def genesis_metadata(seed: int) -> BlockMetadata:

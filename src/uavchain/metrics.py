@@ -40,7 +40,7 @@ class TxRecord:
     energy_j: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     window_id: int
     time_s: float
@@ -58,7 +58,7 @@ class RoundRecord:
     omega: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TrustRecord:
     window_id: int
     node: str

@@ -225,20 +225,6 @@ class CommGraph:
         return memo
 
 
-def _fixed_delay(network: NetworkSection, size_bytes: int, distance_m: float,
-                 bandwidth_bps: float) -> float:
-    """Propagation + serialization: the part of a delay that draws nothing."""
-    return distance_m / network.prop_speed_mps + size_bytes * 8 / bandwidth_bps
-
-
-def delivery_mean_delay(size_bytes: int, distance_m: float, bandwidth_bps: float,
-                        edge: str, graph: CommGraph) -> float:
-    """Closed-form mean of the delivery delay model (for verification)."""
-    p = graph.params
-    return (_fixed_delay(p, size_bytes, distance_m, bandwidth_bps)
-            + p.jitter_mean(graph.uav_neighbors(edge)))
-
-
 def deliver(size_bytes: int, distance_m: float, bandwidth_bps: float, edge: str,
             graph: CommGraph, rng: Random) -> float:
     """Delay of one message on a link the caller chose (`distance_m` long, at
@@ -248,7 +234,7 @@ def deliver(size_bytes: int, distance_m: float, bandwidth_bps: float, edge: str,
     by the rate: multiplying by the mean would round differently."""
     p = graph.params
     rate = 1.0 / p.jitter_mean(graph.uav_neighbors(edge))
-    return (_fixed_delay(p, size_bytes, distance_m, bandwidth_bps)
+    return (distance_m / p.prop_speed_mps + size_bytes * 8 / bandwidth_bps
             - math.log(1.0 - rng.random()) / rate)
 
 

@@ -5,14 +5,16 @@ and ``test_golden_deaths.py`` beside this file and checks the three golden
 seeds, the pinned digest of a ``ledger.json`` dump and the pinned runs in
 which UAVs die, so an interpreter with no pytest installed (``-S`` leaves
 site-packages off ``sys.path``) can still check the pinned outputs.
-It prints the interpreter's ``sys.version`` above its results, so a log shows
-which Python checked the pins. Exits 1 on a mismatch. Its name keeps pytest
-from collecting it.
+It prints the interpreter's ``sys.version`` and the deflate build's
+``zlib.ZLIB_RUNTIME_VERSION`` above its results, so a log shows which Python
+and which zlib checked the pins (``compressed_size`` depends on the deflate
+build). Exits 1 on a mismatch. Its name keeps pytest from collecting it.
 """
 
 import sys
 import tempfile
 import types
+import zlib
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -43,6 +45,7 @@ for name, expected in sorted(test_golden_deaths.GOLDEN.items()):
     with tempfile.TemporaryDirectory() as outdir:
         results[name] = test_golden_deaths.run_digests(Path(outdir), name) == expected
 print(f"python {sys.version}")
+print(f"zlib {zlib.ZLIB_RUNTIME_VERSION}")
 for name, match in results.items():
     print(f"{name}: {'ok' if match else 'MISMATCH'}")
 sys.exit(0 if all(results.values()) else 1)

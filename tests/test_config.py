@@ -9,11 +9,14 @@ import pytest
 
 from uavchain import cli, config, crypto, engine
 from uavchain.config import (ConfigError, ScenarioConfig, apply_override,
-                             config_to_flat_dict, default_scenario_path,
-                             known_keys, load_config)
+                             config_to_flat_dict, load_config)
 from uavchain.crypto import MockProvider, register_provider
 from uavchain.ledger import CODECS, encode_tx_core
 from uavchain.workload import BACKDATE_TAUS, Behavior
+
+# Every scenario key, in the order of the config sections and their fields.
+KEYS = list(config_to_flat_dict(ScenarioConfig()))
+DEFAULT_SCENARIO = Path(config.__file__).parent / "data" / "default.scenario"
 
 
 def test_defaults_validate():
@@ -62,8 +65,8 @@ def test_trust_lambda_alias():
     cfg = ScenarioConfig()
     apply_override(cfg, "trust.lambda", "0.9")
     assert cfg.trust.smoothing == 0.9
-    assert "trust.lambda" in known_keys()
-    assert "trust.smoothing" not in known_keys()
+    assert "trust.lambda" in KEYS
+    assert "trust.smoothing" not in KEYS
     assert "trust.lambda" in config_to_flat_dict(cfg)
 
 
@@ -205,9 +208,8 @@ def test_empty_behaviors_with_no_compromised_uav_runs():
 
 
 def test_bundled_default_scenario_matches_code_defaults():
-    path = default_scenario_path()
-    assert path.is_file()
-    cfg = load_config(path)
+    assert DEFAULT_SCENARIO.is_file()
+    cfg = load_config(DEFAULT_SCENARIO)
     assert config_to_flat_dict(cfg) == config_to_flat_dict(ScenarioConfig())
 
 
@@ -370,7 +372,7 @@ def test_flat_config_round_trips_through_a_scenario_file(tmp_path):
             wire / (1.0 + contention * flat["network.uav_count"]))
         path = tmp_path / "drawn.scenario"
         path.write_text("".join(f"{key} = {flat[key]}\n"
-                                for key in known_keys()))
+                                for key in KEYS))
         assert config_to_flat_dict(load_config(path)) == flat
 
     check()
@@ -382,7 +384,7 @@ def test_readme_key_table_matches_the_scenario_keys():
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in section.splitlines() if line.startswith("| `")]
     defaults = config_to_flat_dict(ScenarioConfig())
-    assert [row[0] for row in rows] == [f"`{key}`" for key in known_keys()]
+    assert [row[0] for row in rows] == [f"`{key}`" for key in KEYS]
     for (key, (_, _, bound)), row in zip(config._FIELDS.items(), rows):
         assert row[1] == f"`{defaults[key]}`", key
         if bound is not None:

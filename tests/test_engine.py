@@ -15,7 +15,8 @@ from uavchain import engine, ledger, netsim
 from uavchain.config import ConfigError, ScenarioConfig
 from uavchain.consensus import utility_score
 from uavchain.crypto import MockProvider
-from uavchain.metrics import MetricsCollector, TxRecord, write_summary
+from uavchain.metrics import (MetricsCollector, RoundRecord, TrustRecord, TxRecord,
+                              write_summary)
 from uavchain.workload import Behavior
 
 
@@ -565,7 +566,12 @@ def test_importing_the_engine_starts_no_process_pool_machinery():
 
 
 def test_tx_record_has_slots_and_deep_copies_equal():
-    record = TxRecord(seq=3, tx_id="ab", sender="u001", submit_time_s=1.5)
-    assert not hasattr(record, "__dict__")
-    clone = copy.deepcopy(record)
-    assert clone == record and clone is not record
+    # All three CSV records: a run holds one per tx, round and trust row.
+    for record in (TxRecord(seq=3, tx_id="ab", sender="u001", submit_time_s=1.5),
+                   RoundRecord(window_id=2, time_s=4.0, committee="e00|e01",
+                               proposer="e01", outcome="committed"),
+                   TrustRecord(window_id=1, node="u001", chi=0.5, xi=0.25,
+                               rho=0.75)):
+        assert not hasattr(record, "__dict__")
+        clone = copy.deepcopy(record)
+        assert clone == record and clone is not record

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import json
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -22,6 +24,19 @@ def make_tx(payload: bytes, t: float = 1.0, sender: str = "u000") -> Transaction
     sig = provider.sign(PAIR.private_key, hash_bytes(core))
     return Transaction(sender=sender, payload=payload, submit_time=t,
                        signature=sig)
+
+
+PROPOSERS = ["", "e07", "edge-\u00e9\u6771\U0001f681"]  # empty, ASCII, multi-byte
+
+
+def wire(block: Block) -> bytes:
+    return b"".join(ledger.block_wire_parts(block))
+
+
+def noise(n_bytes: int, salt: bytes = b"") -> bytes:
+    """High-entropy bytes that deflate cannot shrink."""
+    return b"".join(hashlib.sha256(salt + i.to_bytes(4, "little")).digest()
+                    for i in range(-(-n_bytes // 32)))[:n_bytes]
 
 
 def test_transaction_has_slots_and_deep_copies_equal():
@@ -149,17 +164,89 @@ def test_compress_block_sizes_and_fallback():
         block = ledger.make_block([make_tx(payload)], hash_bytes(b"prev"),
                                   1.0, "e00")
         ledger.compress_block(block, codec)
-        assert block.raw_size == len(ledger.block_wire(block))
+        assert block.raw_size == len(wire(block))
         return block.raw_size, block.compressed_size
 
     raw, stored = sizes(b"abc" * 1000, "zlib")
     assert stored < raw
     # High-entropy bytes do not shrink; the stored form is the raw form.
-    noise = b"".join(hashlib.sha256(bytes([i])).digest() for i in range(8))
-    raw, stored = sizes(noise, "zlib")
+    raw, stored = sizes(noise(256), "zlib")
     assert stored == raw
     raw, stored = sizes(b"abc" * 1000, "none")
     assert stored == raw
+
+
+BLOCK_PAYLOADS = {
+    "compressible": [b"reading:%04d;" % i * 40 for i in range(60)],
+    # Few, large noise payloads: the repeated tx fields then save less than
+    # deflate adds, so the stored fallback is taken.
+    "incompressible": [noise(4096, bytes([i])) for i in range(4)],
+    "mixed": [b"reading:%04d;" % i * 40 if i % 2 else noise(512, bytes([i]))
+              for i in range(60)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_PAYLOADS))
+@pytest.mark.parametrize("proposer", PROPOSERS)
+@pytest.mark.parametrize("codec", ledger.CODECS)
+def test_streamed_compressed_size_is_the_one_shot_size(kind, proposer, codec):
+    # The plain twin: compress_block streams the wire through one deflate
+    # stream, and must record what one zlib.compress of the joined wire gives.
+    txs = [make_tx(payload, t=1.0 + i) for i, payload in
+           enumerate(BLOCK_PAYLOADS[kind])]
+    block = ledger.make_block(txs, hash_bytes(b"prev"), 90.0, proposer)
+    ledger.compress_block(block, codec)
+    raw = wire(block)
+    assert block.raw_size == len(raw)
+    expected = (min(len(raw), len(zlib.compress(raw, 6))) if codec == "zlib"
+                else len(raw))
+    assert block.compressed_size == expected
+    if codec == "zlib" and kind == "incompressible":
+        assert block.compressed_size == block.raw_size  # the stored fallback
+    elif codec == "zlib":
+        assert block.compressed_size < block.raw_size
+
+
+def test_deflate_output_length_does_not_depend_on_how_input_is_split():
+    # compress_block relies on this: a deflate build that breaks it would
+    # change every compressed size, and this test names the cause.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chunks = st.one_of(st.binary(max_size=200),
+                       st.sampled_from([b"reading" * 300, bytes(range(256)) * 20,
+                                        noise(5000)]))
+
+    @hypothesis.settings(derandomize=True, max_examples=100, database=None,
+                         deadline=None)
+    @hypothesis.given(pieces=st.lists(chunks, max_size=40), data=st.data())
+    def check(pieces, data):
+        stream = b"".join(pieces)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)),
+                                         max_size=30)))
+        deflate = zlib.compressobj(6)
+        total = sum(len(deflate.compress(stream[start:end])) for start, end
+                    in zip([0] + cuts, cuts + [len(stream)]))
+        total += len(deflate.flush())
+        assert total == len(zlib.compress(stream, 6))
+
+    check()
+
+
+def test_compress_block_never_holds_the_block_bytes():
+    # About 2 MB raw; a one-shot compress holds the joined wire and its
+    # deflated copy, more than twice the raw size.
+    txs = [make_tx(b"reading:%05d;" % i * 50 + noise(300, bytes([i % 256])),
+                   t=1.0 + i) for i in range(2200)]
+    block = ledger.make_block(txs, hash_bytes(b"prev"), 9000.0, "e00")
+    assert block.raw_size >= 2_000_000
+    tracemalloc.start()
+    try:
+        ledger.compress_block(block, "zlib")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < block.compressed_size < block.raw_size
+    assert peak < block.raw_size / 4
 
 
 def test_genesis_is_seed_bound():
@@ -376,12 +463,9 @@ def test_check_block_flags_merkle_mismatch():
 def test_make_block_raw_size_is_the_wire_length():
     block = ledger.make_block([make_tx(b"a"), make_tx(b"b" * 300)],
                               genesis_metadata(1).block_id, 10.0, "e00")
-    assert block.raw_size == len(ledger.block_wire(block))
+    assert block.raw_size == len(wire(block))
     ledger.compress_block(block, "zlib")
-    assert block.raw_size == len(ledger.block_wire(block))
-
-
-PROPOSERS = ["", "e07", "edge-\u00e9\u6771\U0001f681"]  # empty, ASCII, multi-byte
+    assert block.raw_size == len(wire(block))
 
 
 @pytest.mark.parametrize("proposer", PROPOSERS)
@@ -399,7 +483,7 @@ def test_block_wire_size_is_the_wire_length(proposer):
         block = ledger.make_block(txs[:n], genesis_metadata(1).block_id, 10.0,
                                   proposer)
         assert ledger.block_wire_size(proposer, txs[:n]) == len(
-            ledger.block_wire(block))
+            wire(block))
 
 
 @pytest.mark.parametrize("proposer", PROPOSERS)
@@ -410,7 +494,7 @@ def test_empty_block_wire_size_is_the_header_and_36_bytes(proposer):
     empty = Block(metadata=genesis_metadata(1), transactions=[],
                   proposer=proposer)
     assert ledger.block_wire_size(proposer, []) == len(header) + 36 == len(
-        ledger.block_wire(empty))
+        wire(empty))
 
 
 def test_check_block_flags_raw_size_mismatch():

@@ -11,8 +11,7 @@ from uavchain import engine, netsim
 from uavchain.config import (CryptoSection, EnergySection, MobilitySection,
                              NetworkSection, ScenarioConfig)
 from uavchain.netsim import (CommGraph, EnergyAccount, UavState, _reflect,
-                             deliver, delivery_mean_delay, round_energy,
-                             step_mobility)
+                             deliver, round_energy, step_mobility)
 
 SIDE = 1e7  # huge area so trajectory tests never hit the boundary
 CENTRE = {"u0": (SIDE / 2, SIDE / 2, 100.0)}
@@ -616,9 +615,9 @@ def test_deliver_mean_matches_closed_form():
     size, distance = 1000, graph.distance("u0", "e0")
     samples = [deliver(size, distance, p.bandwidth_bps, "e0", graph, rng)
                for _ in range(200_000)]
-    expected = delivery_mean_delay(size, distance, p.bandwidth_bps, "e0", graph)
-    assert mean(samples) == pytest.approx(expected, rel=0.02)
     floor = distance / p.prop_speed_mps + size * 8 / p.bandwidth_bps
+    expected = floor + p.jitter_mean(graph.uav_neighbors("e0"))
+    assert mean(samples) == pytest.approx(expected, rel=0.02)
     assert min(samples) >= floor
 
 
