@@ -262,8 +262,9 @@ def segment_from_dict(data: dict) -> LedgerSegment:
     return segment
 
 
-# One transaction of a dump, indented as `json.dump(indent=1)` nests it.
-_TX = ('      {\n       "payload": "%s",\n       "sender": %s,\n'
+# One transaction of a dump after its separator ("\n" for the first, ",\n"
+# after that), indented as `json.dump(indent=1)` nests it.
+_TX = ('%s      {\n       "payload": "%s",\n       "sender": %s,\n'
        '       "signature": "%s",\n       "submit_time": %s\n      }')
 
 
@@ -285,9 +286,10 @@ def _replacing(path):
 
 def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
                 scheme: str, seed: int, max_block_bytes: int = 0) -> None:
-    """Write the ledger dump block by block, byte for byte as `json.dump(data,
-    sort_keys=True, indent=1)` and a newline; LedgerError on NaN or inf, in
-    which case `path` is left as it was."""
+    """Write the ledger dump one transaction at a time, so no block's text is
+    ever held, byte for byte as `json.dump(data, sort_keys=True, indent=1)`
+    and a newline; LedgerError on NaN or inf, in which case `path` is left
+    as it was."""
     quote = json.encoder.encode_basestring_ascii  # a name's JSON literal
 
     def number(value) -> str:
@@ -296,37 +298,36 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
             raise LedgerError(f"cannot dump the non-finite number {text}")
         return text
 
-    def nest(brackets: str, items: list[str], pad: str) -> str:
-        """The array or object of indented `items`, closed at `pad`."""
-        return (f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
-                if items else brackets)
-
     def meta_text(meta: BlockMetadata, pad: str) -> str:
         return (f'{{\n{pad} "block_id": "{meta.block_id.hex()}",\n'
                 f'{pad} "hash_prev": "{meta.hash_prev.hex()}",\n'
                 f'{pad} "merkle_root": "{meta.merkle_root.hex()}",\n'
                 f'{pad} "timestamp": {number(meta.timestamp)}\n{pad}}}')
 
-    keys = [f'  {quote(node)}: "{key.hex()}"'
-            for node, key in sorted(registry.items())]
+    keys = ",\n".join(f'  {quote(node)}: "{key.hex()}"'
+                      for node, key in sorted(registry.items()))
+    registry_text = f"{{\n{keys}\n }}" if keys else "{}"
     with _replacing(path) as out:
         out.write(f'{{\n "format": "uavchain-ledger-v1",\n'
                   f' "max_block_bytes": {number(max_block_bytes)},\n'
-                  f' "registry": {nest("{}", keys, " ")},\n'
+                  f' "registry": {registry_text},\n'
                   f' "scheme": {quote(scheme)},\n "seed": {number(seed)},\n'
                   f' "segments": [')
         for i, segment in enumerate(segments):
             out.write((",\n" if i else "\n") + '  {\n   "blocks": [')
             for j, block in enumerate(segment.chain):
-                txs = [_TX % (tx.payload.hex(), quote(tx.sender), tx.signature.hex(),
-                              number(tx.submit_time)) for tx in block.transactions]
                 out.write((",\n" if j else "\n") + f'    {{\n'
                           f'     "compressed_size": {number(block.compressed_size)},\n'
                           f'     "metadata": {meta_text(block.metadata, "     ")},\n'
                           f'     "proposer": {quote(block.proposer)},\n'
                           f'     "raw_size": {number(block.raw_size)},\n'
-                          f'     "transactions": {nest("[]", txs, "     ")},\n'
-                          f'     "utility": {number(block.utility)}\n    }}')
+                          f'     "transactions": [')
+                out.writelines(_TX % (",\n" if k else "\n", tx.payload.hex(),
+                                      quote(tx.sender), tx.signature.hex(),
+                                      number(tx.submit_time))
+                               for k, tx in enumerate(block.transactions))
+                out.write(("\n     ]" if block.transactions else "]") +
+                          f',\n     "utility": {number(block.utility)}\n    }}')
             out.write(("\n   ]" if segment.chain else "]") + ',\n   "genesis": '
                       f'{meta_text(segment.genesis, "   ")},\n'
                       f'   "owner": {quote(segment.owner)}\n  }}')

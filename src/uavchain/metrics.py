@@ -5,14 +5,22 @@ transactions.csv, `RoundRecord` rounds.csv and `TrustRecord` trust.csv, so
 renaming a field renames its column. `write_csv` is the one CSV writer and
 `write_json` the one JSON writer of the reporting layer.
 
-The csv module writes None as an empty cell and a float with repr()
-(shortest round-trip form), so identical runs produce byte-identical files.
-It would write a bool as True/False, so records keep flags as 0/1 ints.
+`write_csv` writes each line from one template per table: as many `%s`
+cells as the header has columns, joined by commas and ended by CRLF. A
+cell is written as its str(), which for a float is its shortest round-trip
+repr(), and a None cell as an empty one. Those are the bytes the csv module
+writes, so identical runs give byte-identical files, as long as no cell
+needs quoting, and none does. The csv module quotes a cell holding a comma,
+a quote, CR or LF, and the only string columns are node ids (`u000`,
+`e00`), the `|`-joined committee, hex tx ids, status, reason and outcome
+words, and the config keys of the sweep and figure CSVs. It also quotes the
+lone empty cell of a one-column row, and every table here has at least two
+columns. A bool would print as True/False, so records keep flags as 0/1
+ints.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -68,10 +76,15 @@ class TrustRecord:
 
 
 def write_csv(path, header, rows) -> None:
+    """Write the header and each row (a tuple or list of cells) one line at
+    a time; a row's None cells become empty ones."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(line % tuple(header))
+        handle.writelines(line % (tuple(["" if cell is None else cell
+                                         for cell in row])
+                                  if None in row else tuple(row))
+                          for row in rows)
 
 
 def write_json(path, data) -> None:

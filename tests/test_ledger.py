@@ -249,6 +249,22 @@ def test_compress_block_never_holds_the_block_bytes():
     assert peak < block.raw_size / 4
 
 
+def test_dump_ledger_never_holds_a_block_text(tmp_path):
+    # One 600-transaction block; building its text whole held about 1.6
+    # times the dump's size.
+    seg, block = _segment_with_block(
+        [make_tx(noise(300, bytes([i % 256])), t=1.0 + i) for i in range(600)])
+    seg.append_block(block)
+    path = tmp_path / "ledger.json"
+    tracemalloc.start()
+    try:
+        ledger.dump_ledger(path, [seg], REGISTRY, "mock-sig", 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
 def test_genesis_is_seed_bound():
     assert genesis_metadata(1) == genesis_metadata(1)
     assert genesis_metadata(1).block_id != genesis_metadata(2).block_id
@@ -373,20 +389,27 @@ def test_dump_ledger_refuses_a_non_finite_number(tmp_path):
 def test_a_refused_dump_leaves_the_path_as_it_was(tmp_path):
     seg, first = _segment_with_block([make_tx(b"a")])
     seg.append_block(first)
-    second = ledger.make_block([make_tx(b"b")], seg.head().block_id, 20.0, "e00")
+    second = ledger.make_block([make_tx(b"b"), make_tx(b"c"), make_tx(b"d")],
+                               seg.head().block_id, 20.0, "e00")
     ledger.compress_block(second, "zlib")
     seg.append_block(second)
-    second.utility = float("nan")  # refused after the first block is written
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     fresh.mkdir()
     kept.mkdir()
     (kept / "ledger.json").write_bytes(b"the previous dump\n")
-    for folder in (fresh, kept):
-        before = {p.name: p.read_bytes() for p in folder.iterdir()}
-        with pytest.raises(LedgerError, match="non-finite"):
-            ledger.dump_ledger(folder / "ledger.json", [seg], REGISTRY,
-                               "mock-sig", 1)
-        assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+    # Each is refused after the first block is written: partway through the
+    # second block's transactions, or at its utility after all of them.
+    for record, name in ((second.transactions[1], "submit_time"),
+                         (second, "utility")):
+        value = getattr(record, name)
+        setattr(record, name, float("nan"))
+        for folder in (fresh, kept):
+            before = {p.name: p.read_bytes() for p in folder.iterdir()}
+            with pytest.raises(LedgerError, match="non-finite"):
+                ledger.dump_ledger(folder / "ledger.json", [seg], REGISTRY,
+                                   "mock-sig", 1)
+            assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+        setattr(record, name, value)
     second.utility = 0.5
     ledger.dump_ledger(kept / "ledger.json", [seg], REGISTRY, "mock-sig", 1)
     assert [p.name for p in kept.iterdir()] == ["ledger.json"]
