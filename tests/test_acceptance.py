@@ -6,7 +6,6 @@ success). Trend criteria run the simulator at reduced durations that are
 long enough for the statistics to stabilize.
 """
 
-import filecmp
 import math
 import time
 from fractions import Fraction
@@ -15,6 +14,7 @@ from statistics import mean
 
 import pytest
 
+import golden
 from uavchain import cli, engine, ledger
 from uavchain.config import (ConsensusSection, EnergySection, ScenarioConfig,
                              TrustSection)
@@ -158,10 +158,7 @@ def test_criterion_3_ledger_audit_battery(tmp_path):
     assert findings_total == 0
 
     # The CLI audit path agrees with the library verifier.
-    cfg = ScenarioConfig()
-    cfg.sim.duration_s = 120.0
-    result = engine.run(cfg, seed=1)
-    cli.write_run_outputs(result, tmp_path, dump_ledger=True)
+    golden.run_entry(golden.load()["1"], tmp_path)
     assert cli.main(["audit", "--ledger", str(tmp_path / "ledger.json")]) == 0
     _report(3, "20-seed audit battery: 0 findings; per-segment duplicate "
                "and linkage invariants hold")
@@ -278,16 +275,10 @@ def test_criterion_10_trust_decile_leadership():
 
 
 def test_criterion_11_determinism(tmp_path):
-    for seed in (1, 2, 3):
-        dirs = []
-        for attempt in ("a", "b"):
-            outdir = tmp_path / f"s{seed}{attempt}"
-            outdir.mkdir()
-            cfg = ScenarioConfig()
-            cfg.sim.duration_s = 120.0
-            result = engine.run(cfg, seed=seed)
-            result.metrics.write_csvs(outdir)
-            dirs.append(outdir)
-        for name in ("transactions.csv", "rounds.csv", "trust.csv"):
-            assert filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
-    _report(11, "3 seeds x 2 runs: all CSVs byte-identical")
+    table = golden.load()
+    for seed in ("1", "2", "3"):   # the golden seeds: default scenario, 120 s
+        first, second = (golden.run_entry(table[seed], tmp_path / (seed + run))
+                         for run in "ab")
+        assert first == second
+    _report(11, "3 seeds x 2 runs: all five output files and the six streams' "
+                "end states byte-identical")

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -15,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import golden
 from uavchain import cli, config, crypto, engine, metrics, workload
 from uavchain.config import Interval, ScenarioConfig
 
@@ -698,29 +698,15 @@ def test_sweep_refuses_the_master_seed_as_its_axis(tmp_path, capsys,
     assert "--seed" in err and jobs == []
 
 
-# sha256 of figure_resilience.csv for the run below, pinned across versions.
-RESILIENCE_SHA256 = (
-    "5e80e7450a5d506242927a28c43f9f40f94b9f1c0c870a958aee4e76be3c45a3")
-
-
-def _resilience_figure(tmp_path, out) -> bytes:
-    scenario = write_small_scenario(tmp_path)
-    code = cli.main(["figures", "--figure", "resilience", "--config", scenario,
-                     "--replications", "1", "--duration", "60",
-                     "--out", str(out)])
-    assert code == 0
-    return (out / "figure_resilience.csv").read_bytes()
-
-
 def test_figures_catalog_runs(tmp_path, monkeypatch):
-    monkeypatch.delenv("UAVCHAIN_WORKERS", raising=False)
-    data = _resilience_figure(tmp_path, tmp_path / "out")
-    rows = list(csv.DictReader(data.decode().splitlines()))
+    # golden.json pins the serial figure; the pool of workers must match it.
+    monkeypatch.setenv("UAVCHAIN_WORKERS", "2")
+    problem = golden.check("resilience", golden.load()["resilience"], tmp_path)
+    assert not problem, problem
+    with open(tmp_path / "figure_resilience.csv") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == len(cli.FIGURES["resilience"]["values"])
     assert "validation_success_pct_mean" in rows[0]
-    assert hashlib.sha256(data).hexdigest() == RESILIENCE_SHA256
-    monkeypatch.setenv("UAVCHAIN_WORKERS", "2")
-    assert _resilience_figure(tmp_path, tmp_path / "out2") == data
 
 
 def test_figures_trustrank_table(tmp_path):

@@ -8,8 +8,8 @@ import zlib
 
 import pytest
 
-from uavchain import cli, engine, ledger
-from uavchain.config import ScenarioConfig
+import golden
+from uavchain import cli, ledger
 from uavchain.crypto import MockProvider, hash_bytes
 from uavchain.ledger import (Block, BlockMetadata, LedgerError, LedgerSegment,
                              Transaction, genesis_metadata, merkle_root)
@@ -363,18 +363,13 @@ def test_dump_ledger_writes_the_json_modules_bytes_and_round_trips(tmp_path):
     check()
 
 
-# sha256 of ledger.json for the default scenario at sim.duration_s = 120,
-# seed 1, pinned across versions of the dump writer.
-LEDGER_SHA256 = (
-    "d3510d1acd5761765567658cb93b1b73f0bbafbad944cb0857c00a8ffa9e5363")
-
-
 def test_ledger_dump_matches_pinned_digest(tmp_path):
-    cfg = ScenarioConfig()
-    cfg.sim.duration_s = 120.0
-    cli.write_run_outputs(engine.run(cfg, seed=1), tmp_path, dump_ledger=True)
+    # The default scenario at sim.duration_s = 120, seed 1: its ledger.json
+    # digest is pinned across versions of the dump writer in golden.json.
+    entry = golden.load()["1"]
+    cli.write_run_outputs(golden.simulate(entry), tmp_path, dump_ledger=True)
     digest = hashlib.sha256((tmp_path / "ledger.json").read_bytes()).hexdigest()
-    assert digest == LEDGER_SHA256
+    assert digest == entry["files"]["ledger.json"]
 
 
 def test_dump_ledger_refuses_a_non_finite_number(tmp_path):
