@@ -73,7 +73,7 @@ class KeyPair:
 
 
 def hash_bytes(data: bytes) -> bytes:
-    """Canonical 32-byte digest used everywhere in the ledger (SHA-256)."""
+    """SHA-256, the 32-byte digest of every ledger hash."""
     return hashlib.sha256(data).digest()
 
 
@@ -138,17 +138,15 @@ class MockProvider:
     def verify(self, message_hash: bytes, signature: bytes,
                public_key: bytes) -> bool:
         # Total by contract: any malformed input yields False, never an error.
-        if not (isinstance(message_hash, bytes) and isinstance(signature, bytes)
-                and isinstance(public_key, bytes)):
-            return False
-        if len(message_hash) != DIGEST_LEN:
-            return False
-        if len(signature) != MOCK_SIGNATURE_LEN:
-            return False
-        if len(public_key) != MOCK_PUBLIC_LEN or not public_key.startswith(_MOCK_PK_TAG):
-            return False
-        sk = public_key[len(_MOCK_PK_TAG):]
-        return hmac.compare_digest(self._mac(sk, message_hash), signature)
+        return (isinstance(message_hash, bytes) and isinstance(signature, bytes)
+                and isinstance(public_key, bytes)
+                and len(message_hash) == DIGEST_LEN
+                and len(signature) == MOCK_SIGNATURE_LEN
+                and len(public_key) == MOCK_PUBLIC_LEN
+                and public_key.startswith(_MOCK_PK_TAG)
+                and hmac.compare_digest(
+                    self._mac(public_key[len(_MOCK_PK_TAG):], message_hash),
+                    signature))
 
     @staticmethod
     def _mac(private_key: bytes, message_hash: bytes) -> bytes:

@@ -28,12 +28,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import Iterator
 
-from .crypto import DIGEST_LEN, hash_bytes
+from .crypto import DIGEST_LEN
 
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
 CODECS = ("zlib", "none")
@@ -76,8 +78,8 @@ class Transaction:
     _core_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        core = self.canonical_encoding()
-        self.id = hash_bytes(core)
+        core = encode_tx_core(self.sender, self.submit_time, self.payload)
+        self.id = sha256(core).digest()
         self._core_size = len(core)
 
     def canonical_encoding(self) -> bytes:
@@ -116,11 +118,12 @@ def merkle_root(tx_ids: list[bytes]) -> bytes:
     """Merkle root over transaction ids; raises LedgerError on an empty list."""
     if not tx_ids:
         raise LedgerError("merkle root of an empty transaction list")
-    level = [hash_bytes(tx_id) for tx_id in tx_ids]
+    level = [sha256(tx_id).digest() for tx_id in tx_ids]
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
-        level = [hash_bytes(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        level = [sha256(level[i] + level[i + 1]).digest()
+                 for i in range(0, len(level), 2)]
     return level[0]
 
 
@@ -130,7 +133,7 @@ def block_header(hash_prev: bytes, root: bytes, timestamp: float, proposer: str)
 
 
 def block_id_for(header: bytes) -> bytes:
-    return hash_bytes(b"block" + header)
+    return sha256(b"block" + header).digest()
 
 
 def make_block(transactions: list[Transaction], hash_prev: bytes,
@@ -195,7 +198,7 @@ def compress_block(block: Block, codec: str) -> None:
 
 def genesis_metadata(seed: int) -> BlockMetadata:
     """Deterministic chain bootstrap: zero transactions, id bound to the seed."""
-    return BlockMetadata(block_id=hash_bytes(b"genesis" + _I64.pack(seed)),
+    return BlockMetadata(block_id=sha256(b"genesis" + _I64.pack(seed)).digest(),
                          hash_prev=ZERO_DIGEST, merkle_root=ZERO_DIGEST,
                          timestamp=0.0)
 
@@ -228,6 +231,15 @@ def _field(data: dict, key: str, kind):
     return value
 
 
+def _name(data: dict, key: str) -> str:
+    """`data[key]` if it is a str that UTF-8 encodes, as the wire and the
+    audit's report need: a JSON escape can make a lone surrogate, which
+    does not."""
+    value = _field(data, key, str)
+    value.encode("utf-8")  # UnicodeEncodeError, a ValueError
+    return value
+
+
 def _time(data: dict, key: str) -> float:
     """`data[key]` if it is a time in seconds that the wire's i64
     microseconds can hold."""
@@ -244,17 +256,21 @@ def _meta_from_dict(data: dict) -> BlockMetadata:
 
 
 def segment_from_dict(data: dict) -> LedgerSegment:
-    segment = LedgerSegment(owner=_field(data, "owner", str),
+    """A dumped segment, each transaction built once and by position (the
+    faster call). Only the type of a tx's time is checked here: building the
+    tx encodes its core, which refuses a sender that is not a str UTF-8
+    encodes and a time outside the wire's i64."""
+    segment = LedgerSegment(owner=_name(data, "owner"),
                             genesis=_meta_from_dict(data["genesis"]))
+    fromhex = bytes.fromhex
     for entry in data["blocks"]:
-        txs = [Transaction(sender=t["sender"],
-                           payload=bytes.fromhex(t["payload"]),
-                           submit_time=_time(t, "submit_time"),
-                           signature=bytes.fromhex(t["signature"]))
+        txs = [Transaction(t["sender"], fromhex(t["payload"]),
+                           _field(t, "submit_time", (int, float)),
+                           fromhex(t["signature"]))
                for t in entry["transactions"]]
         meta = _meta_from_dict(entry["metadata"])
         block = Block(metadata=meta, transactions=txs,
-                      proposer=_field(entry, "proposer", str),
+                      proposer=_name(entry, "proposer"),
                       raw_size=_field(entry, "raw_size", int),
                       compressed_size=_field(entry, "compressed_size", int),
                       utility=_field(entry, "utility", (int, float)))
@@ -334,22 +350,38 @@ def dump_ledger(path, segments: list[LedgerSegment], registry: dict[str, bytes],
         out.write("\n ]\n}\n" if segments else "]\n}\n")
 
 
+def _read_text(path) -> str:
+    """The file's text, decoded as UTF-8. A non-empty regular file is decoded
+    straight from a read-only map of it, so the audit holds the text once and
+    no bytes copy; anything else (a pipe, an empty file) is read whole.
+    `dump_ledger` replaces a dump by a rename and never shrinks it in place,
+    which a map would not survive."""
+    with open(path, "rb") as handle:
+        info = os.fstat(handle.fileno())
+        if not (stat.S_ISREG(info.st_mode) and info.st_size):
+            return str(handle.read(), "utf-8")
+        import mmap  # here, not at the top: a run never maps a file
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
+            return str(mapping, "utf-8")
+
+
 def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, int]:
     """Read a dump as (segments, registry, scheme, seed, max_block_bytes); a
-    dump without a size limit gets 0 (none). Any malformed content (truncated
-    JSON, `NaN` or `Infinity`, over-deep nesting, a missing key, bad hex, a
-    wrongly typed field, a time outside the wire's i64 microseconds, a bad
-    limit) raises LedgerError."""
+    dump without a size limit gets 0 (none). Any malformed content (bytes
+    that are not UTF-8, truncated JSON, `NaN` or `Infinity`, over-deep
+    nesting, a missing key, bad hex, a wrongly typed field, a name that is
+    not UTF-8, a time outside the wire's i64 microseconds, a bad limit)
+    raises LedgerError."""
     def reject(constant: str):
         raise ValueError(f"{constant} is not a JSON number")
 
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle, parse_constant=reject)
+        data = json.loads(_read_text(path), parse_constant=reject)
         if data.get("format") != "uavchain-ledger-v1":
             raise LedgerError("not a uavchain ledger dump")
         registry = {node: bytes.fromhex(key)
                     for node, key in data["registry"].items()}
+        "".join(registry).encode("utf-8")  # node names too, as in _name
         segments = [segment_from_dict(s) for s in data["segments"]]
         limit = data.get("max_block_bytes", 0)
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
@@ -382,7 +414,8 @@ def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],
                           block.proposer)
     if block_id_for(header) != meta.block_id:
         findings.append("block id mismatch")
-    if merkle_root(block.tx_ids()) != meta.merkle_root:
+    ids = block.tx_ids()
+    if merkle_root(ids) != meta.merkle_root:
         findings.append("merkle root mismatch")
     if block.raw_size != block_wire_size(block.proposer, block.transactions):
         findings.append("raw size mismatch")
@@ -390,16 +423,17 @@ def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],
         findings.append("oversize block")
     if not 0 < block.compressed_size <= block.raw_size:
         findings.append("inconsistent size accounting")
+    verify = provider.verify
     in_block: set[bytes] = set()
-    for tx in block.transactions:
+    for tx, tx_id in zip(block.transactions, ids):
         key = registry.get(tx.sender)
         if key is None:
             findings.append(f"unknown sender {tx.sender}")
-        elif not provider.verify(tx.id, tx.signature, key):
-            findings.append(f"bad signature on tx {tx.id.hex()[:16]}")
-        if tx.id in seen or tx.id in in_block:
-            findings.append(f"duplicate tx {tx.id.hex()[:16]}")
-        in_block.add(tx.id)
+        elif not verify(tx_id, tx.signature, key):
+            findings.append(f"bad signature on tx {tx_id.hex()[:16]}")
+        if tx_id in seen or tx_id in in_block:
+            findings.append(f"duplicate tx {tx_id.hex()[:16]}")
+        in_block.add(tx_id)
     return findings
 
 

@@ -544,6 +544,14 @@ def _first_meta(data: dict) -> dict:
     return _first_block(data)["metadata"]
 
 
+def _first_segment(data: dict) -> dict:
+    return data["segments"][0]
+
+
+def _registry(data: dict) -> dict:
+    return data["registry"]
+
+
 def _top(data: dict) -> dict:
     return data
 
@@ -554,7 +562,9 @@ def _setter(where, key: str, value):
         data = json.loads(text)
         where(data)[key] = value
         return json.dumps(data)
-    mutate.__name__ = f"{where.__name__}_{key}_{value}"
+    # A lone surrogate in a test id is written as its escape.
+    mutate.__name__ = f"{where.__name__}_{key}_{value}".encode(
+        "ascii", "backslashreplace").decode("ascii")
     return mutate
 
 
@@ -567,8 +577,16 @@ def _setter(where, key: str, value):
     _setter(_first_block, "compressed_size", "9"),
     _setter(_first_block, "proposer", 5),
     _setter(_first_tx, "submit_time", 1e300),
+    _setter(_first_tx, "submit_time", True),
+    _setter(_first_tx, "submit_time", "1.0"),
     _setter(_first_meta, "timestamp", 1e300),
-    _setter(_top, "max_block_bytes", True)])
+    _setter(_top, "max_block_bytes", True),
+    # Names the wire and the report must encode: a JSON escape can make a
+    # lone surrogate, which UTF-8 cannot.
+    _setter(_first_block, "proposer", "\ud800"),
+    _setter(_first_segment, "owner", "\ud800"),
+    _setter(_first_tx, "sender", "\ud800"),
+    _setter(_registry, "\ud800", "00")])
 def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"
@@ -583,6 +601,53 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
                 if mutate is _unregistered_scheme else "malformed ledger dump")
     assert err.startswith("error:") and expected in err
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def small_dump(tmp_path_factory) -> bytes:
+    """The bytes of the small scenario's ledger dump."""
+    tmp = tmp_path_factory.mktemp("dump")
+    out = tmp / "out"
+    assert cli.main(["run", "--config", write_small_scenario(tmp), "--out",
+                     str(out), "--dump-ledger"]) == 0
+    return (out / "ledger.json").read_bytes()
+
+
+@pytest.mark.parametrize("edit,code", [
+    (lambda dump: dump, 0),
+    (lambda dump: dump.replace(b"\n", b"\r\n"), 0),
+    (lambda dump: b"", 2),
+    (lambda dump: b"\xef\xbb\xbf" + dump, 2),
+    (lambda dump: dump.replace(b'"sender": "', b'"sender": "\xff', 1), 2),
+], ids=["as_dumped", "crlf", "empty", "utf8_bom", "xff_byte"])
+@pytest.mark.parametrize("via", ["file", "pipe"])
+def test_audit_reads_a_dump_from_a_file_or_a_pipe(tmp_path, capsys, small_dump,
+                                                  edit, code, via):
+    # A regular file is mapped and a pipe read whole; both must decode,
+    # parse and refuse alike.
+    data = edit(small_dump)
+    if via == "file":
+        path = tmp_path / "ledger.json"
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert cli.main(["audit", "--ledger", str(path)]) == code
+        out, err = capsys.readouterr()
+    else:
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin to pipe the dump through")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "uavchain.cli", "audit", "--ledger",
+             "/dev/stdin"], input=data, env=env, capture_output=True,
+            timeout=60)
+        assert done.returncode == code, done.stderr
+        out, err = done.stdout.decode(), done.stderr.decode()
+    if code == 0:
+        assert "audit passed" in out and err == ""
+    else:
+        assert err.startswith("error:") and "malformed ledger dump" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
