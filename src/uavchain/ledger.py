@@ -31,6 +31,7 @@ import os
 import stat
 import struct
 import zlib
+from binascii import unhexlify
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterator
@@ -232,12 +233,17 @@ def _field(data: dict, key: str, kind):
 
 
 def _name(data: dict, key: str) -> str:
-    """`data[key]` if it is a str that UTF-8 encodes, as the wire and the
-    audit's report need: a JSON escape can make a lone surrogate, which
-    does not."""
-    value = _field(data, key, str)
-    value.encode("utf-8")  # UnicodeEncodeError, a ValueError
-    return value
+    """`data[key]` if it is a printable str, as the wire and the audit's
+    report need: a control character such as a newline would forge report
+    lines, and a lone surrogate (which a JSON escape can make) is not
+    printable and does not UTF-8 encode."""
+    return _printable(_field(data, key, str), key)
+
+
+def _printable(name: str, what: str) -> str:
+    if not name.isprintable():
+        raise ValueError(f"{what} {name!r} is not printable")
+    return name
 
 
 def _time(data: dict, key: str) -> float:
@@ -249,24 +255,24 @@ def _time(data: dict, key: str) -> float:
 
 
 def _meta_from_dict(data: dict) -> BlockMetadata:
-    return BlockMetadata(block_id=bytes.fromhex(data["block_id"]),
-                         hash_prev=bytes.fromhex(data["hash_prev"]),
-                         merkle_root=bytes.fromhex(data["merkle_root"]),
+    return BlockMetadata(block_id=unhexlify(data["block_id"]),
+                         hash_prev=unhexlify(data["hash_prev"]),
+                         merkle_root=unhexlify(data["merkle_root"]),
                          timestamp=_time(data, "timestamp"))
 
 
 def segment_from_dict(data: dict) -> LedgerSegment:
     """A dumped segment, each transaction built once and by position (the
     faster call). Only the type of a tx's time is checked here: building the
-    tx encodes its core, which refuses a sender that is not a str UTF-8
-    encodes and a time outside the wire's i64."""
+    tx encodes its core, which refuses a time outside the wire's i64. Hex is
+    decoded by `unhexlify`, which refuses the whitespace `bytes.fromhex`
+    skips, so one ledger has one dump text."""
     segment = LedgerSegment(owner=_name(data, "owner"),
                             genesis=_meta_from_dict(data["genesis"]))
-    fromhex = bytes.fromhex
     for entry in data["blocks"]:
-        txs = [Transaction(t["sender"], fromhex(t["payload"]),
+        txs = [Transaction(_name(t, "sender"), unhexlify(t["payload"]),
                            _field(t, "submit_time", (int, float)),
-                           fromhex(t["signature"]))
+                           unhexlify(t["signature"]))
                for t in entry["transactions"]]
         meta = _meta_from_dict(entry["metadata"])
         block = Block(metadata=meta, transactions=txs,
@@ -369,9 +375,9 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, 
     """Read a dump as (segments, registry, scheme, seed, max_block_bytes); a
     dump without a size limit gets 0 (none). Any malformed content (bytes
     that are not UTF-8, truncated JSON, `NaN` or `Infinity`, over-deep
-    nesting, a missing key, bad hex, a wrongly typed field, a name that is
-    not UTF-8, a time outside the wire's i64 microseconds, a bad limit)
-    raises LedgerError."""
+    nesting, a missing key, bad hex or hex holding whitespace, a wrongly
+    typed field, a name that is not printable, a time outside the wire's
+    i64 microseconds, a bad limit) raises LedgerError."""
     def reject(constant: str):
         raise ValueError(f"{constant} is not a JSON number")
 
@@ -379,9 +385,10 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, 
         data = json.loads(_read_text(path), parse_constant=reject)
         if data.get("format") != "uavchain-ledger-v1":
             raise LedgerError("not a uavchain ledger dump")
-        registry = {node: bytes.fromhex(key)
+        registry = {node: unhexlify(key)
                     for node, key in data["registry"].items()}
-        "".join(registry).encode("utf-8")  # node names too, as in _name
+        for node in registry:
+            _printable(node, "registry name")
         segments = [segment_from_dict(s) for s in data["segments"]]
         limit = data.get("max_block_bytes", 0)
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:

@@ -12,7 +12,9 @@ Transmission energy follows
 
 (``EnergySection.tx_energy``) and round energy is the plain sum of member
 transmit and compute costs. Every function takes the scenario's config
-section for its parameters.
+section for its parameters. `CommGraph` answers contention and nearest-edge
+queries from caches bounded by how far the UAVs have moved, with the bits a
+full scan would give.
 
 ``UavState`` is a UAV's velocity only: its position lives in the graph's
 ``positions``, beside its liveness in ``uav_ids``, and its energy in its
@@ -33,6 +35,11 @@ if TYPE_CHECKING:
     from .config import EnergySection, MobilitySection, NetworkSection
 
 Point = tuple[float, float, float]   # x, y, z in metres
+
+# CommGraph's contention band: its half-width W and its rounding margin,
+# both as fractions of network.range_m.
+_SKIN = 1 / 8
+_SKIN_MARGIN = 1e-6
 
 
 @dataclass(slots=True)
@@ -149,11 +156,33 @@ class CommGraph:
     a nearest edge in range (the range `uav_neighbors` counts contenders
     in) and committee messages over the edges' backhaul.
 
-    Caches: `nearest_edge` keeps each queried node's (edge, distance) pair;
-    the first `uav_neighbors` query builds the list of alive UAV positions
-    (in `uav_ids` order) that every later query scans, and each edge's
-    count is kept. Every `move` and `remove_uav` clears all three, so
-    positions and liveness must change only through those two methods.
+    Caches. Each answer is kept until the next `move` or `remove_uav`, so
+    positions and liveness must change only through those two methods. Past
+    a move, two skin caches (the neighbour lists of particle codes; L.
+    Verlet, Phys. Rev. 159, 98, 1967) give the answer a full scan would,
+    bit for bit, from fewer distances:
+    - Contention. A full scan of `uav_neighbors` keeps how many alive UAVs
+      lie within range_m - W of the site (W = range_m / 8) and which lie
+      within W of its range sphere (the band). While any band is kept,
+      every `move` adds its batch's largest displacement to `_travel`,
+      rounded up, so no UAV has moved farther since a scan than the total
+      has grown, and drops each band once that growth reaches W. Until
+      then no UAV outside the band can have crossed the sphere, so the
+      count is the kept inner count plus the band's UAVs the range test
+      admits now. A site that has moved (a UAV queried as one) rescans.
+    - Nearest edge. A full scan of `nearest_edge` keeps the node's edge,
+      its gap to the second-nearest edge and the node's point. A node that
+      has moved m since is within m of its old distance to every edge, so
+      while 2m is below the gap its edge is still strictly nearest: the
+      scan would pick it, and the answer is that edge at a fresh distance.
+      A tie has gap 0, so the first-listed edge still wins it by a scan.
+    Both arguments rest on edges never moving and on the triangle
+    inequality, which holds for the exact points. `math.dist` rounds each
+    distance within a few ulps of itself, at any coordinate scale; the
+    margins (1e-6 range_m off W; 1e-9 of the second distance plus 1e-6 m
+    off the gap) cover that. An infinite or NaN distance or step makes its
+    bound NaN, which nothing is below, so such a query rescans. A death is
+    rare and changes contention, so `remove_uav` drops both caches.
     """
 
     def __init__(self, network: NetworkSection, edge_sites: Mapping[str, Point],
@@ -163,21 +192,32 @@ class CommGraph:
         self.uav_ids = list(uav_positions)   # the alive UAVs, in start order
         self._uavs = frozenset(uav_positions)   # every UAV, alive or dead
         self.positions = {**edge_sites, **uav_positions}
+        self._sites = list(edge_sites.items())
+        self._travel = 0.0
         self._contention_cache: dict[str, int] = {}
-        self._alive_uav_points: Optional[list[Point]] = None
         self._nearest_memo: dict[str, tuple[Optional[str], float]] = {}
-
-    def _changed(self) -> None:
-        self._contention_cache.clear()
-        self._alive_uav_points = None
-        self._nearest_memo.clear()
+        # edge -> (site, travel at the scan, inner count, band UAVs)
+        self._bands: dict[str, tuple[Point, float, int, list[str]]] = {}
+        # node -> (edge, gap less margin, its point at the scan)
+        self._gaps: dict[str, tuple[Optional[str], float, Point]] = {}
 
     def move(self, positions: Mapping[str, Point]) -> None:
         """Set the position of every UAV in `positions` (UAV -> point)."""
         if not positions.keys() <= self._uavs:
             raise KeyError(sorted(positions.keys() - self._uavs))
+        if self._bands:   # only a kept band reads the travel total
+            olds = map(self.positions.__getitem__, positions)
+            steps = list(map(math.dist, olds, positions.values()))
+            # max() can skip a NaN step; sum() cannot, so a NaN or infinite
+            # step makes the total NaN, which ends every band.
+            step = max(steps, default=0.0) if sum(steps) < math.inf else math.nan
+            travel = self._travel = math.nextafter(self._travel + step, math.inf)
+            skin = self.params.range_m * (_SKIN - _SKIN_MARGIN)
+            self._bands = {edge: band for edge, band in self._bands.items()
+                           if travel - band[1] < skin}
         self.positions.update(positions)
-        self._changed()
+        self._contention_cache.clear()
+        self._nearest_memo.clear()
 
     def remove_uav(self, uav: str) -> None:
         """Take a dead UAV out of `uav_ids`; KeyError if it is not there."""
@@ -185,26 +225,42 @@ class CommGraph:
             self.uav_ids.remove(uav)
         except ValueError:
             raise KeyError(uav) from None
-        self._changed()
+        for cache in (self._contention_cache, self._nearest_memo,
+                      self._bands, self._gaps):
+            cache.clear()
 
     def distance(self, a: str, b: str) -> float:
         return math.dist(self.positions[a], self.positions[b])
 
     def uav_neighbors(self, edge: str) -> int:
         """Alive UAVs the link rule admits at an edge (its channel contention)."""
-        cached = self._contention_cache.get(edge)
-        if cached is not None:
-            return cached
-        positions = self.positions
-        points = self._alive_uav_points
-        if points is None:
-            points = self._alive_uav_points = [positions[u] for u in self.uav_ids]
+        count = self._contention_cache.get(edge)
+        if count is not None:
+            return count
+        positions, dist = self.positions, math.dist
         site = positions[edge]
         range_m = self.params.range_m
-        count = 0
-        for point in points:
-            if math.dist(point, site) <= range_m:
-                count += 1
+        band = self._bands.get(edge)
+        if band is not None and band[0] is site:
+            count = band[2]
+            for uav in band[3]:
+                if dist(positions[uav], site) <= range_m:
+                    count += 1
+        else:
+            inner_m = range_m - range_m * _SKIN
+            outer_m = range_m + range_m * _SKIN
+            inner = count = 0
+            ids = []
+            for uav in self.uav_ids:
+                d = dist(positions[uav], site)
+                if d <= inner_m:
+                    inner += 1
+                elif not d > outer_m:   # NaN stays in the band
+                    ids.append(uav)
+                    if d <= range_m:
+                        count += 1
+            count += inner
+            self._bands[edge] = (site, self._travel, inner, ids)
         self._contention_cache[edge] = count
         return count
 
@@ -212,16 +268,26 @@ class CommGraph:
         """Closest edge (first listed wins a tie) and its distance, or
         (None, inf) if no edge lies at a finite distance."""
         memo = self._nearest_memo.get(node_id)
-        if memo is None:
-            positions = self.positions
-            pos = positions[node_id]
+        if memo is not None:
+            return memo
+        pos = self.positions[node_id]
+        gap = self._gaps.get(node_id)
+        if gap is not None and 2.0 * math.dist(pos, gap[2]) < gap[1]:
+            best = gap[0]
+            memo = (best, math.dist(pos, self.positions[best]))
+        else:
             best = None
-            best_d = math.inf
-            for other in self.edge_ids:
-                d = math.dist(pos, positions[other])
+            best_d = second_d = math.inf
+            for edge, site in self._sites:
+                d = math.dist(pos, site)
                 if d < best_d:
-                    best, best_d = other, d
-            memo = self._nearest_memo[node_id] = (best, best_d)
+                    best, best_d, second_d = edge, d, best_d
+                elif d < second_d:
+                    second_d = d
+            memo = (best, best_d)
+            self._gaps[node_id] = (best, second_d - best_d
+                                   - (1e-9 * second_d + 1e-6), pos)
+        self._nearest_memo[node_id] = memo
         return memo
 
 

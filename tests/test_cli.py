@@ -562,10 +562,26 @@ def _setter(where, key: str, value):
         data = json.loads(text)
         where(data)[key] = value
         return json.dumps(data)
-    # A lone surrogate in a test id is written as its escape.
+    # A control character or a lone surrogate in a test id is written as
+    # its escape.
     mutate.__name__ = f"{where.__name__}_{key}_{value}".encode(
-        "ascii", "backslashreplace").decode("ascii")
+        "unicode_escape").decode("ascii")
     return mutate
+
+
+def _spaced_payload(text: str) -> str:
+    # bytes.fromhex would skip the space and read the dumped payload.
+    data = json.loads(text)
+    tx = _first_tx(data)
+    tx["payload"] = tx["payload"][:2] + " " + tx["payload"][2:]
+    return json.dumps(data)
+
+
+def _newline_in_registry_key(text: str) -> str:
+    data = json.loads(text)
+    node, key = next(iter(data["registry"].items()))
+    data["registry"][node] = key[:2] + "\n" + key[2:]
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize("mutate", [
@@ -586,7 +602,15 @@ def _setter(where, key: str, value):
     _setter(_first_block, "proposer", "\ud800"),
     _setter(_first_segment, "owner", "\ud800"),
     _setter(_first_tx, "sender", "\ud800"),
-    _setter(_registry, "\ud800", "00")])
+    _setter(_registry, "\ud800", "00"),
+    # Hex holds no whitespace, so one ledger has one dump text.
+    _spaced_payload, _newline_in_registry_key,
+    # Names the report prints are printable: a newline would forge lines.
+    _setter(_first_segment, "owner",
+            "e00 (1 blocks)\naudit passed (10 segments, 0 findings)"),
+    _setter(_first_block, "proposer", "e00\n"),
+    _setter(_first_tx, "sender", "u-x\n  fake"),
+    _setter(_registry, "e00\naudit passed", "00")])
 def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     scenario = write_small_scenario(tmp_path)
     out = tmp_path / "out"
@@ -596,11 +620,11 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     capsys.readouterr()
     code = cli.main(["audit", "--ledger", str(path)])
     assert code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     expected = ("no provider registered for 'foo'"
                 if mutate is _unregistered_scheme else "malformed ledger dump")
     assert err.startswith("error:") and expected in err
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and out == ""
 
 
 @pytest.fixture(scope="module")

@@ -355,12 +355,26 @@ def test_dump_ledger_writes_the_json_modules_bytes_and_round_trips(tmp_path):
         ledger.dump_ledger(path, segments, registry, scheme, seed, limit)
         dumped = path.read_bytes()
         assert dumped == _reference_dump(segments, registry, scheme, seed, limit)
+        # A name the audit would print must be printable: a newline could
+        # forge a report line, so such a dump loads as malformed.
+        names = [*registry, *(s.owner for s in segments),
+                 *(b.proposer for s in segments for b in s.chain),
+                 *(tx.sender for s in segments for b in s.chain
+                   for tx in b.transactions)]
+        printable = all(name.isprintable() for name in names)
+        seen.add(printable)
+        if not printable:
+            with pytest.raises(LedgerError, match="is not printable"):
+                ledger.load_ledger(path)
+            return
         loaded = ledger.load_ledger(path)
         assert loaded[1:] == (registry, scheme, seed, limit)
         ledger.dump_ledger(path, *loaded)
         assert path.read_bytes() == dumped
 
+    seen = set()
     check()
+    assert seen == {False, True}
 
 
 def test_ledger_dump_matches_pinned_digest(tmp_path):

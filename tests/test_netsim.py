@@ -13,6 +13,8 @@ from uavchain.config import (CryptoSection, EnergySection, MobilitySection,
 from uavchain.netsim import (CommGraph, EnergyAccount, UavState, _reflect,
                              deliver, round_energy, step_mobility)
 
+from reference import scan_nearest_edge, scan_uav_neighbors
+
 SIDE = 1e7  # huge area so trajectory tests never hit the boundary
 CENTRE = {"u0": (SIDE / 2, SIDE / 2, 100.0)}
 
@@ -379,6 +381,7 @@ def test_remove_uav_rejects_an_edge_base_or_unknown_name_and_changes_nothing(
         graph.remove_uav(node)
     assert (graph.uav_ids, graph.positions) == before
     assert graph._nearest_memo and graph._contention_cache == counts
+    assert graph._bands.keys() == graph._contention_cache.keys() and graph._gaps
 
 
 def test_nearest_edge_and_range_gate():
@@ -464,15 +467,6 @@ def test_uav_neighbors_ignores_edges_and_base():
     assert graph.uav_ids == ["u0", "u1"] and graph.edge_ids == ["e0", "e1"]
 
 
-def scan_nearest_edge(graph: CommGraph, node: str):
-    """Uncached linear scan: the reference for `CommGraph.nearest_edge`."""
-    best, best_d = None, math.inf
-    for edge in graph.edge_ids:
-        if graph.distance(node, edge) < best_d:
-            best, best_d = edge, graph.distance(node, edge)
-    return best, best_d
-
-
 def test_nearest_edge_memo_follows_every_change():
     graph = _graph()
 
@@ -490,11 +484,27 @@ def test_nearest_edge_memo_follows_every_change():
 
 
 def move_checked(graph: CommGraph, batch) -> None:
-    """`graph.move(batch)`, checking that it sets every listed position and
-    clears every cache."""
+    """`graph.move(batch)`, checking that it sets every listed position,
+    clears both per-move memos, keeps every nearest-edge gap, and keeps a
+    contention band only while the travel total, grown by at least the
+    batch's largest displacement, has grown by less than W since its scan."""
+    travel = graph._travel
+    steps = [math.dist(graph.positions[node], point)
+             for node, point in batch.items()]
+    bands, gaps = dict(graph._bands), dict(graph._gaps)
     graph.move(batch)
     assert graph._nearest_memo == {} and graph._contention_cache == {}
-    assert graph._alive_uav_points is None
+    assert graph._gaps == gaps
+    skin = graph.params.range_m * (netsim._SKIN - netsim._SKIN_MARGIN)
+    assert graph._bands == {edge: band for edge, band in bands.items()
+                            if graph._travel - band[1] < skin}
+    if not bands:   # nothing reads the total
+        assert graph._travel == travel or math.isnan(travel)
+    elif math.isnan(travel + sum(steps)):   # a NaN point ends every band
+        assert math.isnan(graph._travel) and graph._bands == {}
+    else:
+        assert graph._travel > travel
+        assert graph._travel - travel >= max(steps, default=0.0)
     assert all(graph.positions[node] == point for node, point in batch.items())
 
 
@@ -559,13 +569,6 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
     assert in_range == {False, True}
 
 
-def scan_uav_neighbors(graph: CommGraph, edge: str) -> int:
-    """Uncached scan of every alive UAV by the link rule's range test: the
-    reference for `uav_neighbors`."""
-    return sum(graph.distance(uav, edge) <= graph.params.range_m
-               for uav in graph.uav_ids)
-
-
 def test_contention_and_memo_match_a_scan_along_a_random_walk():
     rng = Random(23)
     uavs = [f"u{i}" for i in range(10)]
@@ -592,6 +595,166 @@ def test_contention_and_memo_match_a_scan_along_a_random_walk():
     assert seen_dead_uav
 
 
+def _skin_graph(rng: Random, scale: float):
+    """Edges e0 and e1 mirror each other, so a point on their bisector is at
+    bit-equal distances from both (`scale` is a power of two); 120 UAVs on
+    or an ulp or two off a range sphere and 40 on that bisector."""
+    range_m = 1200.0 * scale
+    sites = {edge: tuple(c * scale for c in point) for edge, point in (
+        ("e0", (1000.0, 2000.0, 0.0)), ("e1", (3000.0, 2000.0, 0.0)),
+        ("e2", (4200.0, 5200.0, 0.0)), ("e3", (300.0, 5600.0, 0.0)))}
+    uavs = {}
+    for i in range(120):
+        site = sites[rng.choice(list(sites))]
+        direction = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = math.hypot(*direction)
+        reach = range_m
+        for _ in range(rng.randint(0, 2)):
+            reach = math.nextafter(reach, rng.choice((0.0, math.inf)))
+        uavs[f"u{i}"] = tuple(c + d / norm * reach
+                              for c, d in zip(site, direction))
+    for i in range(120, 160):
+        uavs[f"u{i}"] = (2000.0 * scale, rng.uniform(1500.0, 2500.0) * scale,
+                         rng.uniform(0.0, 300.0) * scale)
+    return CommGraph(NetworkSection(range_m=range_m), sites, uavs)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -10, 1.0, 2.0 ** 20, 2.0 ** 500],
+                         ids=["2**-10", "1", "2**20", "2**500"])
+def test_skin_caches_match_a_scan_along_small_steps(scale):
+    # Steps well under the band's half-width W = range_m / 8, from points on
+    # and an ulp off the range spheres and on a bisector, so that both
+    # caches are reused across moves and each reuse is checked against the
+    # scans, at every coordinate scale up to the largest area.
+    rng = Random(43)
+    graph = _skin_graph(rng, scale)
+    uavs, edges = list(graph.uav_ids), graph.edge_ids
+    bisector = {uav for uav in uavs if int(uav[1:]) >= 120}
+    reach = graph.params.range_m / 8 / 40   # per coordinate
+    seen = {"band reused": 0, "band rescanned": 0, "gap reused": 0,
+            "gap rescanned": 0, "tie": 0, "crossed": 0}
+    inside = {}
+    for step in range(120):
+        if step % 40 == 39:
+            graph.remove_uav(rng.choice(graph.uav_ids))
+            assert graph._bands == {} and graph._gaps == {}
+        elif step:
+            batch = {}
+            for uav in graph.uav_ids:
+                x, y, z = graph.positions[uav]
+                dx, dy, dz = (rng.uniform(-reach, reach) for _ in range(3))
+                # Half the steps slide the bisector UAVs along it.
+                if uav in bisector and step % 2:
+                    dx = 0.0
+                batch[uav] = (x + dx, y + dy, z + dz)
+            move_checked(graph, batch)
+        bands, gaps = dict(graph._bands), dict(graph._gaps)
+        # A UAV's own point as a site moves with it: never reused across it.
+        for site in edges * 2 + uavs[step % 7::40]:
+            assert graph.uav_neighbors(site) == scan_uav_neighbors(graph, site)
+        for node in uavs + edges:
+            edge, distance = graph.nearest_edge(node)
+            assert (edge, distance) == scan_nearest_edge(graph, node)
+            assert distance.hex() == graph.distance(node, edge).hex()
+        if step % 40:   # a move, not a death, came before these queries
+            for edge in edges:
+                seen["band reused" if graph._bands[edge] is bands.get(edge)
+                     else "band rescanned"] += 1
+            for node in uavs + edges:
+                seen["gap reused" if graph._gaps[node] is gaps.get(node)
+                     else "gap rescanned"] += 1
+        for uav in graph.uav_ids:
+            now = graph.distance(uav, "e0") <= graph.params.range_m
+            seen["crossed"] += inside.get(uav, now) != now
+            inside[uav] = now
+            seen["tie"] += graph.distance(uav, "e0") == graph.distance(uav, "e1")
+    assert all(seen.values()), seen
+
+
+def test_the_margins_cover_rounding_where_reuse_ends():
+    # Two cases found by search, each at the last movement its cache could
+    # tolerate in exact arithmetic, where rounding breaks the bound: without
+    # the margins, both caches would answer wrongly.
+    # 2m (1973.091070159793) is under the gap (1973.0910701597932), and yet
+    # u0 ends nearer e1.
+    graph = CommGraph(
+        NetworkSection(range_m=1200.0),
+        {"e0": (3248.460746506206, 2903.304131769463, 57.90328511237508),
+         "e1": (2734.9544604762277, 1253.4614401275262, 3358.2146195204964)},
+        {"u0": (3127.696599871345, 2515.3013942016723, 834.055968676385)})
+    assert graph.nearest_edge("u0")[0] == "e0"
+    graph.move({"u0": (2991.707603491217, 2078.382785948495, 1708.058952316436)})
+    assert graph.nearest_edge("u0") == scan_nearest_edge(graph, "u0")
+    assert graph.nearest_edge("u0")[0] == "e1"
+    # u0 starts 1050 m (range_m - W) from e0 and travels 149.99999999999997 m,
+    # under W = 150 m, and yet ends just outside the range.
+    graph = CommGraph(
+        NetworkSection(range_m=1200.0),
+        {"e0": (1870.9186739092254, 1935.1414017099767, 0.0)},
+        {"u0": (966.427738170153, 1896.5319939157562, -531.8885793055131)})
+    assert graph.uav_neighbors("e0") == 1
+    graph.move({"u0": (837.2147473502854, 1891.0163642308682, -607.8726620634432)})
+    assert graph.uav_neighbors("e0") == 0 == scan_uav_neighbors(graph, "e0")
+
+
+def test_a_uav_queried_as_a_site_moves_its_band_with_it():
+    # Each UAV moves about 100 m, under W = 150 m, but apart from each other
+    # they move 200.5 m: a band kept at u0's old point would still count u1.
+    graph = CommGraph(NetworkSection(range_m=1200.0), {"e0": (0.0, 5000.0, 0.0)},
+                      {"u0": (0.0, 0.0, 0.0), "u1": (1000.0, 0.0, 0.0)})
+    assert graph.uav_neighbors("u0") == 2
+    move_checked(graph, {"u0": (-100.0, 0.0, 0.0), "u1": (1100.5, 0.0, 0.0)})
+    assert graph.uav_neighbors("u0") == 1 == scan_uav_neighbors(graph, "u0")
+
+
+def test_a_huge_travel_total_still_grows_with_each_small_move():
+    # Once the total is 1e20 m, a 501 m move rounds away in the sum; the
+    # total is rounded up instead, so it grows past the band and e0 rescans.
+    graph = CommGraph(NetworkSection(range_m=1000.0), {"e0": (0.0, 0.0, 0.0)},
+                      {"u0": (0.0, 0.0, 0.0), "u1": (500.0, 0.0, 0.0)})
+    assert graph.uav_neighbors("e0") == 2   # a band, so moves add travel
+    move_checked(graph, {"u0": (1e20, 0.0, 0.0)})
+    assert graph.uav_neighbors("e0") == 1   # u1, deep inside the range
+    assert 1e20 + 501.0 == 1e20
+    move_checked(graph, {"u1": (1001.0, 0.0, 0.0)})
+    assert graph.uav_neighbors("e0") == 0 == scan_uav_neighbors(graph, "e0")
+
+
+def test_a_nan_point_ends_band_reuse():
+    # max() would skip the NaN step of u1 behind u0's 1 m step.
+    graph = CommGraph(NetworkSection(range_m=1000.0),
+                      {"e0": (0.0, 0.0, 0.0), "e1": (5000.0, 0.0, 0.0)},
+                      {"u0": (100.0, 0.0, 0.0), "u1": (200.0, 0.0, 0.0)})
+    assert [graph.uav_neighbors(e) for e in graph.edge_ids] == [2, 0]
+    assert graph.nearest_edge("u1") == ("e0", 200.0)
+    for point in [(math.nan, 0.0, 0.0), (4900.0, 0.0, 0.0), (300.0, 0.0, 0.0)]:
+        move_checked(graph, {"u0": graph.positions["u0"][:2] + (1.0,),
+                             "u1": point})
+        for edge in graph.edge_ids:
+            assert graph.uav_neighbors(edge) == scan_uav_neighbors(graph, edge)
+        for uav in graph.uav_ids:
+            assert graph.nearest_edge(uav) == scan_nearest_edge(graph, uav)
+    assert math.isnan(graph._travel)
+
+
+def test_a_range_shorter_than_a_step_rescans_every_band():
+    # W = 5 m, under one step: no band survives a move, answers stay exact.
+    rng = Random(47)
+    graph = CommGraph(NetworkSection(range_m=40.0),
+                      {"e0": (50.0, 50.0, 0.0), "e1": (90.0, 60.0, 0.0)},
+                      {f"u{i}": (rng.uniform(0.0, 140.0), rng.uniform(0.0, 140.0),
+                                 10.0) for i in range(60)})
+    for _ in range(30):
+        bands, batch = dict(graph._bands), {}
+        for uav in graph.uav_ids:
+            x, y, z = graph.positions[uav]
+            batch[uav] = (x + rng.uniform(-6.0, 6.0), y + rng.uniform(-6.0, 6.0), z)
+        move_checked(graph, batch)
+        for edge in graph.edge_ids:
+            assert graph.uav_neighbors(edge) == scan_uav_neighbors(graph, edge)
+            assert graph._bands[edge] is not bands.get(edge)
+
+
 def test_a_mobility_step_retires_the_memo_entries_of_moved_uavs():
     cfg = ScenarioConfig()
     cfg.network.uav_count = 30
@@ -600,11 +763,15 @@ def test_a_mobility_step_retires_the_memo_entries_of_moved_uavs():
     for node in sim.uav_ids + sim.edge_ids:
         graph.nearest_edge(node)
         graph.uav_neighbors(node)
+    before, travel = dict(graph.positions), graph._travel
     sim._handle_mobility()
     assert graph.uav_ids == sim.uav_ids
-    # A step moves every alive UAV and clears every cache with one reset.
+    # A step moves every alive UAV in one batch: both memos are cleared, and
+    # the travel total grows by at least the farthest UAV's displacement.
     assert graph._nearest_memo == {} and graph._contention_cache == {}
-    assert graph._alive_uav_points is None
+    assert all(graph.positions[uav] != before[uav] for uav in sim.uav_ids)
+    assert graph._travel - travel >= max(
+        math.dist(before[uav], graph.positions[uav]) for uav in sim.uav_ids)
     assert "base" in sim.registry and "base" not in graph.positions
 
 
