@@ -72,11 +72,6 @@ class KeyPair:
     private_key: bytes
 
 
-def hash_bytes(data: bytes) -> bytes:
-    """SHA-256, the 32-byte digest of every ledger hash."""
-    return hashlib.sha256(data).digest()
-
-
 def _le64(value: int) -> bytes:
     return int(value).to_bytes(8, "little", signed=False)
 

@@ -59,6 +59,9 @@ def make_stream(master_seed: int, label: str) -> Random:
 
 @dataclass
 class _WindowStats:
+    """A UAV's counters for the current consensus window. Each window update
+    zeroes them in place, so nothing holds one across a window boundary."""
+
     submitted: int = 0
     accepted: int = 0
     timely: int = 0
@@ -194,10 +197,11 @@ class Simulation:
     def _handle_mobility(self) -> None:
         self._schedule(self.now + self.config.sim.mobility_step_s,
                        _PRIO_MOBILITY, self._handle_mobility)
-        states = [self.uav_states[uav] for uav in self.graph.uav_ids]
-        self.graph.move(netsim.step_mobility(
-            states, self.graph.positions, self.config.sim.mobility_step_s,
-            self.config.mobility, self.config.area_side_m(), self.rng_mobility))
+        graph = self.graph
+        graph.move(netsim.step_mobility(
+            map(self.uav_states.__getitem__, graph.uav_ids), graph.positions,
+            self.config.sim.mobility_step_s, self.config.mobility,
+            self.config.area_side_m(), self.rng_mobility))
 
     def _charge_uav(self, uav: str, amount: float) -> bool:
         account = self.accounts[uav]
@@ -405,23 +409,23 @@ class Simulation:
             self._schedule((window_index + 1) * cfg.consensus.window_s,
                            _PRIO_WINDOW, self._window_update, window_index + 1)
             window_start = self.now - cfg.consensus.window_s
-            chis = {}
-            for uav in self.uav_ids:
-                stats = self.window_stats[uav]
-                chi = chis[uav] = trust.behavior_score(
+            chis = []
+            for uav, stats in self.window_stats.items():
+                chi = trust.behavior_score(
                     stats.submitted, stats.accepted, stats.timely,
                     self._uptime_fraction(uav, window_start), cfg.trust)
+                chis.append(chi)
                 scores[uav] = trust.update_trust(scores[uav], chi, cfg.trust)
-                self.window_stats[uav] = _WindowStats()
+                stats.submitted = stats.accepted = stats.timely = 0
             ranks = trust.trust_rank(scores)
             self.metrics.trust.extend(
-                TrustRecord(window_id=window_index, node=uav, chi=chi,
-                            xi=scores[uav], rho=ranks[uav])
-                for uav, chi in chis.items())
+                TrustRecord(window_index, uav, chi, scores[uav], ranks[uav])
+                for uav, chi in zip(self.window_stats, chis))
 
-        assignment: dict[str, set[str]] = {edge: set() for edge in self.edge_ids}
+        assignment: dict[str, list[str]] = {edge: [] for edge in self.edge_ids}
+        nearest_edge = self.graph.nearest_edge
         for uav in self.graph.uav_ids:
-            assignment[self.graph.nearest_edge(uav)[0]].add(uav)
+            assignment[nearest_edge(uav)[0]].append(uav)
         self.edge_weights = trust.edge_committee_weights(assignment, scores)
         self.committee = consensus.sample_committee(
             self.edge_weights, cfg.consensus.committee_size, self.rng_committee)

@@ -371,16 +371,51 @@ def _read_text(path) -> str:
             return str(mapping, "utf-8")
 
 
+_META_HEX = ("block_id", "hash_prev", "merkle_root")
+
+
+def _hex_fault(data, exc: Exception) -> str | None:
+    """"<field> is not hex: <exc>" if `exc` is `unhexlify`'s refusal of the
+    first bad hex field of the parsed dump `data`, else None. Only a failed
+    load calls this, so a good one decodes each field once."""
+    def fields():   # (where, text), in the order load_ledger decodes them
+        for node, key in data["registry"].items():
+            yield f"registry key of {node!r}", key
+        for segment in data["segments"]:
+            owner = segment["owner"]   # checked printable before its hex
+            for key in _META_HEX:
+                yield f"segment {owner} genesis {key}", segment["genesis"][key]
+            for height, entry in enumerate(segment["blocks"], start=1):
+                where = f"segment {owner} block {height}"
+                for index, tx in enumerate(entry["transactions"]):
+                    for key in ("payload", "signature"):
+                        yield f"{where} tx {index} {key}", tx[key]
+                for key in _META_HEX:
+                    yield f"{where} {key}", entry["metadata"][key]
+    try:
+        for where, text in fields():
+            try:
+                unhexlify(text)
+            except (TypeError, ValueError) as err:
+                same = (type(err), str(err)) == (type(exc), str(exc))
+                return f"{where} is not hex: {exc}" if same else None
+    except (AttributeError, KeyError, TypeError):
+        pass   # a part of the dump the load did not reach
+    return None
+
+
 def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, int]:
     """Read a dump as (segments, registry, scheme, seed, max_block_bytes); a
     dump without a size limit gets 0 (none). Any malformed content (bytes
     that are not UTF-8, truncated JSON, `NaN` or `Infinity`, over-deep
     nesting, a missing key, bad hex or hex holding whitespace, a wrongly
     typed field, a name that is not printable, a time outside the wire's
-    i64 microseconds, a bad limit) raises LedgerError."""
+    i64 microseconds, a bad limit) raises LedgerError; bad hex is named by
+    its key, with its segment owner and block height."""
     def reject(constant: str):
         raise ValueError(f"{constant} is not a JSON number")
 
+    data = None
     try:
         data = json.loads(_read_text(path), parse_constant=reject)
         if data.get("format") != "uavchain-ledger-v1":
@@ -397,8 +432,8 @@ def load_ledger(path) -> tuple[list[LedgerSegment], dict[str, bytes], str, int, 
                 _field(data, "seed", int), limit)
     except (AttributeError, KeyError, OverflowError, RecursionError,
             TypeError, ValueError, struct.error) as exc:
-        raise LedgerError(f"malformed ledger dump {path}: "
-                          f"{type(exc).__name__}: {exc}") from None
+        reason = _hex_fault(data, exc) or f"{type(exc).__name__}: {exc}"
+        raise LedgerError(f"malformed ledger dump {path}: {reason}") from None
 
 
 def check_block(block: Block, prev: BlockMetadata, registry: dict[str, bytes],

@@ -18,7 +18,9 @@ full scan would give.
 
 ``UavState`` is a UAV's velocity only: its position lives in the graph's
 ``positions``, beside its liveness in ``uav_ids``, and its energy in its
-``EnergyAccount``. Accounts are UAV-only; the mains-powered infrastructure
+``EnergyAccount``. `step_mobility` returns the new points in the order of
+the states it steps, and one `CommGraph.move` sets every alive UAV's point,
+in ``uav_ids`` order. Accounts are UAV-only; the mains-powered infrastructure
 tier keeps one running total in the metrics.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import left_sum
 
@@ -75,13 +77,14 @@ def _reflect(value: float, low: float, high: float) -> float:
     return value
 
 
-def step_mobility(states: list[UavState], positions: Mapping[str, Point],
+def step_mobility(states: Iterable[UavState], positions: Mapping[str, Point],
                   dt: float, mobility: MobilitySection, area_side: float,
-                  rng: Random) -> dict[str, Point]:
+                  rng: Random) -> list[Point]:
     """One Gauss-Markov step (dt > 0) with boundary reflection per listed state.
 
     Steps each listed state's velocity in place, and no other, and returns
-    {UAV: new point} from the points in `positions`, which it only reads.
+    the states' new points, in `states` order, from the points in
+    `positions`, which it only reads.
     Draws speed, heading and vertical-speed noise per state, in list order,
     each normal as `rng.gauss` would: a pair from two `random()` calls, the
     second kept as the spare in `rng.gauss_next`, where the next draw takes
@@ -99,7 +102,7 @@ def step_mobility(states: list[UavState], positions: Mapping[str, Point],
     speed_sigma, heading_sigma = mobility.speed_sigma, mobility.heading_sigma
     vert_sigma = mobility.vert_sigma
     low, high = mobility.alt_min_m, mobility.alt_max_m
-    moves = {}
+    points = []
     spare = rng.gauss_next
     for state in states:
         # Three normals: with no spare two pairs, leaving one; else one pair.
@@ -137,11 +140,11 @@ def step_mobility(states: list[UavState], positions: Mapping[str, Point],
             z = _reflect(z, low, high)
             vz = -vz
 
-        moves[state.node_id] = (x, y, z)
+        points.append((x, y, z))
         state.speed, state.heading, state.mean_heading = speed, heading, mean_heading
         state.vz = vz
     rng.gauss_next = spare
-    return moves
+    return points
 
 
 class CommGraph:
@@ -150,8 +153,9 @@ class CommGraph:
     Built once from the edge sites and the UAVs' starting positions, each
     mapping's order kept in `edge_ids` and `uav_ids`. A UAV's point lives
     only in `positions`, beside its liveness in `uav_ids`. Edges never move
-    or die; `move` sets UAV points (a mobility step at once) and `remove_uav`
-    takes a dead UAV out, leaving its last point. The base station is no
+    or die; one `move` sets every alive UAV's point (a mobility step), in
+    `uav_ids` order, and `remove_uav` takes a dead UAV out, leaving its last
+    point for good. The base station is no
     node. The link rule lives in the engine, which sends an upload only to
     a nearest edge in range (the range `uav_neighbors` counts contenders
     in) and committee messages over the edges' backhaul.
@@ -190,7 +194,6 @@ class CommGraph:
         self.params = network
         self.edge_ids = list(edge_sites)
         self.uav_ids = list(uav_positions)   # the alive UAVs, in start order
-        self._uavs = frozenset(uav_positions)   # every UAV, alive or dead
         self.positions = {**edge_sites, **uav_positions}
         self._sites = list(edge_sites.items())
         self._travel = 0.0
@@ -201,13 +204,16 @@ class CommGraph:
         # node -> (edge, gap less margin, its point at the scan)
         self._gaps: dict[str, tuple[Optional[str], float, Point]] = {}
 
-    def move(self, positions: Mapping[str, Point]) -> None:
-        """Set the position of every UAV in `positions` (UAV -> point)."""
-        if not positions.keys() <= self._uavs:
-            raise KeyError(sorted(positions.keys() - self._uavs))
+    def move(self, points: Sequence[Point]) -> None:
+        """Set every alive UAV's point: `points` holds one per UAV of
+        `uav_ids`, in that order. Any other count raises ValueError and
+        changes nothing."""
+        uavs = self.uav_ids
+        if len(points) != len(uavs):
+            raise ValueError(f"{len(points)} points for {len(uavs)} alive UAVs")
         if self._bands:   # only a kept band reads the travel total
-            olds = map(self.positions.__getitem__, positions)
-            steps = list(map(math.dist, olds, positions.values()))
+            steps = list(map(math.dist, map(self.positions.__getitem__, uavs),
+                             points))
             # max() can skip a NaN step; sum() cannot, so a NaN or infinite
             # step makes the total NaN, which ends every band.
             step = max(steps, default=0.0) if sum(steps) < math.inf else math.nan
@@ -215,7 +221,7 @@ class CommGraph:
             skin = self.params.range_m * (_SKIN - _SKIN_MARGIN)
             self._bands = {edge: band for edge, band in self._bands.items()
                            if travel - band[1] < skin}
-        self.positions.update(positions)
+        self.positions.update(zip(uavs, points))
         self._contention_cache.clear()
         self._nearest_memo.clear()
 

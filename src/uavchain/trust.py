@@ -11,7 +11,7 @@ checks every trust row's chi and xi against [0, 1].
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 from . import left_sum
 
@@ -53,7 +53,7 @@ def trust_rank(scores: dict[str, float]) -> dict[str, float]:
     return {node: score / total for node, score in scores.items()}
 
 
-def edge_committee_weights(assignment: dict[str, set[str]],
+def edge_committee_weights(assignment: dict[str, Collection[str]],
                            scores: dict[str, float]) -> dict[str, float]:
     """Per-edge selection weights: assigned-trust sums over the global sum."""
     sums = {edge: left_sum(scores[u] for u in sorted(uavs))

@@ -9,6 +9,7 @@ long enough for the statistics to stabilize.
 import math
 import time
 from fractions import Fraction
+from hashlib import sha256
 from random import Random
 from statistics import mean
 
@@ -19,7 +20,7 @@ from uavchain import cli, engine, ledger
 from uavchain.config import (ConsensusSection, EnergySection, ScenarioConfig,
                              TrustSection)
 from uavchain.consensus import utility_score
-from uavchain.crypto import MockProvider, hash_bytes
+from uavchain.crypto import MockProvider
 from uavchain.netsim import round_energy
 from uavchain.trust import edge_committee_weights, trust_rank, update_trust
 
@@ -112,7 +113,7 @@ def test_criterion_2_crypto_volume_and_forgery_rejection():
     started = time.monotonic()
     n = 100_000
     for i in range(n):
-        digest = hash_bytes(i.to_bytes(4, "little"))
+        digest = sha256(i.to_bytes(4, "little")).digest()
         sig = provider.sign(pair.private_key, digest)
         assert provider.verify(digest, sig, pair.public_key)
     elapsed = time.monotonic() - started

@@ -616,6 +616,7 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
     out = tmp_path / "out"
     cli.main(["run", "--config", scenario, "--out", str(out), "--dump-ledger"])
     path = out / "ledger.json"
+    dump = json.loads(path.read_text())
     path.write_text(mutate(path.read_text()))
     capsys.readouterr()
     code = cli.main(["audit", "--ledger", str(path)])
@@ -625,6 +626,18 @@ def test_audit_rejects_malformed_ledger(tmp_path, capsys, mutate):
                 if mutate is _unregistered_scheme else "malformed ledger dump")
     assert err.startswith("error:") and expected in err
     assert err.count("\n") == 1 and out == ""
+    # Bad hex is named by its key and where it sits.
+    owner = next(s["owner"] for s in dump["segments"] if s["blocks"])
+    node = next(iter(dump["registry"]))
+    named = {
+        _bad_hex: f"segment {owner} block 1 tx 0 payload is not hex: "
+                  "Non-hexadecimal digit found",
+        _spaced_payload: f"segment {owner} block 1 tx 0 payload is not hex: "
+                         "Odd-length string",
+        _newline_in_registry_key: f"registry key of {node!r} is not hex: "
+                                  "Odd-length string"}
+    if mutate in named:
+        assert err == f"error: malformed ledger dump {path}: {named[mutate]}\n"
 
 
 @pytest.fixture(scope="module")

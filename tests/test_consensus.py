@@ -1,6 +1,7 @@
 """Admission, freshness, utility, committee sampling, quorum, rounds."""
 
 import math
+from hashlib import sha256
 from itertools import permutations
 from random import Random
 
@@ -12,7 +13,7 @@ from uavchain.consensus import (RejectReason, RoundOutcome, ValidationPool,
                                 admit_transaction, assemble_block, freshness,
                                 quorum_threshold, run_round, sample_committee,
                                 sample_proposer, tx_freshness, utility_score)
-from uavchain.crypto import MockProvider, hash_bytes
+from uavchain.crypto import MockProvider
 from uavchain.ledger import Transaction, genesis_metadata
 
 provider = MockProvider()
@@ -27,7 +28,7 @@ def make_tx(payload: bytes, t: float = 0.0, sender: str = "u000",
             signed: bool = True) -> Transaction:
     core = ledger.encode_tx_core(sender, t, payload)
     if signed:
-        sig = provider.sign(PAIR.private_key, hash_bytes(core))
+        sig = provider.sign(PAIR.private_key, sha256(core).digest())
     else:
         sig = b"\x00" * 64
     return Transaction(sender=sender, payload=payload, submit_time=t,

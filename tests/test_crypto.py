@@ -10,7 +10,7 @@ from uavchain.crypto import (DIGEST_LEN, MOCK_CIPHERTEXT_LEN, MOCK_PUBLIC_LEN,
                              MOCK_SIGNATURE_LEN, CryptoError,
                              DecapsulationError, MalformedKeyError,
                              MockProvider,
-                             UnsupportedSchemeError, get_provider, hash_bytes,
+                             UnsupportedSchemeError, get_provider,
                              register_provider)
 
 provider = MockProvider()
@@ -28,11 +28,6 @@ def reference_encaps(private_key: bytes, seed: int) -> tuple[bytes, bytes]:
     return eph + tag, hashlib.sha256(b"uav-mock-ss" + private_key + eph).digest()
 
 
-def test_hash_bytes_is_sha256():
-    assert hash_bytes(b"abc") == hashlib.sha256(b"abc").digest()
-    assert len(hash_bytes(b"")) == DIGEST_LEN
-
-
 def test_keygen_deterministic_and_sized():
     a = provider.keygen(42)
     b = provider.keygen(42)
@@ -45,7 +40,7 @@ def test_keygen_deterministic_and_sized():
 
 def test_sign_verify_roundtrip():
     pair = provider.keygen(1)
-    digest = hash_bytes(b"payload")
+    digest = hashlib.sha256(b"payload").digest()
     sig = provider.sign(pair.private_key, digest)
     assert isinstance(sig, bytes) and len(sig) == MOCK_SIGNATURE_LEN
     assert provider.verify(digest, sig, pair.public_key)
@@ -53,13 +48,14 @@ def test_sign_verify_roundtrip():
 
 def test_verify_rejects_tampered_message():
     pair = provider.keygen(2)
-    sig = provider.sign(pair.private_key, hash_bytes(b"original"))
-    assert not provider.verify(hash_bytes(b"tampered"), sig, pair.public_key)
+    sig = provider.sign(pair.private_key, hashlib.sha256(b"original").digest())
+    assert not provider.verify(hashlib.sha256(b"tampered").digest(), sig,
+                               pair.public_key)
 
 
 def test_verify_rejects_tampered_signature():
     pair = provider.keygen(3)
-    digest = hash_bytes(b"msg")
+    digest = hashlib.sha256(b"msg").digest()
     sig = provider.sign(pair.private_key, digest)
     flipped = bytes([sig[0] ^ 1]) + sig[1:]
     assert not provider.verify(digest, flipped, pair.public_key)
@@ -67,14 +63,14 @@ def test_verify_rejects_tampered_signature():
 
 def test_verify_rejects_wrong_key():
     pair, other = provider.keygen(4), provider.keygen(5)
-    digest = hash_bytes(b"msg")
+    digest = hashlib.sha256(b"msg").digest()
     sig = provider.sign(pair.private_key, digest)
     assert not provider.verify(digest, sig, other.public_key)
 
 
 def test_verify_is_total_on_malformed_input():
     pair = provider.keygen(6)
-    digest = hash_bytes(b"msg")
+    digest = hashlib.sha256(b"msg").digest()
     sig = provider.sign(pair.private_key, digest)
     assert not provider.verify(b"short", sig, pair.public_key)
     assert not provider.verify(digest, sig, b"notakey")
@@ -110,17 +106,18 @@ class TaggedProvider(MockProvider):
 def test_subclass_that_wraps_sign_verifies_its_own_signatures():
     tagged = TaggedProvider()
     pair = tagged.keygen(10)
-    digest = hash_bytes(b"msg")
+    digest = hashlib.sha256(b"msg").digest()
     sig = tagged.sign(pair.private_key, digest)
     assert sig.startswith(TaggedProvider.TAG)
     assert tagged.verify(digest, sig, pair.public_key)
-    assert not tagged.verify(hash_bytes(b"other"), sig, pair.public_key)
+    assert not tagged.verify(hashlib.sha256(b"other").digest(), sig,
+                             pair.public_key)
 
 
 def test_mock_bytes_match_an_hmac_reference():
     for seed in range(51):
         pair = provider.keygen(seed)
-        digest = hash_bytes(b"msg" + bytes([seed]))
+        digest = hashlib.sha256(b"msg" + bytes([seed])).digest()
         sig = provider.sign(pair.private_key, digest)
         assert sig == reference_sign(pair.private_key, digest)
         assert provider.verify(digest, sig, pair.public_key)
@@ -131,7 +128,7 @@ def test_mock_bytes_match_an_hmac_reference():
 
 def test_signatures_stay_exact_past_the_pad_cache_bound():
     bound = crypto._hmac_states.cache_info().maxsize
-    digest = hash_bytes(b"msg")
+    digest = hashlib.sha256(b"msg").digest()
     pairs = [provider.keygen(seed) for seed in range(bound + 10)]
     # The second pass signs with keys the first pass evicted.
     for pair in pairs + pairs[:10]:
@@ -159,7 +156,7 @@ def test_sign_matches_hmac_for_random_keys_and_digests():
 def test_sign_rejects_malformed_inputs():
     pair = provider.keygen(7)
     with pytest.raises(MalformedKeyError):
-        provider.sign(b"short", hash_bytes(b"m"))
+        provider.sign(b"short", hashlib.sha256(b"m").digest())
     with pytest.raises(CryptoError):
         provider.sign(pair.private_key, b"not-32-bytes")
 

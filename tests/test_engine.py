@@ -19,6 +19,8 @@ from uavchain.metrics import (MetricsCollector, RoundRecord, TrustRecord, TxReco
                               write_summary)
 from uavchain.workload import Behavior
 
+from reference import move_some
+
 
 def small_config(**overrides) -> ScenarioConfig:
     cfg = ScenarioConfig()
@@ -426,10 +428,10 @@ def test_a_uav_outside_the_area_raises(monkeypatch, dead):
     # The check reads the graph's positions, where a dead UAV keeps its last.
     def fly_out(sim):
         uav = sim.graph.uav_ids[-1]
+        _, y, z = sim.graph.positions[uav]
+        move_some(sim.graph, {uav: (-1.0, y, z)})
         if dead:
             sim._charge_uav(uav, sim.accounts[uav].remaining + 1.0)
-        _, y, z = sim.graph.positions[uav]
-        sim.graph.move({uav: (-1.0, y, z)})
 
     _finalize_after(monkeypatch, fly_out)
     with pytest.raises(engine.SimulationInvariantError,
@@ -503,6 +505,36 @@ def test_trust_scores_are_the_live_scores_of_the_last_window():
     assert list(result.trust_scores) == result.uav_ids
     last = {r.node: r.xi for r in result.metrics.trust if r.window_id == 6}
     assert result.trust_scores == last
+
+
+def test_a_window_update_zeroes_each_uavs_counters_in_place():
+    sim = engine.Simulation(small_config(network__uav_count=12))
+    stats = dict(sim.window_stats)
+    for i, uav in enumerate(sim.uav_ids):
+        counters = sim.window_stats[uav]
+        counters.submitted, counters.accepted, counters.timely = 3 + i, 2, 1
+    sim.now = sim.config.consensus.window_s
+    sim._window_update(1)
+    assert list(sim.window_stats) == sim.uav_ids
+    assert all(sim.window_stats[uav] is stats[uav] for uav in sim.uav_ids)
+    assert all((s.submitted, s.accepted, s.timely) == (0, 0, 0)
+               for s in sim.window_stats.values())
+    # The window's trust rows read the counters before they were zeroed.
+    rows = [(r.window_id, r.node, r.chi) for r in sim.metrics.trust]
+    assert [row[:2] for row in rows] == [(1, uav) for uav in sim.uav_ids]
+    assert len({chi for *_, chi in rows}) > 1
+    # A receive in the next window counts from zero.
+    uav, edge = sim.uav_ids[0], sim.edge_ids[0]
+    tx = ledger.Transaction(sender=uav, payload=b"x" * 512,
+                            submit_time=sim.now, signature=b"")
+    tx.signature = sim.provider.sign(sim.keys[uav].private_key, tx.id)
+    sim.metrics.transactions.append(TxRecord(seq=0, tx_id=tx.id.hex(),
+                                             sender=uav, submit_time_s=sim.now))
+    sim.now += 0.01
+    sim._handle_recv(tx, edge, 0, uav)
+    counters = sim.window_stats[uav]
+    assert counters is stats[uav]
+    assert (counters.submitted, counters.accepted, counters.timely) == (1, 1, 1)
 
 
 def test_no_decided_round_reports_no_validation_success():

@@ -10,7 +10,7 @@ import pytest
 
 import golden
 from uavchain import cli, ledger
-from uavchain.crypto import MockProvider, hash_bytes
+from uavchain.crypto import MockProvider
 from uavchain.ledger import (Block, BlockMetadata, LedgerError, LedgerSegment,
                              Transaction, genesis_metadata, merkle_root)
 
@@ -21,7 +21,7 @@ REGISTRY = {"u000": PAIR.public_key}
 
 def make_tx(payload: bytes, t: float = 1.0, sender: str = "u000") -> Transaction:
     core = ledger.encode_tx_core(sender, t, payload)
-    sig = provider.sign(PAIR.private_key, hash_bytes(core))
+    sig = provider.sign(PAIR.private_key, hashlib.sha256(core).digest())
     return Transaction(sender=sender, payload=payload, submit_time=t,
                        signature=sig)
 
@@ -161,8 +161,8 @@ def test_compression_ratio_arithmetic():
 
 def test_compress_block_sizes_and_fallback():
     def sizes(payload: bytes, codec: str) -> tuple[int, int]:
-        block = ledger.make_block([make_tx(payload)], hash_bytes(b"prev"),
-                                  1.0, "e00")
+        block = ledger.make_block([make_tx(payload)],
+                                  hashlib.sha256(b"prev").digest(), 1.0, "e00")
         ledger.compress_block(block, codec)
         assert block.raw_size == len(wire(block))
         return block.raw_size, block.compressed_size
@@ -194,7 +194,8 @@ def test_streamed_compressed_size_is_the_one_shot_size(kind, proposer, codec):
     # stream, and must record what one zlib.compress of the joined wire gives.
     txs = [make_tx(payload, t=1.0 + i) for i, payload in
            enumerate(BLOCK_PAYLOADS[kind])]
-    block = ledger.make_block(txs, hash_bytes(b"prev"), 90.0, proposer)
+    block = ledger.make_block(txs, hashlib.sha256(b"prev").digest(), 90.0,
+                              proposer)
     ledger.compress_block(block, codec)
     raw = wire(block)
     assert block.raw_size == len(raw)
@@ -237,7 +238,8 @@ def test_compress_block_never_holds_the_block_bytes():
     # deflated copy, more than twice the raw size.
     txs = [make_tx(b"reading:%05d;" % i * 50 + noise(300, bytes([i % 256])),
                    t=1.0 + i) for i in range(2200)]
-    block = ledger.make_block(txs, hash_bytes(b"prev"), 9000.0, "e00")
+    block = ledger.make_block(txs, hashlib.sha256(b"prev").digest(), 9000.0,
+                              "e00")
     assert block.raw_size >= 2_000_000
     tracemalloc.start()
     try:
@@ -432,6 +434,58 @@ def test_load_ledger_rejects_foreign_format(tmp_path):
         ledger.load_ledger(path)
 
 
+def _spoil_tx(index, key, value):
+    def spoil(data):
+        data["segments"][0]["blocks"][0]["transactions"][index][key] = value
+    return spoil
+
+
+def _spoil_meta(block, key, value):
+    def spoil(data):
+        segment = data["segments"][0]
+        meta = (segment["genesis"] if block is None
+                else segment["blocks"][block]["metadata"])
+        meta[key] = value
+    return spoil
+
+
+def _spoil_two(first, second):
+    def spoil(data):
+        first(data)
+        second(data)
+    return spoil
+
+
+@pytest.mark.parametrize("spoil,reason", [
+    (_spoil_tx(1, "signature", "ab cd"),
+     "segment {owner} block 1 tx 1 signature is not hex: Odd-length string"),
+    (_spoil_meta(None, "hash_prev", "0g"), "segment {owner} genesis hash_prev "
+     "is not hex: Non-hexadecimal digit found"),
+    (_spoil_meta(0, "merkle_root", "\u00e90"), "segment {owner} block 1 "
+     "merkle_root is not hex: string argument should contain only ASCII"),
+    (_spoil_tx(0, "payload", 5),
+     "segment {owner} block 1 tx 0 payload is not hex: argument should be"),
+    # The first fault is no hex fault: it is reported as it is.
+    (_spoil_two(_spoil_tx(0, "sender", "u\n"), _spoil_tx(1, "payload", "zz")),
+     "ValueError: sender 'u\\n' is not printable"),
+    (_spoil_two(_spoil_tx(0, "submit_time", "1"), _spoil_tx(1, "payload", "z")),
+     "TypeError: submit_time '1' has the wrong type"),
+], ids=["spaced", "genesis", "non_ascii", "not_a_str", "sender_first",
+        "time_first"])
+def test_load_ledger_names_the_first_bad_hex_field(tmp_path, spoil, reason):
+    seg, block = _segment_with_block([make_tx(b"a"), make_tx(b"b")])
+    seg.append_block(block)
+    path = tmp_path / "ledger.json"
+    ledger.dump_ledger(path, [seg], REGISTRY, "mock-sig", 1)
+    data = json.loads(path.read_text())
+    spoil(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(LedgerError) as caught:
+        ledger.load_ledger(path)
+    prefix = f"malformed ledger dump {path}: "
+    assert str(caught.value).startswith(prefix + reason.format(owner=seg.owner))
+
+
 def test_verify_segment_flags_tampering(tmp_path):
     seg, block = _segment_with_block([make_tx(b"a"), make_tx(b"b")])
     seg.append_block(block)
@@ -521,8 +575,8 @@ def test_block_wire_size_is_the_wire_length(proposer):
 @pytest.mark.parametrize("proposer", PROPOSERS)
 def test_empty_block_wire_size_is_the_header_and_36_bytes(proposer):
     # 36 = the block id and the u32 tx count around the header.
-    header = ledger.block_header(hash_bytes(b"prev"), ledger.ZERO_DIGEST, 10.0,
-                                 proposer)
+    header = ledger.block_header(hashlib.sha256(b"prev").digest(),
+                                 ledger.ZERO_DIGEST, 10.0, proposer)
     empty = Block(metadata=genesis_metadata(1), transactions=[],
                   proposer=proposer)
     assert ledger.block_wire_size(proposer, []) == len(header) + 36 == len(

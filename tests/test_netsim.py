@@ -1,7 +1,6 @@
 """Mobility statistics, connectivity rules, delivery delay, energy model."""
 
 import math
-from dataclasses import dataclass
 from random import Random
 from statistics import mean
 
@@ -13,7 +12,8 @@ from uavchain.config import (CryptoSection, EnergySection, MobilitySection,
 from uavchain.netsim import (CommGraph, EnergyAccount, UavState, _reflect,
                              deliver, round_energy, step_mobility)
 
-from reference import scan_nearest_edge, scan_uav_neighbors
+from reference import (FrozenState, frozen_reflect, frozen_step, move_some,
+                       scan_nearest_edge, scan_uav_neighbors)
 
 SIDE = 1e7  # huge area so trajectory tests never hit the boundary
 CENTRE = {"u0": (SIDE / 2, SIDE / 2, 100.0)}
@@ -27,7 +27,8 @@ def make_state(**kwargs) -> UavState:
 
 def walk(states, positions, dt, params, side, rng):
     """One step of `states`, moving `positions` as `CommGraph.move` does."""
-    positions.update(step_mobility(states, positions, dt, params, side, rng))
+    points = step_mobility(states, positions, dt, params, side, rng)
+    positions.update(zip((state.node_id for state in states), points))
 
 
 # --- mobility -----------------------------------------------------------------
@@ -97,82 +98,17 @@ def test_step_mobility_steps_exactly_the_listed_states():
     start = dict(positions)
     params = MobilitySection()
     before = [_velocity(state) for state in states]
-    moves = step_mobility(states[1:3], positions, 1.0, params, SIDE, Random(5))
+    points = step_mobility(iter(states[1:3]), positions, 1.0, params, SIDE,
+                           Random(5))
     after = [_velocity(state) for state in states]
     assert [a == b for a, b in zip(after, before)] == [True, False, False, True]
     assert [state.node_id for state in states] == ["u0", "u1", "u2", "u3"]
-    # The step only reads the points and returns the listed UAVs' new ones.
+    # The step only reads the points and returns the listed UAVs' new ones,
+    # in list order: u1 draws first, as it would alone.
     assert positions == start
-    assert list(moves) == ["u1", "u2"]
-    assert all(moves[u] != start[u] for u in moves)
-
-
-def _frozen_reflect(value, low, high, folds):
-    """`netsim._reflect` before the lean step, recording each fold.
-
-    `folds` gets one ("low" | "high", fold count) entry per bounce.
-    """
-    bounced = False
-    count = 0
-    side = "low" if value < low else "high"
-    # Repeated folding handles steps longer than the interval.
-    while value < low or value > high:
-        bounced = True
-        count += 1
-        if value < low:
-            value = 2 * low - value
-        else:
-            value = 2 * high - value
-    if bounced:
-        folds.append((side, count))
-    return value, bounced
-
-
-@dataclass
-class _FrozenState:
-    """`netsim.UavState` while it still held the UAV's position."""
-    node_id: str
-    x: float
-    y: float
-    z: float
-    speed: float
-    heading: float
-    mean_heading: float
-    vz: float = 0.0
-
-
-def _frozen_step(state, dt, mobility, area_side, rng, folds):
-    """`netsim.step_mobility` before the lean step: the output reference."""
-    if dt <= 0.0:
-        raise ValueError("mobility step must be positive")
-    eta = mobility.memory
-    root = math.sqrt(max(0.0, 1.0 - eta * eta))
-    speed = (eta * state.speed + (1.0 - eta) * mobility.mean_speed_mps
-             + root * rng.gauss(0.0, mobility.speed_sigma))
-    heading = (eta * state.heading + (1.0 - eta) * state.mean_heading
-               + root * rng.gauss(0.0, mobility.heading_sigma))
-    vz = eta * state.vz + root * rng.gauss(0.0, mobility.vert_sigma)
-
-    x = state.x + speed * math.cos(heading) * dt
-    y = state.y + speed * math.sin(heading) * dt
-    z = state.z + vz * dt
-
-    mean_heading = state.mean_heading
-    x, bounced_x = _frozen_reflect(x, 0.0, area_side, folds["x"])
-    if bounced_x:
-        heading = math.pi - heading
-        mean_heading = math.pi - mean_heading
-    y, bounced_y = _frozen_reflect(y, 0.0, area_side, folds["y"])
-    if bounced_y:
-        heading = -heading
-        mean_heading = -mean_heading
-    z, bounced_z = _frozen_reflect(z, mobility.alt_min_m, mobility.alt_max_m,
-                                   folds["z"])
-    if bounced_z:
-        vz = -vz
-
-    return _FrozenState(node_id=state.node_id, x=x, y=y, z=z, speed=speed,
-                        heading=heading, mean_heading=mean_heading, vz=vz)
+    alone = step_mobility([make_state(node_id="u1", heading=0.1)], start, 1.0,
+                          params, SIDE, Random(5))
+    assert len(points) == 2 and points[0] == alone[0] != points[1]
 
 
 def _velocity(state):
@@ -196,7 +132,7 @@ def test_step_matches_the_frozen_reference_bit_for_bit(eta):
         folds = {"x": [], "y": [], "z": []}
         names = [f"u{i}" for i in range(uavs)]
         for seed in range(20):
-            frozen = [_FrozenState(name, setup.uniform(0.0, side),
+            frozen = [FrozenState(name, setup.uniform(0.0, side),
                                    setup.uniform(0.0, side),
                                    setup.uniform(50.0, 150.0),
                                    setup.uniform(0.0, 60.0),
@@ -213,8 +149,8 @@ def test_step_matches_the_frozen_reference_bit_for_bit(eta):
                 # 40 s at ~30 m/s crosses the 300 m area several times over.
                 dt = setup.choice((0.5, 1.0, 7.3, 40.0))
                 walk(ours, positions, dt, params, side, rng_ours)
-                frozen = [_frozen_step(state, dt, params, side, rng_frozen,
-                                       folds) for state in frozen]
+                frozen = [frozen_step(state, dt, params, side, rng_frozen,
+                                      folds) for state in frozen]
                 assert ([positions[state.node_id] + _velocity(state)
                          for state in ours]
                         == [_kinematics(state) for state in frozen])
@@ -234,7 +170,7 @@ def test_step_hands_the_gauss_spare_on_in_both_directions(uavs, spare_in):
     count of normals leaves one for the next `rng.gauss` to return."""
     params = MobilitySection(memory=0.85, mean_speed_mps=30.0, speed_sigma=20.0,
                              heading_sigma=1.0, vert_sigma=15.0)
-    frozen = [_FrozenState(f"u{i}", 150.0 + i, 150.0, 100.0, 12.0, 0.2 * i,
+    frozen = [FrozenState(f"u{i}", 150.0 + i, 150.0, 100.0, 12.0, 0.2 * i,
                            0.1, 1.0) for i in range(uavs)]
     ours = [UavState(state.node_id, *_velocity(state)) for state in frozen]
     positions = {state.node_id: (state.x, state.y, state.z) for state in frozen}
@@ -244,7 +180,7 @@ def test_step_hands_the_gauss_spare_on_in_both_directions(uavs, spare_in):
         assert rng_ours.gauss_next is not None
     folds = {"x": [], "y": [], "z": []}
     walk(ours, positions, 1.0, params, 300.0, rng_ours)
-    frozen = [_frozen_step(state, 1.0, params, 300.0, rng_frozen, folds)
+    frozen = [frozen_step(state, 1.0, params, 300.0, rng_frozen, folds)
               for state in frozen]
     assert ([positions[state.node_id] + _velocity(state) for state in ours]
             == [_kinematics(state) for state in frozen])
@@ -268,7 +204,7 @@ def test_reflect_folds_one_at_a_time_up_to_64_folds():
         for distance in distances:
             for value in (low - distance, high + distance):
                 folds = []
-                expected, _ = _frozen_reflect(value, low, high, folds)
+                expected, _ = frozen_reflect(value, low, high, folds)
                 assert _reflect(value, low, high) == expected
                 counts.update(count for _, count in folds)
     assert max(counts) >= 64
@@ -279,7 +215,7 @@ def test_reflect_reduces_a_far_excursion_by_the_fold_period():
         width = high - low
         for distance in (64.5 * width, 1000.25 * width, 12345.678 * width):
             for value in (low - distance, high + distance):
-                expected, _ = _frozen_reflect(value, low, high, [])
+                expected, _ = frozen_reflect(value, low, high, [])
                 assert _reflect(value, low, high) == pytest.approx(
                     expected, abs=1e-9 * width * distance)
 
@@ -357,7 +293,7 @@ def test_dead_nodes_have_no_links():
     # A removed UAV leaves uav_ids and every edge's contention count, and
     # keeps its last position for nearest_edge and distance.
     graph = _graph()
-    graph.move({"u2": (100.0, 0.0, 100.0)})
+    move_some(graph, {"u2": (100.0, 0.0, 100.0)})
     assert graph.uav_neighbors("e0") == 3 and graph.uav_neighbors("e1") == 0
     graph.remove_uav("u1")
     assert graph.uav_ids == ["u0", "u2"]
@@ -404,7 +340,7 @@ def test_uav_neighbors_counts_alive_uavs_in_range():
     assert graph.uav_neighbors("e0") == 2
     graph.remove_uav("u1")
     assert graph.uav_neighbors("e0") == 1
-    graph.move({"u2": (600.0, 0.0, 100.0)})
+    move_some(graph, {"u2": (600.0, 0.0, 100.0)})
     assert graph.uav_neighbors("e0") == 2
 
 
@@ -475,24 +411,25 @@ def test_nearest_edge_memo_follows_every_change():
         assert scan_nearest_edge(graph, "u1") == graph.nearest_edge("u1")
 
     check("e0")
-    graph.move({"u1": (8000.0, 0.0, 100.0)})
+    move_some(graph, {"u1": (8000.0, 0.0, 100.0)})
     check("e1")
-    graph.move({"u0": (8500.0, 0.0, 100.0), "u1": (100.0, 400.0, 100.0)})
+    move_some(graph, {"u0": (8500.0, 0.0, 100.0), "u1": (100.0, 400.0, 100.0)})
     check("e0")
     graph.remove_uav("u2")
     check("e0")
 
 
 def move_checked(graph: CommGraph, batch) -> None:
-    """`graph.move(batch)`, checking that it sets every listed position,
-    clears both per-move memos, keeps every nearest-edge gap, and keeps a
-    contention band only while the travel total, grown by at least the
+    """`move_some(graph, batch)`, checking that it sets every listed position
+    and no other, clears both per-move memos, keeps every nearest-edge gap,
+    and keeps a contention band only while the travel total, grown by at least the
     batch's largest displacement, has grown by less than W since its scan."""
     travel = graph._travel
     steps = [math.dist(graph.positions[node], point)
              for node, point in batch.items()]
     bands, gaps = dict(graph._bands), dict(graph._gaps)
-    graph.move(batch)
+    before = dict(graph.positions)
+    move_some(graph, batch)
     assert graph._nearest_memo == {} and graph._contention_cache == {}
     assert graph._gaps == gaps
     skin = graph.params.range_m * (netsim._SKIN - netsim._SKIN_MARGIN)
@@ -505,7 +442,7 @@ def move_checked(graph: CommGraph, batch) -> None:
     else:
         assert graph._travel > travel
         assert graph._travel - travel >= max(steps, default=0.0)
-    assert all(graph.positions[node] == point for node, point in batch.items())
+    assert graph.positions == {**before, **batch}
 
 
 def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
@@ -517,21 +454,71 @@ def test_a_batch_move_sets_every_position_and_rejects_an_unknown_node():
     assert graph.uav_neighbors("e0") == 0
     assert graph.uav_neighbors("e1") == 1  # u1 is now the one in range
     assert graph.nearest_edge("u1")[0] == "e1"
+    # One point per alive UAV, in uav_ids order: a point for u9 as well is
+    # one too many.
     before = dict(graph.positions)
-    with pytest.raises(KeyError):
-        graph.move({"u0": (1.0, 1.0, 1.0), "u9": (2.0, 2.0, 2.0)})
+    points = [(1.0, 1.0, 1.0), graph.positions["u1"], graph.positions["u2"]]
+    with pytest.raises(ValueError):
+        graph.move(points + [(2.0, 2.0, 2.0)])
     assert graph.positions == before
+    graph.move(points)
+    assert graph.positions == {**before, "u0": (1.0, 1.0, 1.0)}
 
 
-@pytest.mark.parametrize("node", ["e0", "base", "u9"])
-def test_move_rejects_an_edge_or_an_unknown_node_and_changes_nothing(node):
+def _cache_state(graph: CommGraph):
+    return (dict(graph.positions), list(graph.uav_ids), graph._travel,
+            dict(graph._contention_cache), dict(graph._nearest_memo),
+            dict(graph._bands), dict(graph._gaps))
+
+
+@pytest.mark.parametrize("change", [-1, 1, -3], ids=["one_short", "one_over",
+                                                     "empty"])
+def test_move_rejects_a_point_list_of_the_wrong_length_and_changes_nothing(
+        change):
     graph = _graph()
-    assert graph.nearest_edge("u0")[0] == "e0"
+    for _ in range(2):   # then a move, so the bands hold travel
+        for node in graph.positions:
+            graph.nearest_edge(node)
+            graph.uav_neighbors(node)
+        if not graph._travel:
+            move_checked(graph, {"u0": (10.0, 10.0, 100.0)})
+    before = _cache_state(graph)
+    assert graph._travel > 0.0 and all(before[3:])
+    with pytest.raises(ValueError,
+                       match=f"{3 + change} points for 3 alive UAVs"):
+        graph.move([(9000.0, 1.0, 100.0)] * (3 + change))
+    assert _cache_state(graph) == before
+
+
+def test_a_removed_uav_keeps_its_last_point_through_later_steps():
+    cfg = ScenarioConfig()
+    cfg.network.uav_count = 30
+    sim = engine.Simulation(cfg)
+    graph = sim.graph
+    sim._handle_mobility()
+    dead = [graph.uav_ids[0], graph.uav_ids[7], graph.uav_ids[-1]]
+    last = {uav: graph.positions[uav] for uav in dead}
+    velocity = {uav: _velocity(sim.uav_states[uav]) for uav in dead}
+    for uav in dead:
+        graph.remove_uav(uav)
+    for _ in range(3):
+        before = dict(graph.positions)
+        sim._handle_mobility()
+        assert len(graph.uav_ids) == 27
+        assert all(graph.positions[uav] != before[uav] for uav in graph.uav_ids)
+        assert {uav: graph.positions[uav] for uav in dead} == last
+        assert {uav: _velocity(sim.uav_states[uav]) for uav in dead} == velocity
+    # With every UAV dead, a step moves nothing and keeps every last point.
+    for uav in list(graph.uav_ids):
+        graph.remove_uav(uav)
     before = dict(graph.positions)
-    with pytest.raises(KeyError):
-        graph.move({"u0": (9000.0, 1.0, 100.0), node: (1.0, 1.0, 0.0)})
+    sim._handle_mobility()
     assert graph.positions == before
-    assert graph.nearest_edge("u0")[0] == "e0"
+
+
+def _alive(graph: CommGraph, batch: dict) -> dict:
+    """The moves of `batch` for alive UAVs: a dead UAV keeps its last point."""
+    return {uav: point for uav, point in batch.items() if uav in graph.uav_ids}
 
 
 def _random_graph(rng: Random, uavs: list[str], edges: list[str]):
@@ -552,11 +539,12 @@ def test_nearest_edge_memo_matches_a_scan_along_a_random_walk():
     for _ in range(500):
         roll = rng.random()
         if roll < 0.7:
-            move_checked(graph, {uav: spot(100.0) for uav in
-                                 rng.sample(uavs, rng.randint(1, len(uavs)))})
+            move_checked(graph, _alive(graph, {
+                uav: spot(100.0)
+                for uav in rng.sample(uavs, rng.randint(1, len(uavs)))}))
         elif roll < 0.8:
             uav = rng.choice(uavs)
-            move_checked(graph, {uav: graph.positions[uav]})
+            move_checked(graph, _alive(graph, {uav: graph.positions[uav]}))
         elif graph.uav_ids:
             graph.remove_uav(rng.choice(graph.uav_ids))
         for uav in uavs:
@@ -582,7 +570,8 @@ def test_contention_and_memo_match_a_scan_along_a_random_walk():
             moved = list(graph.uav_ids) if roll < 0.45 else rng.sample(
                 uavs, rng.randint(1, len(uavs)))
             if moved:
-                move_checked(graph, {uav: spot(100.0) for uav in moved})
+                move_checked(graph, _alive(graph, {uav: spot(100.0)
+                                                   for uav in moved}))
         else:
             graph.remove_uav(rng.choice(graph.uav_ids))
         # Query a rotating subset of edges twice, so that some answers come
@@ -683,7 +672,8 @@ def test_the_margins_cover_rounding_where_reuse_ends():
          "e1": (2734.9544604762277, 1253.4614401275262, 3358.2146195204964)},
         {"u0": (3127.696599871345, 2515.3013942016723, 834.055968676385)})
     assert graph.nearest_edge("u0")[0] == "e0"
-    graph.move({"u0": (2991.707603491217, 2078.382785948495, 1708.058952316436)})
+    move_some(graph, {"u0": (2991.707603491217, 2078.382785948495,
+                             1708.058952316436)})
     assert graph.nearest_edge("u0") == scan_nearest_edge(graph, "u0")
     assert graph.nearest_edge("u0")[0] == "e1"
     # u0 starts 1050 m (range_m - W) from e0 and travels 149.99999999999997 m,
@@ -693,7 +683,8 @@ def test_the_margins_cover_rounding_where_reuse_ends():
         {"e0": (1870.9186739092254, 1935.1414017099767, 0.0)},
         {"u0": (966.427738170153, 1896.5319939157562, -531.8885793055131)})
     assert graph.uav_neighbors("e0") == 1
-    graph.move({"u0": (837.2147473502854, 1891.0163642308682, -607.8726620634432)})
+    move_some(graph, {"u0": (837.2147473502854, 1891.0163642308682,
+                             -607.8726620634432)})
     assert graph.uav_neighbors("e0") == 0 == scan_uav_neighbors(graph, "e0")
 
 

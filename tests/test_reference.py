@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from uavchain import cli, engine
+from uavchain import cli, engine, netsim
 from uavchain.config import ScenarioConfig, apply_override
 
-from reference import ScanningGraph
+from reference import ScanningGraph, gauss_step_mobility
 
 
 def run_outputs(overrides: dict, seed: int, outdir) -> tuple[dict, dict, int]:
@@ -30,7 +30,8 @@ def run_outputs(overrides: dict, seed: int, outdir) -> tuple[dict, dict, int]:
 def test_whole_runs_match_with_the_scanning_graph(tmp_path):
     # Many UAVs per edge, short ranges (so that contention bands are rebuilt
     # and dropped), fast UAVs, deaths from small batteries, several trust
-    # windows and adversaries: the skin caches must never change a byte.
+    # windows and adversaries: neither the skin caches nor the step's own
+    # normal draws may change a byte.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     scenarios = st.fixed_dictionaries({
@@ -56,6 +57,7 @@ def test_whole_runs_match_with_the_scanning_graph(tmp_path):
         real = run_outputs(overrides, seed, tmp_path / "real")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "CommGraph", ScanningGraph)
+            patch.setattr(netsim, "step_mobility", gauss_step_mobility)
             twin = run_outputs(overrides, seed, tmp_path / "twin")
         assert real == twin
         assert sorted(real[0]) == ["ledger.json", "rounds.csv", "summary.json",
